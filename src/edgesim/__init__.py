@@ -1,6 +1,6 @@
 """edgesim: energy-model simulator of mixed-signal MAC accelerators and the
-edge-robotics workloads (Q-learning navigation, swarm tasks, neuro-SLAM)
-that exercise them."""
+edge-robotics workloads (Q-learning navigation, swarm tasks) that exercise
+them."""
 
 from edgesim.macmodel import (
     EnergyParams,

@@ -1,26 +1,27 @@
 """Unified swarm compute paradigm on the HD-MS MAC substrate.
 
-Nonlinear terms go through piecewise-linear function tables (NFE) with
-symmetry/periodicity folding; multiplies go through the quantized LPU at a
-bit width set by the swarm size. Four template workloads run on top: APF
-path planning, circle-slot pattern formation, predator-prey pursuit, and
-cooperative map exploration. Agent state (positions, maps) lives in wide
-registers; only the MAC operands are quantized.
+Nonlinear terms go through piecewise-linear function tables (NFE); multiplies
+go through the quantized LPU at a bit width set by the swarm size. Four
+template workloads run on top: APF path planning, circle-slot pattern
+formation, predator-prey pursuit, and cooperative map exploration. Agent
+state (positions, maps) lives in wide registers; only the MAC operands are
+quantized.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
 from edgesim import macmodel as mm
-from edgesim.macmodel import EnergyParams, MacResult, Operand, hdms_mac
+from edgesim.macmodel import EnergyParams
 from edgesim.stochsyn import Lfsr
 
 WORKLOADS = ("path", "formation", "predprey", "explore")
+PREDATOR_POLICIES = ("qlearn", "random")
 
 MIN_AGENTS = 2
 MAX_AGENTS = 20
@@ -44,31 +45,18 @@ _NFE_FUNCS = {
     "recip": lambda x: 1.0 / x,
 }
 
-_NFE_TAGS = {
-    # (symmetry, period)
-    "exp_neg": ("none", None),
-    "sigmoid": ("none", None),
-    "sine": ("odd", 2 * math.pi),
-    "recip": ("odd", None),
-}
-
 
 @dataclass(frozen=True)
 class NfeTable:
     """Chord (endpoint-interpolating) piecewise-linear table on a uniform grid.
 
     Evaluation lerps between stored endpoint values, so adjoining segments
-    agree exactly at breakpoints; slopes/intercepts are carried as the
-    conventional per-segment line description.
+    agree exactly at breakpoints.
     """
 
     fid: str
     breakpoints: np.ndarray
     values: np.ndarray
-    slopes: np.ndarray
-    intercepts: np.ndarray
-    symmetry: str
-    period: float | None
 
     @property
     def lo(self) -> float:
@@ -94,20 +82,7 @@ def nfe_build(fid: str, domain: tuple, n_segments: int = 32) -> NfeTable:
     if fid == "recip" and lo <= 0 <= hi:
         raise ValueError("recip domain must exclude 0")
     breaks = np.linspace(lo, hi, n_segments + 1)
-    values = _NFE_FUNCS[fid](breaks)
-    slopes = np.diff(values) / np.diff(breaks)
-    intercepts = values[:-1] - slopes * breaks[:-1]
-    symmetry, period = _NFE_TAGS[fid]
-    return NfeTable(fid=fid, breakpoints=breaks, values=values, slopes=slopes,
-                    intercepts=intercepts, symmetry=symmetry, period=period)
-
-
-def nfe_segment_eval(table: NfeTable, seg: int, x):
-    """Evaluate one segment's chord at x (exact at both endpoints)."""
-    t0 = table.breakpoints[seg]
-    t1 = table.breakpoints[seg + 1]
-    u = (np.asarray(x, dtype=float) - t0) / (t1 - t0)
-    return table.values[seg] * (1.0 - u) + table.values[seg + 1] * u
+    return NfeTable(fid=fid, breakpoints=breaks, values=_NFE_FUNCS[fid](breaks))
 
 
 def nfe_eval(table: NfeTable, x):
@@ -123,41 +98,8 @@ def nfe_eval(table: NfeTable, x):
     return out if out.ndim else float(out)
 
 
-def nfe_fold(x: float, table: NfeTable):
-    """Reduce x by the table's period and symmetry tags; returns (x_folded, sign)."""
-    if table.symmetry == "none" and table.period is None:
-        raise ValueError(f"table {table.fid!r} carries no symmetry or period tag")
-    y = float(x)
-    if table.period is not None:
-        y = math.remainder(y, table.period)
-    sign = 1.0
-    if table.symmetry == "odd":
-        if y < 0:
-            y, sign = -y, -1.0
-    elif table.symmetry == "even":
-        y = abs(y)
-    return y, sign
-
-
 # ---------------------------------------------------------------------------
 # linear processing unit
-
-
-def lpu_dot(x, w, bits: int, params: EnergyParams) -> MacResult:
-    """Accumulated HD-MS dot product over two operand vectors."""
-    if len(x) != len(w):
-        raise ValueError(f"vector lengths differ: {len(x)} vs {len(w)}")
-    acc = 0
-    energy = 0.0
-    cycles = 0
-    passes = 0
-    for xi, wi in zip(x, w):
-        r = hdms_mac(xi, wi, acc, params, bits)
-        acc = r.value
-        energy += r.energy_pj
-        cycles += r.dco_cycles
-        passes += r.kernel_passes
-    return MacResult(value=acc, energy_pj=energy, dco_cycles=cycles, kernel_passes=max(passes, 1))
 
 
 class LpuMeter:
@@ -167,9 +109,15 @@ class LpuMeter:
     the meter's bit width, multiplied exactly on the integer MAC model, and
     come back dequantized. NFE evaluations are charged one MAC each (the
     interpolation multiply).
+
+    Each ``mul``/``nfe`` call adds its summed energy to ``energy_pj``; given a
+    ``ledger`` list it appends its per-element energies there instead, for a
+    batching caller to ``charge`` in the order of the calls it stands for.
     """
 
     def __init__(self, bits: int, params: EnergyParams, model: str = "hdms"):
+        if model not in mm.MODELS:
+            raise ValueError(f"unknown MAC model {model!r}; expected one of {mm.MODELS}")
         self.bits = mm.check_bits(bits)
         self.params = params
         self.model = model
@@ -182,32 +130,52 @@ class LpuMeter:
         mag = np.minimum((np.abs(v) / rng * self._full + 0.5).astype(np.int64), self._full)
         return mag, np.where(v < 0, -1, 1)
 
-    def _charge(self, x_mag, w_mag):
+    def energy(self, x_mag, w_mag) -> np.ndarray:
+        """Per-element MAC energies (pJ) of the meter's model for broadcast operand magnitudes."""
         if self.model == "digital":
-            e = np.full(np.broadcast(x_mag, w_mag).shape, mm.digital_energy(self.bits, self.params))
-        elif self.model == "tdms":
-            e = mm.tdms_energy(x_mag * w_mag, self.bits, self.params)
-        else:
-            e = mm.hdms_energy(x_mag, w_mag, self.bits, self.params)
-        e = np.asarray(e)
-        self.energy_pj += float(e.sum())
-        self.macs += e.size
+            return np.full(np.broadcast(x_mag, w_mag).shape, mm.digital_energy(self.bits, self.params))
+        if self.model == "tdms":
+            return np.asarray(mm.tdms_energy(x_mag * w_mag, self.bits, self.params))
+        return np.asarray(mm.hdms_energy(x_mag, w_mag, self.bits, self.params))
 
-    def mul(self, a, b, a_range: float, b_range: float):
-        """Elementwise quantized multiply; returns dequantized floats."""
+    def _charge(self, e, ledger):
+        if ledger is None:
+            self.energy_pj += float(e.sum())
+            self.macs += e.size
+        else:
+            ledger.append(e)
+
+    def charge(self, call_pj, macs: int) -> None:
+        """Add per-call energies to ``energy_pj`` one at a time, in order.
+
+        A plain left-to-right sum, so the total equals that of the same calls
+        charged one by one (``ndarray.sum`` is pairwise and would differ).
+        """
+        self.energy_pj = float(np.add.accumulate(np.concatenate(([self.energy_pj], call_pj)))[-1])
+        self.macs += int(macs)
+
+    def mul(self, a, b, a_range: float, b_range: float, ledger: list | None = None):
+        """Elementwise quantized multiply; returns dequantized floats.
+
+        Operands must be finite: out-of-range values saturate, NaN and
+        infinities raise ``ValueError``.
+        """
+        # one ufunc pass in the common case; a sum that overflows from huge
+        # finite operands is told apart by testing them one by one
+        if not np.isfinite(np.add(a, b)).all() and not (np.isfinite(a).all() and np.isfinite(b).all()):
+            raise ValueError("LPU operands must be finite")
         ma, sa = self._quant(np.clip(a, -a_range, a_range), a_range)
         mb, sb = self._quant(np.clip(b, -b_range, b_range), b_range)
-        self._charge(ma, mb)
+        self._charge(self.energy(ma, mb), ledger)
         scale = (a_range * b_range) / float(self._full * self._full)
         out = (sa * sb * ma * mb) * scale
         return out if out.ndim else float(out)
 
-    def nfe(self, table: NfeTable, x):
+    def nfe(self, table: NfeTable, x, ledger: list | None = None):
         """Metered table lookup: one interpolation MAC per evaluated element."""
         out = nfe_eval(table, x)
-        n = np.asarray(x).size
-        mid = self._full // 2
-        self._charge(np.full(n, mid), np.full(n, mid))
+        mid = np.full(np.asarray(x).size, self._full // 2)
+        self._charge(self.energy(mid, mid), ledger)
         return out
 
 
@@ -223,9 +191,9 @@ class PotentialParams:
     v_max: float = 0.2
 
     def __post_init__(self):
-        for name in ("k_att", "k_rep", "d0", "v_max"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+        for f in fields(self):
+            if not getattr(self, f.name) > 0:
+                raise ValueError(f"{f.name} must be positive")
 
 
 # repulsion distances below this floor saturate (the 1/d table domain end)
@@ -234,46 +202,66 @@ D_FLOOR = 0.1
 
 def apf_force(pos, goal, obstacles, params: PotentialParams,
               meter: LpuMeter | None = None, recip_table: NfeTable | None = None):
-    """Attractive-plus-repulsive potential field force, clamped to v_max.
+    """Attractive-plus-repulsive potential field forces of n agents, each clamped to v_max.
 
-    With a meter attached, multiplies run on the quantized LPU and the 1/d
-    terms go through the reciprocal NFE table.
+    ``pos`` and ``goal`` are (n, 2); ``obstacles`` is (n, K, 2), row i
+    listing the points that repel agent i, and only points closer than d0
+    push. With a meter attached, multiplies run on the quantized LPU and the
+    1/d terms go through the reciprocal NFE table. Forces, energy and MACs
+    are exactly those of n single-agent calls made in agent order.
     """
     pos = np.asarray(pos, dtype=float)
     goal = np.asarray(goal, dtype=float)
-    err = goal - pos
+    obstacles = np.asarray(obstacles, dtype=float)
+    n = len(pos)
     sat = 2.0 * params.v_max
-    err_c = np.clip(err, -sat, sat)
+    err_c = np.clip(goal - pos, -sat, sat)
     if meter is None:
-        force = params.k_att * err_c
+        att = params.k_att * err_c
     else:
-        force = meter.mul(np.full(2, params.k_att), err_c, max(params.k_att, 1.0), sat)
+        ledger = []
+        att = meter.mul(params.k_att, err_c, max(params.k_att, 1.0), sat, ledger)
 
-    # metered pushes saturate at this quantizer range; the exact formula is
-    # unbounded and relies on the final v_max clamp alone
-    f_cap = 4.0 * params.v_max
-    for obs in np.atleast_2d(np.asarray(obstacles, dtype=float)) if len(obstacles) else []:
-        delta = pos - obs
-        d = float(np.hypot(*delta))
-        if d == 0.0:
-            raise ValueError("agent sits exactly on an obstacle point (singular field)")
-        if d >= params.d0:
-            continue
-        dc = max(d, D_FLOOR)
-        u0 = 1.0 / params.d0
-        direction = delta / d
-        if meter is None:
-            u = 1.0 / dc
-            force = force + params.k_rep * (u - u0) * u * u * direction
-        else:
-            u = meter.nfe(recip_table, dc)
-            uu = meter.mul(u, u, 1.0 / D_FLOOR, 1.0 / D_FLOOR)
-            push = meter.mul(params.k_rep * (u - u0), uu, 10.0, (1.0 / D_FLOOR) ** 2)
-            force = force + meter.mul(np.full(2, push), direction, f_cap, 1.0)
+    delta = pos[:, None, :] - obstacles
+    d = np.hypot(delta[..., 0], delta[..., 1])
+    if np.any(d == 0.0):
+        raise ValueError("agent sits exactly on an obstacle point (singular field)")
+    # pushing pairs, agent-major and in list order; a NaN distance pushes,
+    # so a NaN point is not skipped silently
+    rows, cols = np.nonzero(~(d >= params.d0))
+    counts = np.bincount(rows, minlength=n)
+    first = np.cumsum(counts) - counts  # index of each agent's first pair
+    d = d[rows, cols]
+    dc = np.maximum(d, D_FLOOR)
+    u0 = 1.0 / params.d0
+    direction = delta[rows, cols] / d[:, None]
+    if meter is None:
+        u = 1.0 / dc
+        push = (params.k_rep * (u - u0) * u * u)[:, None] * direction
+    else:
+        # metered pushes saturate at the f_cap quantizer range; the exact
+        # formula is unbounded and relies on the final v_max clamp alone
+        f_cap = 4.0 * params.v_max
+        u = meter.nfe(recip_table, dc, ledger)
+        uu = meter.mul(u, u, 1.0 / D_FLOOR, 1.0 / D_FLOOR, ledger)
+        mag = meter.mul(params.k_rep * (u - u0), uu, 10.0, (1.0 / D_FLOOR) ** 2, ledger)
+        push = meter.mul(mag[:, None], direction, f_cap, 1.0, ledger)
+        # agent i's calls in order: attraction, then per pushing pair the
+        # lookup, u*u, the magnitude and the 2-element push
+        e_att, e_nfe, e_uu, e_mag, e_push = ledger
+        pair_pj = np.stack([e_nfe, e_uu, e_mag, e_push[:, 0] + e_push[:, 1]], axis=1)
+        meter.charge(np.insert(pair_pj.ravel(), 4 * first, e_att[:, 0] + e_att[:, 1]),
+                     sum(e.size for e in ledger))
 
-    norm = float(np.hypot(*force))
-    if norm > params.v_max:
-        force = force * (params.v_max / norm)
+    # sum each agent's terms left to right: attraction, then its pushes in list order
+    terms = np.zeros((n, 1 + counts.max(initial=0), 2))
+    terms[:, 0] = att
+    terms[rows, 1 + np.arange(len(rows)) - first[rows]] = push
+    force = np.add.accumulate(terms, axis=1)[np.arange(n), counts]
+
+    norm = np.hypot(force[:, 0], force[:, 1])
+    fast = norm > params.v_max
+    force[fast] = force[fast] * (params.v_max / norm[fast])[:, None]
     return force
 
 
@@ -292,15 +280,21 @@ class SwarmConfig:
     goal_tolerance: float = 0.3
     slot_tolerance: float = 0.1
     collision_radius: float = 0.25
-    predator_policy: str = "qlearn"  # or "random"
+    predator_policy: str = "qlearn"
 
     def __post_init__(self):
         if self.workload not in WORKLOADS:
             raise ValueError(f"unknown workload {self.workload!r}; expected one of {WORKLOADS}")
         if not MIN_AGENTS <= self.n_agents <= MAX_AGENTS:
             raise ValueError(f"n_agents must be in [{MIN_AGENTS}, {MAX_AGENTS}]")
-        if self.extent <= 0:
-            raise ValueError("extent must be positive")
+        if self.model not in mm.MODELS:
+            raise ValueError(f"unknown MAC model {self.model!r}; expected one of {mm.MODELS}")
+        if self.predator_policy not in PREDATOR_POLICIES:
+            raise ValueError(f"unknown predator policy {self.predator_policy!r}; "
+                             f"expected one of {PREDATOR_POLICIES}")
+        for name in ("extent", "goal_tolerance", "slot_tolerance", "collision_radius"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be positive")
 
     @property
     def bits(self) -> int:
@@ -394,15 +388,18 @@ def _scatter(rng, n, lo, hi, min_sep, max_tries=200, keep_clear=None):
 # --- scenario files: [scenario] key = value, then coordinate sections ------
 
 _COORD_SECTIONS = ("agents", "goals", "obstacles", "slots")
+# optional [scenario] keys besides the seed: SwarmConfig and PotentialParams fields
+_CONFIG_KEYS = {"extent": float, "model": str, "goal_tolerance": float, "slot_tolerance": float,
+                "collision_radius": float, "predator_policy": str}
+_POTENTIAL_KEYS = tuple(f.name for f in fields(PotentialParams))
 
 
 def save_scenario(scn: Scenario, path) -> None:
     cfg = scn.config
-    lines = ["[scenario]"]
-    lines.append(f"workload = {cfg.workload}")
-    lines.append(f"n_agents = {cfg.n_agents}")
-    lines.append(f"extent = {cfg.extent!r}")
-    lines.append(f"seed = 0x{cfg.seed:04X}")
+    lines = ["[scenario]", f"workload = {cfg.workload}", f"n_agents = {cfg.n_agents}",
+             f"seed = 0x{cfg.seed:04X}"]
+    lines += [f"{k} = {getattr(cfg, k)}" for k in _CONFIG_KEYS]
+    lines += [f"{k} = {getattr(cfg.potential, k)}" for k in _POTENTIAL_KEYS]
     for name, arr in (("agents", scn.agents), ("goals", scn.goals),
                       ("obstacles", scn.obstacles), ("slots", scn.slots)):
         if arr is None or len(arr) == 0:
@@ -415,6 +412,8 @@ def save_scenario(scn: Scenario, path) -> None:
 
 
 def load_scenario(path) -> Scenario:
+    """Read a scenario file; keys it does not set keep their SwarmConfig and
+    PotentialParams defaults."""
     section = None
     keys = {}
     coords = {name: [] for name in _COORD_SECTIONS}
@@ -429,7 +428,10 @@ def load_scenario(path) -> Scenario:
             continue
         if section == "scenario":
             key, _, val = line.partition("=")
-            keys[key.strip()] = val.strip()
+            key = key.strip()
+            if key not in ("workload", "n_agents", "seed", *_CONFIG_KEYS, *_POTENTIAL_KEYS):
+                raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
+            keys[key] = val.strip()
         elif section in _COORD_SECTIONS:
             parts = line.split()
             if len(parts) != 2:
@@ -443,8 +445,9 @@ def load_scenario(path) -> Scenario:
     config = SwarmConfig(
         workload=keys["workload"],
         n_agents=int(keys["n_agents"]),
-        extent=float(keys.get("extent", 10.0)),
         seed=int(keys.get("seed", "0xACE1"), 0),
+        potential=PotentialParams(**{k: float(keys[k]) for k in _POTENTIAL_KEYS if k in keys}),
+        **{k: parse(keys[k]) for k, parse in _CONFIG_KEYS.items() if k in keys},
     )
     agents = np.array(coords["agents"]) if coords["agents"] else None
     if agents is None:
@@ -576,40 +579,34 @@ def workload_step(state: WorkloadState, cfg: SwarmConfig, meter: LpuMeter,
 
 
 def _step_path(state, cfg, meter, tables):
-    pot = cfg.potential
-    recip = tables["recip"]
-    new_pos = state.positions.copy()
-    for i in range(len(state.positions)):
-        others = np.delete(state.positions, i, axis=0)
-        obs = np.vstack([others, state.obstacles]) if len(state.obstacles) else others
-        f = apf_force(state.positions[i], state.goals[i], obs, pot, meter, recip)
-        new_pos[i] = state.positions[i] + f
-    state.positions = new_pos
+    _step_apf(state, state.goals, state.obstacles, cfg, meter, tables)
     _check_collisions(state, cfg)
-    return len(new_pos)
+    return len(state.positions)
 
 
 def _step_formation(state, cfg, meter, tables):
-    pot = cfg.potential
-    recip = tables["recip"]
-    new_pos = state.positions.copy()
-    for i in range(len(state.positions)):
-        others = np.delete(state.positions, i, axis=0)
-        f = apf_force(state.positions[i], state.slots[i], others, pot, meter, recip)
-        new_pos[i] = state.positions[i] + f
-    state.positions = new_pos
-    return len(new_pos)
+    _step_apf(state, state.slots, np.zeros((0, 2)), cfg, meter, tables)
+    return len(state.positions)
+
+
+def _step_apf(state, targets, obstacles, cfg, meter, tables):
+    """Move every agent by its APF force toward its target, repelled by the
+    other agents (in index order) and then by the static obstacles."""
+    pos = state.positions
+    n = len(pos)
+    j = np.arange(n - 1)
+    others = pos[j + (j >= np.arange(n)[:, None])]  # row i skips agent i
+    repel = np.concatenate([others, np.broadcast_to(obstacles, (n, *obstacles.shape))], axis=1)
+    state.positions = pos + apf_force(pos, targets, repel, cfg.potential, meter, tables["recip"])
 
 
 def _check_collisions(state, cfg):
     pos = state.positions
-    for i in range(len(pos)):
-        for j in range(i + 1, len(pos)):
-            if np.hypot(*(pos[i] - pos[j])) < cfg.collision_radius:
-                state.collided = True
-        for obs in state.obstacles:
-            if np.hypot(*(pos[i] - obs)) < cfg.collision_radius:
-                state.collided = True
+    delta = pos[:, None, :] - np.concatenate([pos, state.obstacles])
+    d = np.hypot(delta[..., 0], delta[..., 1])
+    np.fill_diagonal(d, np.inf)  # an agent does not collide with itself
+    if np.any(d < cfg.collision_radius):
+        state.collided = True
 
 
 def _step_predprey(state, cfg, meter):
