@@ -17,6 +17,7 @@ calibration reference.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -56,6 +57,8 @@ class Operand:
     def __post_init__(self):
         if self.sign not in (1, -1):
             raise ValueError(f"sign must be +1 or -1, got {self.sign}")
+        if not isinstance(self.magnitude, (int, np.integer)) or isinstance(self.magnitude, bool):
+            raise TypeError(f"magnitude must be an integer, got {self.magnitude!r}")
         if self.magnitude < 0:
             raise ValueError(f"magnitude must be non-negative, got {self.magnitude}")
 
@@ -102,7 +105,7 @@ class EnergyParams:
 
     def __post_init__(self):
         for name in ("c_d2", "c_d1", "c_d0", "e_0", "e_cyc", "e_tr", "e_sa"):
-            if getattr(self, name) < 0:
+            if not getattr(self, name) >= 0:  # NaN fails too
                 raise ValueError(f"{name} must be non-negative")
         for name in ("v_supply", "v_ref"):
             v = getattr(self, name)
@@ -204,17 +207,20 @@ def tdms_energy(cycles, bits: int, params: EnergyParams):
     return (params.e_0 + params.e_cyc * np.asarray(cycles, dtype=float) + params.e_tr * bits) * params.voltage_scale
 
 
+def _chunk_cycles(x_mag, w_mag):
+    """Oscillator cycles of the four low/high chunk partial products, each on
+    the 5-bit kernel (operands wider than the kernel)."""
+    low_mask = (1 << TDMS_KERNEL_BITS) - 1
+    xl, xh = x_mag & low_mask, x_mag >> TDMS_KERNEL_BITS
+    wl, wh = w_mag & low_mask, w_mag >> TDMS_KERNEL_BITS
+    return xl * wl + xl * wh + xh * wl + xh * wh
+
+
 def hdms_energy(x_mag, w_mag, bits: int, params: EnergyParams):
     """Energy of one HD-MS MAC (scalar or ndarray operand magnitudes)."""
     if bits <= TDMS_KERNEL_BITS:
         return tdms_energy(np.asarray(x_mag) * np.asarray(w_mag), bits, params)
-    x_mag = np.asarray(x_mag)
-    w_mag = np.asarray(w_mag)
-    low_mask = (1 << TDMS_KERNEL_BITS) - 1
-    xl, xh = x_mag & low_mask, x_mag >> TDMS_KERNEL_BITS
-    wl, wh = w_mag & low_mask, w_mag >> TDMS_KERNEL_BITS
-    # four partial products, each on the 5-bit kernel
-    cycles = xl * wl + xl * wh + xh * wl + xh * wh
+    cycles = _chunk_cycles(np.asarray(x_mag), np.asarray(w_mag))
     base = (
         4.0 * params.e_0
         + params.e_cyc * cycles.astype(float)
@@ -330,32 +336,50 @@ class EnergySurface:
             yield (self.model, self.bits, int(xi), int(wi), int(vi), float(ei), int(ci))
 
 
+def _check_model(model: str) -> str:
+    if model not in MODELS:
+        raise ValueError(f"unknown MAC model {model!r}; expected one of {MODELS}")
+    return model
+
+
+def _energy_grid(model: str, x, w, bits: int, params: EnergyParams) -> np.ndarray:
+    """Per-MAC energy of ``model`` over broadcast operand magnitude arrays."""
+    if model == "digital":
+        return np.full(np.broadcast_shapes(np.shape(x), np.shape(w)), digital_energy(bits, params))
+    if model == "tdms":
+        return np.asarray(tdms_energy(x * w, bits, params), dtype=float)
+    return np.asarray(hdms_energy(x, w, bits, params), dtype=float)
+
+
 def energy_surface(bits: int, model: str, params: EnergyParams) -> EnergySurface:
     """Evaluate the full magnitude grid for one model at one bit width."""
     bits = check_bits(bits)
-    if model not in MODELS:
-        raise ValueError(f"unknown MAC model {model!r}; expected one of {MODELS}")
+    model = _check_model(model)
     n = 1 << bits
     mags = np.arange(n)
     x, w = np.meshgrid(mags, mags, indexing="ij")
     value = x * w
+    energy = _energy_grid(model, x, w, bits, params)
     if model == "digital":
-        energy = np.full((n, n), digital_energy(bits, params))
         cycles = np.zeros((n, n), dtype=int)
-    elif model == "tdms":
+    elif model == "tdms" or bits <= TDMS_KERNEL_BITS:
         cycles = value
-        energy = tdms_energy(cycles, bits, params)
     else:
-        energy = hdms_energy(x, w, bits, params)
-        if bits <= TDMS_KERNEL_BITS:
-            cycles = value
-        else:
-            low_mask = (1 << TDMS_KERNEL_BITS) - 1
-            xl, xh = x & low_mask, x >> TDMS_KERNEL_BITS
-            wl, wh = w & low_mask, w >> TDMS_KERNEL_BITS
-            cycles = xl * wl + xl * wh + xh * wl + xh * wh
+        cycles = _chunk_cycles(x, w)
     return EnergySurface(model=model, bits=bits, x=x, w=w, value=value,
-                         energy_pj=np.asarray(energy, dtype=float), cycles=cycles)
+                         energy_pj=energy, cycles=cycles)
+
+
+@lru_cache(maxsize=32)
+def energy_table(bits: int, model: str, params: EnergyParams) -> np.ndarray:
+    """Read-only per-MAC energy (pJ) indexed ``[x_mag, w_mag]``, built once per
+    (bits, model, params): ``energy_surface(...).energy_pj`` without the
+    surface's other grids."""
+    bits = check_bits(bits)
+    mags = np.arange(1 << bits)
+    table = _energy_grid(_check_model(model), mags[:, None], mags, bits, params)
+    table.flags.writeable = False
+    return table
 
 
 def mean_energy(model: str, bits: int, params: EnergyParams) -> float:

@@ -39,42 +39,47 @@ class Lfsr:
         """Emit the next n output bits as a uint8 array (cycle-cache fast path)."""
         if n < 0:
             raise ValueError("bit count must be non-negative")
-        cycle_bits, index_of = _cycle_tables()
+        states, cycle_bits, index_of, _words = _cycle_tables()
         start = index_of[self.state]
         idx = (start + np.arange(n)) % LFSR_PERIOD
         out = cycle_bits[idx]
-        return out, Lfsr(int(_cycle_states()[(start + n) % LFSR_PERIOD]))
+        return out, Lfsr(int(states[(start + n) % LFSR_PERIOD]))
+
+    def _next_words(self, count: int) -> tuple[np.ndarray, "Lfsr"]:
+        """The next ``count`` 16-bit samples: one gather from the word table."""
+        if count < 0:
+            raise ValueError("sample count must be non-negative")
+        states, _bits, index_of, words = _cycle_tables()
+        start = int(index_of[self.state])
+        idx = (start + BITS_PER_SAMPLE * np.arange(count)) % LFSR_PERIOD
+        return words[idx], Lfsr(int(states[(start + BITS_PER_SAMPLE * count) % LFSR_PERIOD]))
+
+    def _next_word(self) -> tuple[int, "Lfsr"]:
+        """The next 16-bit sample, as ``_next_words(1)`` without the arrays."""
+        states, _bits, index_of, words = _cycle_tables()
+        start = int(index_of[self.state])
+        return int(words[start]), Lfsr(int(states[(start + BITS_PER_SAMPLE) % LFSR_PERIOD]))
 
     def uniforms(self, n: int) -> tuple[np.ndarray, "Lfsr"]:
         """Draw n floats in [0, 1): 16 bits each, MSB-first, over 2^16."""
-        raw, nxt = self.bits(n * BITS_PER_SAMPLE)
-        words = raw.reshape(n, BITS_PER_SAMPLE) @ _BIT_WEIGHTS
+        words, nxt = self._next_words(n)
         return words / float(1 << BITS_PER_SAMPLE), nxt
 
     def uniform(self) -> tuple[float, "Lfsr"]:
-        u, nxt = self.uniforms(1)
-        return float(u[0]), nxt
+        word, nxt = self._next_word()
+        return word / float(1 << BITS_PER_SAMPLE), nxt
 
     def randint(self, n: int) -> tuple[int, "Lfsr"]:
         """Draw an integer in [0, n) from one 16-bit sample (n must divide 2^16
         for exact uniformity; callers here use powers of two)."""
-        raw, nxt = self.bits(BITS_PER_SAMPLE)
-        word = int(raw @ _BIT_WEIGHTS)
+        word, nxt = self._next_word()
         return word % n, nxt
 
     def randints(self, count: int, n: int) -> tuple[np.ndarray, "Lfsr"]:
         """Batched randint; consumes the same bit stream as repeated calls."""
-        raw, nxt = self.bits(count * BITS_PER_SAMPLE)
-        words = raw.reshape(count, BITS_PER_SAMPLE) @ _BIT_WEIGHTS
+        words, nxt = self._next_words(count)
         return words % n, nxt
 
-
-def lfsr_next(lfsr: Lfsr) -> tuple[int, Lfsr]:
-    """Single Fibonacci step: output bit 0, shift right, feedback into bit 15."""
-    return lfsr.step()
-
-
-_BIT_WEIGHTS = (1 << np.arange(BITS_PER_SAMPLE - 1, -1, -1)).astype(np.int64)
 
 # Full output cycle, computed once. Walking the cycle is bit-identical to
 # stepping: the output stream from state s is the cycle starting at s's index.
@@ -94,20 +99,20 @@ def _build_cycle():
         s = (s >> 1) | (feedback << 15)
     if s != 1:
         raise AssertionError("LFSR tap mask is not maximal length")
-    return states, bits, index_of
+    # words[i]: the 16 output bits from cycle index i on, read MSB first
+    wrapped = np.concatenate([bits, bits[:BITS_PER_SAMPLE - 1]]).astype(np.int64)
+    words = np.zeros(LFSR_PERIOD, dtype=np.int64)
+    for k in range(BITS_PER_SAMPLE):
+        words = (words << 1) | wrapped[k:k + LFSR_PERIOD]
+    return states, bits, index_of, words
 
 
 def _cycle_tables():
+    """(states, bits, index_of, words) of the cycle, built on first use."""
     global _cycle_cache
     if _cycle_cache is None:
         _cycle_cache = _build_cycle()
-    _states, bits, index_of = _cycle_cache
-    return bits, index_of
-
-
-def _cycle_states():
-    _cycle_tables()
-    return _cycle_cache[0]
+    return _cycle_cache
 
 
 @dataclass(frozen=True)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -107,8 +108,9 @@ class LpuMeter:
 
     Scalars or arrays go in as reals with explicit ranges, are quantized to
     the meter's bit width, multiplied exactly on the integer MAC model, and
-    come back dequantized. NFE evaluations are charged one MAC each (the
-    interpolation multiply).
+    come back dequantized. Each MAC is priced by its operand magnitudes from
+    the model's cached ``macmodel.energy_table``. NFE evaluations are charged
+    one MAC each (the interpolation multiply).
 
     Each ``mul``/``nfe`` call adds its summed energy to ``energy_pj``; given a
     ``ledger`` list it appends its per-element energies there instead, for a
@@ -116,9 +118,8 @@ class LpuMeter:
     """
 
     def __init__(self, bits: int, params: EnergyParams, model: str = "hdms"):
-        if model not in mm.MODELS:
-            raise ValueError(f"unknown MAC model {model!r}; expected one of {mm.MODELS}")
         self.bits = mm.check_bits(bits)
+        self._table = mm.energy_table(self.bits, model, params)  # checks the model
         self.params = params
         self.model = model
         self.energy_pj = 0.0
@@ -126,17 +127,13 @@ class LpuMeter:
         self._full = (1 << self.bits) - 1
 
     def _quant(self, v, rng):
-        v = np.asarray(v, dtype=float)
-        mag = np.minimum((np.abs(v) / rng * self._full + 0.5).astype(np.int64), self._full)
-        return mag, np.where(v < 0, -1, 1)
+        # |v| is clipped to rng, so |v| / rng <= 1 and the rounded magnitude
+        # cannot exceed full: no second clamp is needed
+        return (np.minimum(np.abs(v), rng) / rng * self._full + 0.5).astype(np.int64)
 
-    def energy(self, x_mag, w_mag) -> np.ndarray:
+    def energy(self, x_mag, w_mag):
         """Per-element MAC energies (pJ) of the meter's model for broadcast operand magnitudes."""
-        if self.model == "digital":
-            return np.full(np.broadcast(x_mag, w_mag).shape, mm.digital_energy(self.bits, self.params))
-        if self.model == "tdms":
-            return np.asarray(mm.tdms_energy(x_mag * w_mag, self.bits, self.params))
-        return np.asarray(mm.hdms_energy(x_mag, w_mag, self.bits, self.params))
+        return self._table[x_mag, w_mag]
 
     def _charge(self, e, ledger):
         if ledger is None:
@@ -164,18 +161,19 @@ class LpuMeter:
         # finite operands is told apart by testing them one by one
         if not np.isfinite(np.add(a, b)).all() and not (np.isfinite(a).all() and np.isfinite(b).all()):
             raise ValueError("LPU operands must be finite")
-        ma, sa = self._quant(np.clip(a, -a_range, a_range), a_range)
-        mb, sb = self._quant(np.clip(b, -b_range, b_range), b_range)
+        ma = self._quant(a, a_range)
+        mb = self._quant(b, b_range)
         self._charge(self.energy(ma, mb), ledger)
         scale = (a_range * b_range) / float(self._full * self._full)
-        out = (sa * sb * ma * mb) * scale
+        product = ma * mb  # exact integer product, scaled once
+        out = np.where(np.less(a, 0) != np.less(b, 0), -product, product) * scale
         return out if out.ndim else float(out)
 
     def nfe(self, table: NfeTable, x, ledger: list | None = None):
         """Metered table lookup: one interpolation MAC per evaluated element."""
         out = nfe_eval(table, x)
-        mid = np.full(np.asarray(x).size, self._full // 2)
-        self._charge(self.energy(mid, mid), ledger)
+        mid = self._full // 2
+        self._charge(np.full(np.asarray(x).size, self.energy(mid, mid)), ledger)
         return out
 
 
@@ -473,6 +471,7 @@ class WorkloadState:
     slots: np.ndarray | None = None
     # grid workloads
     visited: np.ndarray | None = None  # shared boolean map
+    frontier: np.ndarray | None = None  # per cell: unvisited cells in its window
     prey: tuple | None = None
     qtable: np.ndarray | None = None
     explore_w: np.ndarray | None = None
@@ -527,18 +526,31 @@ def init_state(scn: Scenario) -> WorkloadState:
     # explore
     pos = scn.agents.astype(int).copy()
     g = cfg.grid_size
-    visited = np.zeros((g, g), dtype=bool)
+    # every cell starts with its whole clipped window unvisited
+    idx = np.arange(g)
+    span = np.minimum(idx + EXPLORE_WINDOW + 1, g) - np.maximum(idx - EXPLORE_WINDOW, 0)
+    state = WorkloadState(positions=pos, visited=np.zeros((g, g), dtype=bool),
+                          frontier=np.outer(span, span), explore_w=np.ones(4),
+                          lfsr=Lfsr(cfg.seed))
     for p in pos:
-        visited[p[0], p[1]] = True
-    return WorkloadState(positions=pos, visited=visited,
-                         explore_w=np.ones(4), lfsr=Lfsr(cfg.seed))
+        _visit(state, p[0], p[1])
+    return state
 
 
 GRID_MOVES = ((1, 0), (0, 1), (-1, 0), (0, -1))
 
 
-def _grid_clip(p, g):
-    return (min(max(p[0], 0), g - 1), min(max(p[1], 0), g - 1))
+@lru_cache(maxsize=16)
+def _grid_neighbours(g: int) -> np.ndarray:
+    """(g, g, 4) flat index ``x * g + y`` of the cell one GRID_MOVES step from
+    (x, y), clipped to the grid."""
+    x, y = np.meshgrid(np.arange(g), np.arange(g), indexing="ij")
+    moves = np.array(GRID_MOVES)
+    nx = np.clip(x[..., None] + moves[:, 0], 0, g - 1)
+    ny = np.clip(y[..., None] + moves[:, 1], 0, g - 1)
+    table = nx * g + ny
+    table.flags.writeable = False
+    return table
 
 
 def _bearing_state(dx, dy, dist):
@@ -611,6 +623,7 @@ def _check_collisions(state, cfg):
 
 def _step_predprey(state, cfg, meter):
     g = cfg.grid_size
+    nbrs = _grid_neighbours(g)
     prey = state.prey
     # predators move every step; the prey every other one
     for i in range(len(state.positions)):
@@ -626,8 +639,7 @@ def _step_predprey(state, cfg, meter):
                 a, state.lfsr = state.lfsr.randint(4)
             else:
                 a = int(np.argmax(state.qtable[s]))
-        mv = GRID_MOVES[a]
-        nx, ny = _grid_clip((px + mv[0], py + mv[1]), g)
+        nx, ny = divmod(int(nbrs[px, py, a]), g)
         new_dist = abs(prey[0] - nx) + abs(prey[1] - ny)
         caught = (nx, ny) == prey
         if cfg.predator_policy != "random":
@@ -644,8 +656,8 @@ def _step_predprey(state, cfg, meter):
     if not state.caught and state.prey_moves:
         # flee along the largest gap to the nearest predator
         best, best_gap = prey, -1.0
-        for mv in GRID_MOVES:
-            cand = _grid_clip((prey[0] + mv[0], prey[1] + mv[1]), g)
+        for cell in nbrs[prey[0], prey[1]]:
+            cand = divmod(int(cell), g)
             gap = min(abs(cand[0] - p[0]) + abs(cand[1] - p[1]) for p in state.positions)
             if gap > best_gap:
                 best, best_gap = cand, gap
@@ -661,28 +673,36 @@ EXPLORE_ALPHA = 0.05
 EXPLORE_WINDOW = 2  # half-width of the frontier-count window
 
 
+def _visit(state, x, y):
+    """Mark (x, y) visited; on a first visit it leaves the unvisited count of
+    every window that holds it (the cells within EXPLORE_WINDOW of it)."""
+    if not state.visited[x, y]:
+        state.visited[x, y] = True
+        w = EXPLORE_WINDOW
+        state.frontier[max(x - w, 0):x + w + 1, max(y - w, 0):y + w + 1] -= 1
+
+
 def _step_explore(state, cfg, meter):
     g = cfg.grid_size
     area = (2 * EXPLORE_WINDOW + 1) ** 2
+    nbrs = _grid_neighbours(g)
+    frontier = state.frontier.reshape(-1)  # flat views, indexed by nbrs
+    visited = state.visited.reshape(-1)
     for i in range(len(state.positions)):
         px, py = state.positions[i]
-        feats = np.zeros(4)
-        for a, mv in enumerate(GRID_MOVES):
-            cx, cy = _grid_clip((px + mv[0], py + mv[1]), g)
-            x0, x1 = max(cx - EXPLORE_WINDOW, 0), min(cx + EXPLORE_WINDOW + 1, g)
-            y0, y1 = max(cy - EXPLORE_WINDOW, 0), min(cy + EXPLORE_WINDOW + 1, g)
-            feats[a] = np.count_nonzero(~state.visited[x0:x1, y0:y1])
+        cells = nbrs[px, py]
+        feats = frontier[cells]
         u, state.lfsr = state.lfsr.uniform()
         if u < EXPLORE_EPS:
             a, state.lfsr = state.lfsr.randint(4)
         elif feats.max() == 0:
             # local window exhausted: head for the nearest frontier cell
-            frontier = np.argwhere(~state.visited)
-            if len(frontier) == 0:
+            frontier_cells = np.argwhere(~state.visited)
+            if len(frontier_cells) == 0:
                 a = 0
             else:
-                dists = np.abs(frontier[:, 0] - px) + np.abs(frontier[:, 1] - py)
-                tx, ty = frontier[int(np.argmin(dists))]
+                dists = np.abs(frontier_cells[:, 0] - px) + np.abs(frontier_cells[:, 1] - py)
+                tx, ty = frontier_cells[int(np.argmin(dists))]
                 if abs(tx - px) >= abs(ty - py):
                     a = 0 if tx > px else 2
                 else:
@@ -691,12 +711,11 @@ def _step_explore(state, cfg, meter):
             qvals = meter.mul(state.explore_w, feats / area, 2.0, 1.0)
             a = int(np.argmax(qvals))
             # linear value update on the chosen direction's weight
-            nx, ny = _grid_clip((px + GRID_MOVES[a][0], py + GRID_MOVES[a][1]), g)
-            reward = 1.0 if not state.visited[nx, ny] else 0.0
+            reward = 0.0 if visited[cells[a]] else 1.0
             state.explore_w[a] += EXPLORE_ALPHA * (reward - qvals[a]) * feats[a] / area
-        nx, ny = _grid_clip((px + GRID_MOVES[a][0], py + GRID_MOVES[a][1]), g)
+        nx, ny = divmod(int(cells[a]), g)
         state.positions[i] = (nx, ny)
-        state.visited[nx, ny] = True
+        _visit(state, nx, ny)
     return len(state.positions)
 
 

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -132,6 +134,13 @@ def test_operand_range_checks(params):
         Operand(-1)
     with pytest.raises(ValueError):
         Operand(3, 0)
+
+
+@pytest.mark.parametrize("magnitude", [2.5, 3.0, np.float64(3.0), True, "3"])
+def test_operand_rejects_non_integer_magnitude(params, magnitude):
+    with pytest.raises(TypeError, match="magnitude"):
+        tdms_mac(Operand(magnitude), Operand(3), 0, params, 3)
+    assert Operand(np.int64(3)).value == 3
 
 
 def test_accumulator_overflow_raises(params):
@@ -282,6 +291,17 @@ def test_params_file_roundtrip(tmp_path, params):
     mm.save_energy_params(params, path)
     loaded = mm.load_energy_params(path)
     assert loaded == params
+
+
+def test_params_reject_nan_coefficients(tmp_path, params):
+    for name in ("c_d2", "c_d1", "c_d0", "e_0", "e_cyc", "e_tr", "e_sa"):
+        with pytest.raises(ValueError, match=name):
+            replace(params, **{name: float("nan")})
+    path = tmp_path / "params.txt"
+    mm.save_energy_params(params, path)
+    path.write_text(path.read_text().replace(f"e_cyc = {params.e_cyc!r}", "e_cyc = nan"))
+    with pytest.raises(ValueError, match="e_cyc"):
+        mm.load_energy_params(path)
 
 
 def test_params_file_rejects_garbage(tmp_path):

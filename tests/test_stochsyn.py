@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from edgesim.stochsyn import LFSR_PERIOD, DropMask, Lfsr, drop_mask, lfsr_next, masked_weights
+from edgesim.stochsyn import LFSR_PERIOD, DropMask, Lfsr, _cycle_tables, drop_mask, masked_weights
 
 TAPS = (0, 2, 3, 5)  # x^16 + x^14 + x^13 + x^11 + 1, shift-right form
 
@@ -16,9 +18,9 @@ def reference_step(state):
 
 
 def test_output_bit_is_bit0():
-    bit, _ = lfsr_next(Lfsr(0x0001))
+    bit, _ = Lfsr(0x0001).step()
     assert bit == 1
-    bit, _ = lfsr_next(Lfsr(0xFFFE))
+    bit, _ = Lfsr(0xFFFE).step()
     assert bit == 0
 
 
@@ -32,7 +34,7 @@ def test_step_matches_reference():
     lfsr = Lfsr(state)
     for _ in range(1000):
         ref_bit, state = reference_step(state)
-        bit, lfsr = lfsr_next(lfsr)
+        bit, lfsr = lfsr.step()
         assert bit == ref_bit
         assert lfsr.state == state
 
@@ -60,6 +62,50 @@ def test_bits_fast_path_matches_stepping():
         slow.append(b)
     assert list(fast) == slow
     assert after.state == cur.state
+
+
+def _stepped_words(lfsr, count):
+    """count 16-bit samples read MSB first from Lfsr.step, and the state after."""
+    words = []
+    for _ in range(count):
+        word = 0
+        for _ in range(16):
+            bit, lfsr = lfsr.step()
+            word = (word << 1) | bit
+        words.append(word)
+    return words, lfsr
+
+
+# any nonzero state, or one of the last states of the cycle table, whose
+# draws wrap the table index back to the start
+_states = st.one_of(
+    st.integers(1, 0xFFFF),
+    st.integers(LFSR_PERIOD - 100, LFSR_PERIOD - 1).map(lambda i: int(_cycle_tables()[0][i])),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(state=_states, count=st.integers(0, 8), n=st.sampled_from([1, 2, 3, 4, 7, 64, 500]))
+def test_word_draws_match_stepping(state, count, n):
+    lfsr = Lfsr(state)
+    words, after = _stepped_words(lfsr, count)
+    u, nxt = lfsr.uniforms(count)
+    assert u.dtype == np.float64 and u.tolist() == [w / 65536 for w in words]
+    assert nxt == after
+    r, nxt = lfsr.randints(count, n)
+    assert r.dtype == np.int64 and r.tolist() == [w % n for w in words]
+    assert nxt == after
+    (word,), after = _stepped_words(lfsr, 1)
+    assert lfsr.uniform() == (word / 65536, after)
+    assert lfsr.randint(n) == (word % n, after)
+    assert type(lfsr.uniform()[0]) is float and type(lfsr.randint(n)[0]) is int
+
+
+def test_word_draws_reject_negative_counts():
+    with pytest.raises(ValueError):
+        Lfsr(1).uniforms(-1)
+    with pytest.raises(ValueError):
+        Lfsr(1).randints(-2, 4)
 
 
 def test_drop_mask_reference_evaluation():

@@ -3,6 +3,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from edgesim import macmodel as mm
 from edgesim.macmodel import default_params
 from edgesim import swarmlab as sl
 
@@ -26,6 +27,34 @@ GOLDEN = {
 }
 
 
+# the same digest of grid runs at seed 1 under the other MAC models and
+# predator policies, captured before the grid step was rewritten
+GRID_GOLDEN = {
+    ("explore", 10, "model", "tdms"):
+        "2112208d0c161761db2f4aa5a130764af3b8531eb337f6414370670a6d790ee6",
+    ("explore", 10, "model", "digital"):
+        "abcd082518684e581b9e340b2100f158e75a44640a946ae6ae0536d814895889",
+    ("predprey", 2, "predator_policy", "qlearn"):
+        "e17c3a451de029ffca501c2dc6c7d51d0a1455a2c34b2e85b307a056a101760e",
+    ("predprey", 2, "predator_policy", "random"):
+        "a6759ddbddba16f7d8531b662144d932df10707c5b6d98eaa1264d3236728290",
+}
+
+# sha256 over every step of (positions, prey, LFSR state, step energy, MACs,
+# Q-table) at seed 1, captured at the same time: both predprey cases above
+# end at the step budget, which their run digests alone barely pin
+TRAJECTORY_GOLDEN = {
+    ("predprey", 2, "predator_policy", "qlearn", 400):
+        "31fc85900377645f7497f4b4d40be65dc7faf9ed5c975c9342ac8cea8665f864",
+    ("predprey", 2, "predator_policy", "random", 400):
+        "138bedb870c1b17bd96512bc5080811faf05f2b11f9b0cfa2442bbf855024059",
+    ("explore", 10, "model", "hdms", 200):
+        "8ad0e550761f989425bbc89eb4697d5c64b67c664af74f6967ae4bc9eaa9535f",
+    ("explore", 10, "model", "digital", 200):
+        "91a16aad1ca34cea9a2fd5503201d9389e5abea6e5c75c9d57ba726a1949dd1e",
+}
+
+
 @pytest.fixture(scope="module")
 def golden_runs():
     return {case: sl.run_workload(sl.make_scenario(*case, seed=SEED)) for case in GOLDEN}
@@ -41,6 +70,69 @@ def _digest(m) -> str:
 @pytest.mark.parametrize("case", sorted(GOLDEN))
 def test_golden_digest(golden_runs, case):
     assert _digest(golden_runs[case]) == GOLDEN[case]
+
+
+@pytest.mark.parametrize("case", sorted(GRID_GOLDEN))
+def test_grid_golden_digest(case):
+    workload, n, key, value = case
+    scn = sl.make_scenario(workload, n, seed=1, **{key: value})
+    assert _digest(sl.run_workload(scn)) == GRID_GOLDEN[case]
+
+
+def _trajectory_digest(scn, steps):
+    cfg = scn.config
+    meter = sl.LpuMeter(cfg.bits, default_params(), cfg.model)
+    state = sl.init_state(scn)
+    h = hashlib.sha256()
+    for _ in range(steps):
+        state, sm = sl.workload_step(state, cfg, meter, {})
+        prey = None if state.prey is None else tuple(int(v) for v in state.prey)
+        qtable = None if state.qtable is None else state.qtable.tolist()
+        h.update(repr((state.positions.tolist(), prey, state.lfsr.state, sm.energy_pj, sm.macs,
+                       qtable)).encode())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("case", sorted(TRAJECTORY_GOLDEN))
+def test_grid_trajectory_digest(case):
+    workload, n, key, value, steps = case
+    scn = sl.make_scenario(workload, n, seed=1, **{key: value})
+    assert _trajectory_digest(scn, steps) == TRAJECTORY_GOLDEN[case]
+
+
+def _frontier_brute_force(visited):
+    g = len(visited)
+    w = sl.EXPLORE_WINDOW
+    return np.array([[np.count_nonzero(~visited[max(x - w, 0):x + w + 1, max(y - w, 0):y + w + 1])
+                      for y in range(g)] for x in range(g)])
+
+
+@pytest.mark.parametrize("n,seed,extent", [(2, 1, 10.0), (10, 3, 10.0), (20, SEED, 10.0),
+                                           (5, 2, 7.0)])
+def test_explore_frontier_counts_match_brute_force(n, seed, extent):
+    scn = sl.make_scenario("explore", n, seed=seed, extent=extent)
+    cfg = scn.config
+    meter = sl.LpuMeter(cfg.bits, default_params(), cfg.model)
+    state = sl.init_state(scn)
+    assert np.array_equal(state.frontier, _frontier_brute_force(state.visited))
+    exhausted = False
+    for _ in range(sl.DEFAULT_BUDGETS["explore"]):
+        state, _ = sl.workload_step(state, cfg, meter, {})
+        assert np.array_equal(state.frontier, _frontier_brute_force(state.visited))
+        exhausted |= bool((state.frontier == 0).any())
+        if sl.workload_success(state, cfg)[0]:
+            break
+    assert exhausted  # the run reached fully explored windows
+
+
+def test_grid_neighbours_are_clipped_moves():
+    g = 6
+    table = sl._grid_neighbours(g)
+    for x in range(g):
+        for y in range(g):
+            for a, (dx, dy) in enumerate(sl.GRID_MOVES):
+                clipped = (min(max(x + dx, 0), g - 1), min(max(y + dy, 0), g - 1))
+                assert divmod(int(table[x, y, a]), g) == clipped
 
 
 def test_golden_outcomes(golden_runs):
@@ -175,6 +267,30 @@ def test_meter_saturates_huge_finite_operands():
     with np.errstate(over="ignore"):
         assert meter.mul(1e308, 1e308, 1.0, 1.0) == 1.0
     assert meter.macs == 1
+
+
+@pytest.mark.parametrize("bits", range(3, 9))
+@pytest.mark.parametrize("model", mm.MODELS)
+def test_meter_energy_table_matches_models(model, bits):
+    params = default_params()
+    meter = sl.LpuMeter(bits, params, model)
+    mags = np.arange(1 << bits)
+    x, w = np.meshgrid(mags, mags, indexing="ij")
+    if model == "digital":
+        expect = np.full(x.shape, mm.digital_energy(bits, params))
+    elif model == "tdms":
+        expect = mm.tdms_energy(x * w, bits, params)
+    else:
+        expect = mm.hdms_energy(x, w, bits, params)
+    got = meter.energy(x, w)
+    assert got.dtype == np.float64 and got.tobytes() == expect.tobytes()
+    assert got.tobytes() == mm.energy_surface(bits, model, params).energy_pj.tobytes()
+    assert meter.energy(3, 5) == expect[3, 5]
+    table = mm.energy_table(bits, model, params)
+    assert table is mm.energy_table(bits, model, params)
+    with pytest.raises(ValueError):
+        table[1, 1] = 0.0
+    assert table[1, 1] == expect[1, 1]
 
 
 def test_meter_rejects_unknown_model():
