@@ -21,7 +21,6 @@ from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
-from scipy.optimize import lsq_linear
 
 MIN_BITS = 3
 MAX_BITS = 8
@@ -398,7 +397,12 @@ _CALIBRATION_REL_TOL = 0.5  # beyond this the anchor set is declared infeasible
 
 def _fit_nonneg(a: np.ndarray, t: np.ndarray) -> np.ndarray:
     # scipy.optimize.nnls (>=1.12 rewrite) returns wrong answers on some small
-    # systems; lsq_linear/trf is reliable and deterministic.
+    # systems; lsq_linear/trf is reliable and deterministic. The digital fit is
+    # underdetermined (3 unknowns, 2 anchors), so another solver would pick a
+    # different solution. Imported here: scipy costs ~0.6 s and ~50 MB to load,
+    # and only custom calibrations need it (see DEFAULT_PARAMS).
+    from scipy.optimize import lsq_linear
+
     res = lsq_linear(a, t, bounds=(0.0, np.inf), method="trf")
     return np.clip(res.x, 0.0, None)
 
@@ -479,15 +483,20 @@ def calibrate_energy(anchors=REFERENCE_ANCHORS) -> EnergyParams:
     return params
 
 
-_default_params_cache = None
+# calibrate_energy(REFERENCE_ANCHORS) written out as its repr floats, so no
+# process pays for the fit (or for importing scipy) to get the default.
+# tests/test_macmodel.py pins the two as equal field by field.
+DEFAULT_PARAMS = EnergyParams(
+    c_d2=0.01882220055624959, c_d1=0.07152177404906544, c_d0=0.7739296096886625,
+    e_0=0.17905555555555594, e_cyc=0.002444444444444441,
+    e_tr=0.003666666666666667, e_sa=0.029333333333333336,
+    v_supply=0.4, v_ref=0.4,
+)
 
 
 def default_params() -> EnergyParams:
-    """Parameters calibrated against the reference chip anchors (cached)."""
-    global _default_params_cache
-    if _default_params_cache is None:
-        _default_params_cache = calibrate_energy(REFERENCE_ANCHORS)
-    return _default_params_cache
+    """Parameters calibrated against the reference chip anchors."""
+    return DEFAULT_PARAMS
 
 
 # ---------------------------------------------------------------------------

@@ -86,24 +86,52 @@ class Lfsr:
 _cycle_cache = None
 
 
+def _cycle_bits() -> np.ndarray:
+    """Output bits of the walk from state 1, one period plus 16 more (uint8).
+
+    State bit j at step n is output bit n+j, so the feedback rule reads
+    ``out[n+16] = XOR over taps t of out[n+t]``. Squaring that recurrence k
+    times gives ``out[n+16d] = XOR over t of out[n+t*d]`` for d = 2^k, which
+    fills (16 - max tap)*d new bits per pass once 16d bits are known.
+    """
+    taps = [t for t in range(LFSR_BITS) if _TAP_MASK >> t & 1]
+    reach = max(taps, default=0)
+    n_out = LFSR_PERIOD + LFSR_BITS
+    out = np.zeros(n_out, dtype=np.uint8)
+    out[0] = 1  # state 1: bit 0 set, bits 1-15 clear
+    known = LFSR_BITS
+    while known < n_out:
+        d = 1 << ((known // LFSR_BITS).bit_length() - 1)  # largest 2^k with 16d <= known
+        lo = known - LFSR_BITS * d
+        m = min((LFSR_BITS - reach) * d, n_out - known)
+        block = np.zeros(m, dtype=np.uint8)
+        for t in taps:
+            block ^= out[lo + t * d:lo + t * d + m]
+        out[known:known + m] = block
+        known += m
+    return out
+
+
 def _build_cycle():
-    states = np.empty(LFSR_PERIOD, dtype=np.uint16)
-    bits = np.empty(LFSR_PERIOD, dtype=np.uint8)
-    index_of = np.zeros(1 << LFSR_BITS, dtype=np.int32)
-    s = 1
-    for i in range(LFSR_PERIOD):
-        states[i] = s
-        bits[i] = s & 1
-        index_of[s] = i
-        feedback = bin(s & _TAP_MASK).count("1") & 1
-        s = (s >> 1) | (feedback << 15)
-    if s != 1:
-        raise AssertionError("LFSR tap mask is not maximal length")
-    # words[i]: the 16 output bits from cycle index i on, read MSB first
-    wrapped = np.concatenate([bits, bits[:BITS_PER_SAMPLE - 1]]).astype(np.int64)
+    out = _cycle_bits()
+    bits = out[:LFSR_PERIOD]
+    # states[i] = sum_j out[i+j] << j; words[i]: the 16 output bits from cycle
+    # index i on, read MSB first
+    wrapped = out[:LFSR_PERIOD + BITS_PER_SAMPLE - 1]
+    states = np.zeros(LFSR_PERIOD, dtype=np.uint16)
     words = np.zeros(LFSR_PERIOD, dtype=np.int64)
     for k in range(BITS_PER_SAMPLE):
-        words = (words << 1) | wrapped[k:k + LFSR_PERIOD]
+        window = wrapped[k:k + LFSR_PERIOD]
+        states |= window.astype(np.uint16) << k
+        words = (words << 1) | window
+    index_of = np.zeros(1 << LFSR_BITS, dtype=np.int32)
+    index_of[states] = np.arange(LFSR_PERIOD, dtype=np.int32)
+    # maximal length: the walk from state 1 meets every nonzero state exactly
+    # once (distinct states, none of them 0) and its bits wrap back to state 1
+    if not (index_of[0] == 0
+            and np.array_equal(index_of[states], np.arange(LFSR_PERIOD))
+            and np.array_equal(out[LFSR_PERIOD:], out[:LFSR_BITS])):
+        raise AssertionError("LFSR tap mask is not maximal length")
     return states, bits, index_of, words
 
 

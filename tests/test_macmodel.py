@@ -271,6 +271,21 @@ def test_calibration_crossovers():
         assert mean_energy("hdms", b, p) < mean_energy("tdms", b, p)
 
 
+def test_default_params_equal_reference_calibration():
+    fitted = calibrate_energy(mm.REFERENCE_ANCHORS)
+    pinned = default_params()
+    for name in ("c_d2", "c_d1", "c_d0", "e_0", "e_cyc", "e_tr", "e_sa", "v_supply", "v_ref"):
+        assert getattr(pinned, name) == getattr(fitted, name), (
+            f"{name}: pinned {getattr(pinned, name)!r} != fitted {getattr(fitted, name)!r}; "
+            "if REFERENCE_ANCHORS or the fit changed, rewrite macmodel.DEFAULT_PARAMS "
+            "with the repr of calibrate_energy(REFERENCE_ANCHORS)"
+        )
+
+
+def test_default_params_is_one_object():
+    assert default_params() is default_params()
+
+
 def test_calibration_rejects_bad_anchors():
     with pytest.raises(ValueError):
         calibrate_energy(((3, 0.22, 0.19),))

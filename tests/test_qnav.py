@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -315,3 +317,28 @@ def test_run_policy_deterministic(small_run):
     c2 = run_policy(SMALL_ARENA, small_run.net, 0.1, 100, seed=7, stochastic=True)
     assert c1 == c2
     assert 1 <= c1 <= SMALL_ARENA.free_cells
+
+
+# sha256 of TrainingTrace.rows(), episode_coverage and convergence_episode on
+# the default arena at seed 0xACE1 (the hash bench/workloads.digest_training
+# uses), captured while default_params() still ran the calibration fit
+TRAINING_GOLDEN = {
+    (None, "tdms"): "d716c40072ed1311193afe62fdcbc19622f83d2a1e14cd1d208956cb0316dc7a",
+    (2, "tdms"): "809ffce80a9e1bbc7ae34eb98926ea16d6bdc915d4af2d6a18c254d8dad6ade4",
+    (2, "hdms"): "8894857c2fe282f135a5bd875a0584a926598e1201d9a521074ab7774d29c2ea",
+    (2, "digital"): "e6d22ebcd1b0d632d40776fd6304d75d25a60690dee4605a39c515c12e38f2bd",
+}
+
+
+def _training_digest(trace):
+    rows = repr(list(trace.rows()))
+    coverage = repr([int(c) for c in trace.episode_coverage])
+    text = f"{rows}|{coverage}|{int(trace.convergence_episode)}"
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("episodes, model", list(TRAINING_GOLDEN), ids=str)
+def test_training_golden_digest(episodes, model):
+    cfg = TrainConfig() if episodes is None else TrainConfig(episodes=episodes)
+    trace = run_training(default_arena(), cfg, 0xACE1, model)
+    assert _training_digest(trace) == TRAINING_GOLDEN[episodes, model]

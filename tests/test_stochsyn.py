@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from edgesim import stochsyn
 from edgesim.stochsyn import LFSR_PERIOD, DropMask, Lfsr, _cycle_tables, drop_mask, masked_weights
 
 TAPS = (0, 2, 3, 5)  # x^16 + x^14 + x^13 + x^11 + 1, shift-right form
@@ -50,6 +51,37 @@ def test_full_period_returns_to_seed():
     assert lfsr.state == 0xACE1
     assert len(seen) == LFSR_PERIOD
     assert 0 not in seen
+
+
+def test_cycle_tables_match_stepping():
+    states = np.empty(LFSR_PERIOD, dtype=np.uint16)
+    bits = np.empty(LFSR_PERIOD, dtype=np.uint8)
+    index_of = np.zeros(1 << 16, dtype=np.int32)
+    lfsr = Lfsr(1)
+    for i in range(LFSR_PERIOD):
+        states[i] = lfsr.state
+        index_of[lfsr.state] = i
+        bits[i], lfsr = lfsr.step()
+    assert lfsr.state == 1
+    wrapped = np.concatenate([bits, bits[:15]]).astype(np.int64)
+    words = np.zeros(LFSR_PERIOD, dtype=np.int64)
+    for k in range(16):
+        words = (words << 1) | wrapped[k:k + LFSR_PERIOD]
+    for got, want in zip(_cycle_tables(), (states, bits, index_of, words)):
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+
+
+# periods from state 1: 16; never returns (no tap 0, so stepping is not
+# invertible); 255; never returns (no feedback)
+@pytest.mark.parametrize("mask", [0b1, 0b0000_0000_0010_1100, 0b1000_0000_0000_0001, 0])
+def test_build_cycle_rejects_non_maximal_taps(monkeypatch, mask):
+    monkeypatch.setattr(stochsyn, "_cycle_cache", None)
+    monkeypatch.setattr(stochsyn, "_TAP_MASK", mask)
+    with pytest.raises(AssertionError):
+        stochsyn._build_cycle()
+    with pytest.raises(AssertionError):
+        stochsyn._cycle_tables()
 
 
 def test_bits_fast_path_matches_stepping():
