@@ -9,7 +9,6 @@ from edgesim.macmodel import (
     calibrate_energy,
     default_params,
     digital_mac,
-    energy_surface,
     hdms_mac,
     hdms_plan,
     mean_energy,
@@ -31,7 +30,6 @@ __all__ = [
     "dequantize",
     "digital_mac",
     "drop_mask",
-    "energy_surface",
     "hdms_mac",
     "hdms_plan",
     "masked_weights",

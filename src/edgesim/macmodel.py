@@ -46,6 +46,12 @@ def check_bits(bits: int) -> int:
     return int(bits)
 
 
+def check_model(model: str) -> str:
+    if model not in MODELS:
+        raise ValueError(f"unknown MAC model {model!r}; expected one of {MODELS}")
+    return model
+
+
 @dataclass(frozen=True)
 class Operand:
     """Sign-magnitude operand: non-negative magnitude plus a sign in {+1, -1}."""
@@ -161,12 +167,17 @@ def split_chunks(magnitude: int, plan: HdmsPlan) -> tuple:
     return tuple((magnitude >> shift) & ((1 << width) - 1) for shift, width in plan.chunks)
 
 
-def recombine_chunks(chunks, plan: HdmsPlan) -> int:
-    return sum(c << shift for c, (shift, _w) in zip(chunks, plan.chunks))
-
-
 # ---------------------------------------------------------------------------
 # quantization front-end
+
+
+def quantize_mags(v, bits: int, value_range: float):
+    """Operand magnitudes of reals ``v`` at ``bits`` bits over
+    [-value_range, value_range]: |v| saturates at the range, then rounds to
+    nearest (half up). The one rounding rule every front end shares; it does
+    not validate (hot path), so callers check finiteness, bits and range."""
+    full = (1 << bits) - 1
+    return (np.minimum(np.abs(v), value_range) / value_range * full + 0.5).astype(np.int64)
 
 
 def quantize(x: float, bits: int, value_range: float) -> Operand:
@@ -177,9 +188,7 @@ def quantize(x: float, bits: int, value_range: float) -> Operand:
         raise ValueError(f"cannot quantize non-finite value {x!r}")
     if value_range <= 0:
         raise ValueError(f"range must be positive, got {value_range}")
-    full = (1 << bits) - 1
-    mag = int(abs(x) / value_range * full + 0.5)
-    return Operand(magnitude=min(mag, full), sign=1 if x >= 0 else -1)
+    return Operand(int(quantize_mags(x, bits, value_range)), sign=1 if x >= 0 else -1)
 
 
 def dequantize(op: Operand, bits: int, value_range: float) -> float:
@@ -303,87 +312,42 @@ _MAC_FNS = {"digital": digital_mac, "tdms": tdms_mac, "hdms": hdms_mac}
 
 
 def mac(model: str, x: Operand, w: Operand, acc: int, params: EnergyParams, bits: int) -> MacResult:
-    try:
-        fn = _MAC_FNS[model]
-    except KeyError:
-        raise ValueError(f"unknown MAC model {model!r}; expected one of {MODELS}") from None
-    return fn(x, w, acc, params, bits)
+    return _MAC_FNS[check_model(model)](x, w, acc, params, bits)
 
 
 # ---------------------------------------------------------------------------
-# surfaces and sweeps
-
-
-@dataclass(frozen=True)
-class EnergySurface:
-    """Dense (2^b)^2 grid of per-MAC value/energy/cycles for one model."""
-
-    model: str
-    bits: int
-    x: np.ndarray        # shape (n, n) operand magnitude grids
-    w: np.ndarray
-    value: np.ndarray    # integer products
-    energy_pj: np.ndarray
-    cycles: np.ndarray
-
-    def rows(self):
-        """Yield (model, bits, x, w, value, energy_pj, cycles) row tuples."""
-        for xi, wi, vi, ei, ci in zip(
-            self.x.ravel(), self.w.ravel(), self.value.ravel(),
-            self.energy_pj.ravel(), self.cycles.ravel(),
-        ):
-            yield (self.model, self.bits, int(xi), int(wi), int(vi), float(ei), int(ci))
-
-
-def _check_model(model: str) -> str:
-    if model not in MODELS:
-        raise ValueError(f"unknown MAC model {model!r}; expected one of {MODELS}")
-    return model
-
-
-def _energy_grid(model: str, x, w, bits: int, params: EnergyParams) -> np.ndarray:
-    """Per-MAC energy of ``model`` over broadcast operand magnitude arrays."""
-    if model == "digital":
-        return np.full(np.broadcast_shapes(np.shape(x), np.shape(w)), digital_energy(bits, params))
-    if model == "tdms":
-        return np.asarray(tdms_energy(x * w, bits, params), dtype=float)
-    return np.asarray(hdms_energy(x, w, bits, params), dtype=float)
-
-
-def energy_surface(bits: int, model: str, params: EnergyParams) -> EnergySurface:
-    """Evaluate the full magnitude grid for one model at one bit width."""
-    bits = check_bits(bits)
-    model = _check_model(model)
-    n = 1 << bits
-    mags = np.arange(n)
-    x, w = np.meshgrid(mags, mags, indexing="ij")
-    value = x * w
-    energy = _energy_grid(model, x, w, bits, params)
-    if model == "digital":
-        cycles = np.zeros((n, n), dtype=int)
-    elif model == "tdms" or bits <= TDMS_KERNEL_BITS:
-        cycles = value
-    else:
-        cycles = _chunk_cycles(x, w)
-    return EnergySurface(model=model, bits=bits, x=x, w=w, value=value,
-                         energy_pj=energy, cycles=cycles)
+# energy tables
 
 
 @lru_cache(maxsize=32)
 def energy_table(bits: int, model: str, params: EnergyParams) -> np.ndarray:
-    """Read-only per-MAC energy (pJ) indexed ``[x_mag, w_mag]``, built once per
-    (bits, model, params): ``energy_surface(...).energy_pj`` without the
-    surface's other grids."""
+    """Read-only per-MAC energy (pJ) over the full magnitude grid, indexed
+    ``[x_mag, w_mag]``; built once per (bits, model, params)."""
     bits = check_bits(bits)
     mags = np.arange(1 << bits)
-    table = _energy_grid(_check_model(model), mags[:, None], mags, bits, params)
+    if check_model(model) == "digital":
+        table = np.full((mags.size, mags.size), digital_energy(bits, params))
+    elif model == "tdms":
+        table = tdms_energy(mags[:, None] * mags, bits, params)
+    else:
+        table = hdms_energy(mags[:, None], mags, bits, params)
     table.flags.writeable = False
     return table
 
 
+def array_energy(x_mag, w_mag, bits: int, model: str, params: EnergyParams) -> float:
+    """Total energy (pJ) of pairing each weight magnitude in ``w_mag`` (one
+    entry per MAC) with its input magnitude in ``x_mag``, which broadcasts
+    against it."""
+    if check_model(model) == "digital":
+        # n * e: a summed gather of the constant table differs by up to 1.6e-16
+        return float(np.size(w_mag) * digital_energy(bits, params))
+    return float(energy_table(bits, model, params)[x_mag, w_mag].sum())
+
+
 def mean_energy(model: str, bits: int, params: EnergyParams) -> float:
     """Mean per-MAC energy over all (x, w) magnitude pairs at ``bits``."""
-    return float(energy_surface(bits, model, params).energy_pj.mean())
+    return float(energy_table(bits, model, params).mean())
 
 
 # ---------------------------------------------------------------------------

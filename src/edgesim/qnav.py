@@ -181,21 +181,13 @@ class QNetwork:
     bits: int = DEPTH_BITS
     horizon: int = PROX_HORIZON
 
-    @property
-    def sizes(self):
-        return (self.w1.shape[1], self.w1.shape[0], self.w2.shape[0])
-
     def quantized(self):
         """Sign/magnitude integer views of both layers (cached)."""
         cached = getattr(self, "_quant", None)
         if cached is None:
-            full = (1 << self.bits) - 1
-            mags, signs = [], []
-            for w in (self.w1, self.w2):
-                clipped = np.clip(w, -1.0, 1.0)
-                mags.append((np.abs(clipped) * full + 0.5).astype(np.int64))
-                signs.append(np.where(clipped < 0, -1, 1).astype(np.int64))
-            cached = (mags, signs)
+            layers = (self.w1, self.w2)
+            cached = ([mm.quantize_mags(w, self.bits, 1.0) for w in layers],
+                      [np.where(w < 0, -1, 1) for w in layers])
             self._quant = cached
         return cached
 
@@ -211,18 +203,6 @@ def init_network(lfsr: Lfsr, hidden: int = 16, scale: float = 0.3,
     w2 = u[n1:] * scale
     return QNetwork(w1=w1.reshape(hidden, 3), w2=w2.reshape(N_ACTIONS, hidden),
                     horizon=horizon), lfsr
-
-
-def _mac_array_energy(x_mag, w_mag, model, bits, params):
-    """Total energy of pairing every weight with its input, per the model."""
-    x_mag = np.asarray(x_mag)
-    if model == "digital":
-        return float(w_mag.size * mm.digital_energy(bits, params))
-    if model == "tdms":
-        return float(np.sum(mm.tdms_energy(w_mag * x_mag[None, :], bits, params)))
-    if model == "hdms":
-        return float(np.sum(mm.hdms_energy(x_mag[None, :].repeat(w_mag.shape[0], 0), w_mag, bits, params)))
-    raise ValueError(f"unknown MAC model {model!r}")
 
 
 def proximity(s, horizon: int = PROX_HORIZON) -> np.ndarray:
@@ -266,20 +246,10 @@ def q_forward(net: QNetwork, s: np.ndarray, masks=None, model: str = "tdms",
     if np.any(np.abs(acc2) > mm.ACC_MAX):
         raise OverflowError("output-layer accumulator overflow")
 
-    energy = _mac_array_energy(x, m1, model, net.bits, params)
-    energy += _mac_array_energy(hidden, m2, model, net.bits, params)
+    energy = mm.array_energy(x, m1, net.bits, model, params)
+    energy += mm.array_energy(hidden, m2, net.bits, model, params)
     scale = float(full * full)
     return acc2.astype(float) / scale, energy
-
-
-def forward_float(net: QNetwork, x: np.ndarray):
-    """Float shadow forward pass used by training; returns (q, hidden).
-
-    Mirrors the integer path: rectify, apply the rescale gain, saturate at
-    the 6-bit ceiling (1.0 on the real scale).
-    """
-    h = np.minimum(np.maximum(net.w1 @ x, 0.0) * ACT_GAIN, 1.0)
-    return net.w2 @ h, h
 
 
 def bellman_target(r: float, q_next_max: float, gamma: float, terminal: bool) -> float:
@@ -359,8 +329,20 @@ class TrainConfig:
             raise ValueError("alpha must be in (0, 1]")
         if not 0 <= self.gamma < 1:
             raise ValueError("gamma must be in [0, 1)")
+        for name in ("episodes", "max_steps", "batch_size", "convergence_window"):
+            if not getattr(self, name) >= 1:
+                raise ValueError(f"{name} must be at least 1")
         if self.capacity < self.batch_size:
             raise ValueError("scratchpad capacity must be >= batch size")
+        if not 0 < self.convergence_frac <= 1:
+            raise ValueError("convergence_frac must be in (0, 1]")
+        if not 0 <= self.drop_p < 1:
+            raise ValueError("drop_p must be in [0, 1)")
+        for name in ("eps_start", "eps_end"):
+            if not 0 <= getattr(self, name) <= 1:
+                raise ValueError(f"{name} must be in [0, 1]")
+        if not 0 < self.eps_decay <= 1:
+            raise ValueError("eps_decay must be in (0, 1]")
 
     def epsilon(self, episode: int) -> float:
         return max(self.eps_end, self.eps_start * self.eps_decay**episode)

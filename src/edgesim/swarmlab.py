@@ -126,11 +126,6 @@ class LpuMeter:
         self.macs = 0
         self._full = (1 << self.bits) - 1
 
-    def _quant(self, v, rng):
-        # |v| is clipped to rng, so |v| / rng <= 1 and the rounded magnitude
-        # cannot exceed full: no second clamp is needed
-        return (np.minimum(np.abs(v), rng) / rng * self._full + 0.5).astype(np.int64)
-
     def energy(self, x_mag, w_mag):
         """Per-element MAC energies (pJ) of the meter's model for broadcast operand magnitudes."""
         return self._table[x_mag, w_mag]
@@ -161,8 +156,8 @@ class LpuMeter:
         # finite operands is told apart by testing them one by one
         if not np.isfinite(np.add(a, b)).all() and not (np.isfinite(a).all() and np.isfinite(b).all()):
             raise ValueError("LPU operands must be finite")
-        ma = self._quant(a, a_range)
-        mb = self._quant(b, b_range)
+        ma = mm.quantize_mags(a, self.bits, a_range)
+        mb = mm.quantize_mags(b, self.bits, b_range)
         self._charge(self.energy(ma, mb), ledger)
         scale = (a_range * b_range) / float(self._full * self._full)
         product = ma * mb  # exact integer product, scaled once
@@ -285,8 +280,7 @@ class SwarmConfig:
             raise ValueError(f"unknown workload {self.workload!r}; expected one of {WORKLOADS}")
         if not MIN_AGENTS <= self.n_agents <= MAX_AGENTS:
             raise ValueError(f"n_agents must be in [{MIN_AGENTS}, {MAX_AGENTS}]")
-        if self.model not in mm.MODELS:
-            raise ValueError(f"unknown MAC model {self.model!r}; expected one of {mm.MODELS}")
+        mm.check_model(self.model)
         if self.predator_policy not in PREDATOR_POLICIES:
             raise ValueError(f"unknown predator policy {self.predator_policy!r}; "
                              f"expected one of {PREDATOR_POLICIES}")
@@ -566,9 +560,8 @@ Q_RANGE = 8.0
 
 
 def _quantize_qvalues(q, bits):
-    full = (1 << bits) - 1
-    mag = np.minimum((np.abs(q) / Q_RANGE * full + 0.5).astype(np.int64), full)
-    return np.sign(q) * mag / full * Q_RANGE
+    # np.sign keeps -0.0 for entries that round to 0 from below
+    return np.sign(q) * mm.quantize_mags(q, bits, Q_RANGE) / ((1 << bits) - 1) * Q_RANGE
 
 
 def workload_step(state: WorkloadState, cfg: SwarmConfig, meter: LpuMeter,

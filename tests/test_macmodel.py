@@ -2,6 +2,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from edgesim import macmodel as mm
 from edgesim.macmodel import (
@@ -11,7 +13,6 @@ from edgesim.macmodel import (
     default_params,
     dequantize,
     digital_mac,
-    energy_surface,
     hdms_mac,
     hdms_plan,
     mean_energy,
@@ -64,6 +65,59 @@ def test_quantize_roundtrip_error_bound():
             assert abs(back - clamped) <= 1.0 / (1 << bits)
 
 
+# The four rounding rules that quantize_mags replaced, written out as oracles.
+# Rules that round before they saturate are defined only while the scaled
+# magnitude stays finite (scalar: int(inf) raises) or fits int64 (array:
+# astype is undefined beyond it); quantize_mags saturates first, so it is
+# defined for every finite input.
+
+
+def _scalar_rule(x, bits, r):  # quantize: round, then min(..., full)
+    full = (1 << bits) - 1
+    return min(int(abs(x) / r * full + 0.5), full)
+
+
+def _qnetwork_rule(v, bits, r):  # QNetwork.quantized: clip, then round
+    full = (1 << bits) - 1
+    return (np.abs(np.clip(v, -r, r)) / r * full + 0.5).astype(np.int64)
+
+
+def _lpu_rule(v, bits, r):  # LpuMeter: min(|v|, r), then round
+    full = (1 << bits) - 1
+    return (np.minimum(np.abs(v), r) / r * full + 0.5).astype(np.int64)
+
+
+def _qvalue_rule(v, bits, r):  # _quantize_qvalues: round, then clamp
+    full = (1 << bits) - 1
+    return np.minimum((np.abs(v) / r * full + 0.5).astype(np.int64), full)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    values=st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=8),
+    bits=st.integers(mm.MIN_BITS, mm.MAX_BITS),
+    r=st.one_of(st.sampled_from([1.0, 8.0, 10.0, 100.0]),
+                st.floats(min_value=1e-3, max_value=1e3)),
+)
+@example(values=[0.0, -0.0, 5e-324, -5e-324, 2.2e-308, 1e300, -1.7e308], bits=3, r=1.0)
+@example(values=[0.5 / 7, -0.5 / 7, 1.0, -1.0, 1.0 + 2**-52, 9.0], bits=3, r=8.0)
+def test_quantize_mags_matches_every_old_rule(values, bits, r):
+    v = np.array(values)
+    got = mm.quantize_mags(v, bits, r)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, _qnetwork_rule(v, bits, r))
+    assert np.array_equal(got, _lpu_rule(v, bits, r))
+    full = (1 << bits) - 1
+    with np.errstate(over="ignore", invalid="ignore"):
+        scaled = np.abs(v) / r * full + 0.5
+        fits = scaled < 2.0**63
+        assert np.array_equal(got[fits], _qvalue_rule(v, bits, r)[fits])
+    for x, mag, finite in zip(values, got, np.isfinite(scaled)):
+        assert quantize(x, bits, r).magnitude == mag
+        if finite:
+            assert _scalar_rule(x, bits, r) == mag
+
+
 # ---------------------------------------------------------------------------
 # value contract
 
@@ -100,17 +154,15 @@ def test_exhaustive_products_5bit(params):
 
 
 def test_exhaustive_hdms_high_bits(params):
-    # brute-force oracle at the chunked widths, vectorized via the surface
+    # spot-check the mac function against the vectorized energy table
     for bits in (6, 7, 8):
-        surf = energy_surface(bits, "hdms", params)
-        assert np.array_equal(surf.value, surf.x * surf.w)
-        # spot-check the mac function against the surface path
+        table = mm.energy_table(bits, "hdms", params)
         n = 1 << bits
         rng = np.random.default_rng(bits)
         for x, w in rng.integers(0, n, size=(50, 2)):
             r = hdms_mac(Operand(int(x)), Operand(int(w)), 0, params, bits)
             assert r.value == int(x) * int(w)
-            assert r.energy_pj == pytest.approx(float(surf.energy_pj[x, w]), rel=0, abs=0)
+            assert r.energy_pj == float(table[x, w])
 
 
 def test_hdms_worked_decomposition(params):
@@ -173,7 +225,7 @@ def test_plan_roundtrip_all_8bit_values():
     plan = hdms_plan(8)
     for v in range(256):
         chunks = mm.split_chunks(v, plan)
-        assert mm.recombine_chunks(chunks, plan) == v
+        assert sum(c << shift for c, (shift, _w) in zip(chunks, plan.chunks)) == v
 
 
 # ---------------------------------------------------------------------------
@@ -187,27 +239,26 @@ def test_digital_energy_operand_invariant(params):
 
 
 def test_tdms_energy_monotone_in_product(params):
-    surf = energy_surface(6, "tdms", params)
-    order = np.argsort(surf.value.ravel(), kind="stable")
-    energies = surf.energy_pj.ravel()[order]
+    mags = np.arange(64)
+    order = np.argsort(np.multiply.outer(mags, mags).ravel(), kind="stable")
+    energies = mm.energy_table(6, "tdms", params).ravel()[order]
     assert np.all(np.diff(energies) >= 0)
 
 
 def test_tdms_zero_cycle_entry(params):
-    surf = energy_surface(6, "tdms", params)
+    table = mm.energy_table(6, "tdms", params)
     expected = (params.e_0 + params.e_tr * 6) * params.voltage_scale
-    assert surf.energy_pj[0, 17] == pytest.approx(expected)
+    assert table[0, 17] == pytest.approx(expected)
 
 
 def test_tdms_surface_max_at_corner(params):
-    surf = energy_surface(6, "tdms", params)
-    i, j = np.unravel_index(np.argmax(surf.energy_pj), surf.energy_pj.shape)
+    table = mm.energy_table(6, "tdms", params)
+    i, j = np.unravel_index(np.argmax(table), table.shape)
     assert (i, j) == (63, 63)
 
 
 def test_digital_surface_constant(params):
-    surf = energy_surface(6, "digital", params)
-    assert np.ptp(surf.energy_pj) == 0.0
+    assert np.ptp(mm.energy_table(6, "digital", params)) == 0.0
 
 
 def test_voltage_scaling_quadratic(params):
@@ -228,11 +279,9 @@ def test_voltage_out_of_range():
 
 
 def test_surface_is_full_grid(params):
-    surf = energy_surface(4, "hdms", params)
-    assert surf.x.shape == (16, 16)
-    rows = list(surf.rows())
-    assert len(rows) == 256
-    assert rows[0][:2] == ("hdms", 4)
+    table = mm.energy_table(4, "hdms", params)
+    assert table.shape == (16, 16)
+    assert table[3, 12] == hdms_mac(Operand(3), Operand(12), 0, params, 4).energy_pj
 
 
 # ---------------------------------------------------------------------------

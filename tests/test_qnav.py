@@ -5,7 +5,7 @@ import pytest
 
 from edgesim import macmodel as mm
 from edgesim import qnav
-from edgesim.macmodel import Operand, default_params, tdms_mac
+from edgesim.macmodel import Operand, default_params
 from edgesim.qnav import (
     Arena,
     ArenaError,
@@ -26,7 +26,7 @@ from edgesim.qnav import (
     sense,
     train_step,
 )
-from edgesim.stochsyn import DropMask, Lfsr
+from edgesim.stochsyn import DropMask, Lfsr, drop_mask
 
 
 @pytest.fixture(scope="module")
@@ -134,36 +134,41 @@ def test_q_forward_all_drop_equals_zero_weights(params):
 
 
 def test_q_forward_matches_per_mac_composition(params):
-    # oracle: run the same forward as explicit per-element MAC ops
+    # oracle: run the same forward as explicit per-element MAC ops, with a
+    # first-layer drop mask whose dropped weights are priced at magnitude 0
     net, _ = init_network(Lfsr(0x1357))
     s = np.array([1, 4, 9])
-    q, energy = q_forward(net, s, None, "tdms", params)
-
+    mask1, _ = drop_mask(net.w1.shape, 0.25, Lfsr(0x2468))
+    assert not mask1.keep.all()
+    masks = (mask1, DropMask(keep=np.ones(net.w2.shape, dtype=bool), p=0.0))
     x = proximity(s)
     (m1, m2), (s1, s2) = net.quantized()
+    m1 = np.where(mask1.keep, m1, 0)
     full = 63
-    acc1 = np.zeros(16, dtype=int)
-    total_energy = 0.0
-    for j in range(16):
-        acc = 0
-        for i in range(3):
-            r = tdms_mac(Operand(int(x[i])), Operand(int(m1[j, i]), int(s1[j, i])),
-                         acc, params, 6)
-            acc = r.value
-            total_energy += r.energy_pj
-        acc1[j] = acc
-    hidden = np.minimum(np.maximum(acc1, 0) >> qnav.ACT_SHIFT, full)
-    acc2 = np.zeros(4, dtype=int)
-    for a in range(4):
-        acc = 0
+    for model in mm.MODELS:
+        q, energy = q_forward(net, s, masks, model, params)
+        acc1 = np.zeros(16, dtype=int)
+        total_energy = 0.0
         for j in range(16):
-            r = tdms_mac(Operand(int(hidden[j])), Operand(int(m2[a, j]), int(s2[a, j])),
-                         acc, params, 6)
-            acc = r.value
-            total_energy += r.energy_pj
-        acc2[a] = acc
-    assert np.array_equal(q, acc2 / float(full * full))
-    assert energy == pytest.approx(total_energy, rel=1e-12)
+            acc = 0
+            for i in range(3):
+                r = mm.mac(model, Operand(int(x[i])), Operand(int(m1[j, i]), int(s1[j, i])),
+                           acc, params, 6)
+                acc = r.value
+                total_energy += r.energy_pj
+            acc1[j] = acc
+        hidden = np.minimum(np.maximum(acc1, 0) >> qnav.ACT_SHIFT, full)
+        acc2 = np.zeros(4, dtype=int)
+        for a in range(4):
+            acc = 0
+            for j in range(16):
+                r = mm.mac(model, Operand(int(hidden[j])), Operand(int(m2[a, j]), int(s2[a, j])),
+                           acc, params, 6)
+                acc = r.value
+                total_energy += r.energy_pj
+            acc2[a] = acc
+        assert np.array_equal(q, acc2 / float(full * full)), model
+        assert energy == pytest.approx(total_energy, rel=1e-12), model
 
 
 def test_q_forward_energy_models(params):
@@ -253,6 +258,24 @@ def test_config_validation():
         TrainConfig(gamma=1.0)
     with pytest.raises(ValueError):
         TrainConfig(capacity=4, batch_size=8)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("episodes", 0), ("max_steps", 0), ("batch_size", 0), ("convergence_window", 0),
+    ("convergence_frac", 0.0), ("convergence_frac", 1.01), ("convergence_frac", float("nan")),
+    ("drop_p", -0.1), ("drop_p", 1.0),
+    ("eps_start", -0.01), ("eps_start", 1.5), ("eps_end", -0.01), ("eps_end", 1.5),
+    ("eps_decay", 0.0), ("eps_decay", 1.01),
+])
+def test_config_rejects_out_of_range_fields(field, value):
+    # a window of 0 would train to the episode budget and never converge
+    with pytest.raises(ValueError, match=field):
+        TrainConfig(**{field: value})
+
+
+def test_config_accepts_boundary_values():
+    TrainConfig(episodes=1, max_steps=1, batch_size=1, convergence_window=1,
+                convergence_frac=1.0, drop_p=0.0, eps_start=1.0, eps_end=0.0, eps_decay=1.0)
 
 
 def test_scratchpad_evicts_oldest():

@@ -284,13 +284,20 @@ def test_meter_energy_table_matches_models(model, bits):
         expect = mm.hdms_energy(x, w, bits, params)
     got = meter.energy(x, w)
     assert got.dtype == np.float64 and got.tobytes() == expect.tobytes()
-    assert got.tobytes() == mm.energy_surface(bits, model, params).energy_pj.tobytes()
     assert meter.energy(3, 5) == expect[3, 5]
     table = mm.energy_table(bits, model, params)
     assert table is mm.energy_table(bits, model, params)
     with pytest.raises(ValueError):
         table[1, 1] = 0.0
     assert table[1, 1] == expect[1, 1]
+
+
+def test_quantized_qvalues_keep_negative_zero():
+    # the predprey trajectory golden hashes qtable.tolist(), where -0.0 and
+    # 0.0 differ: entries that round to 0 from below must stay -0.0
+    got = sl._quantize_qvalues(np.array([-1e-9, -0.5 / 7, -5e-324, 1e-9, 0.0]), 3)
+    assert np.array_equal(got, np.zeros(5))
+    assert np.signbit(got).tolist() == [True, True, True, False, False]
 
 
 def test_meter_rejects_unknown_model():
