@@ -10,14 +10,13 @@ comes from one LFSR stream, so runs are bit-reproducible from the seed.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
 from edgesim import macmodel as mm
-from edgesim.stochsyn import DropMask, Lfsr, drop_mask, masked_weights
+from edgesim.stochsyn import Lfsr, drop_mask, masked_weights
 
 # headings are 45-degree steps counterclockwise from +x
 HEADING_VECS = ((1, 0), (1, 1), (0, 1), (-1, 1), (-1, 0), (-1, -1), (0, -1), (1, -1))
@@ -178,7 +177,6 @@ class QNetwork:
 
     w1: np.ndarray  # (hidden, 3)
     w2: np.ndarray  # (4, hidden)
-    bits: int = DEPTH_BITS
     horizon: int = PROX_HORIZON
 
     def quantized(self):
@@ -186,7 +184,7 @@ class QNetwork:
         cached = getattr(self, "_quant", None)
         if cached is None:
             layers = (self.w1, self.w2)
-            cached = ([mm.quantize_mags(w, self.bits, 1.0) for w in layers],
+            cached = ([mm.quantize_mags(w, DEPTH_BITS, 1.0) for w in layers],
                       [np.where(w < 0, -1, 1) for w in layers])
             self._quant = cached
         return cached
@@ -220,42 +218,40 @@ def arena_horizon(arena: "Arena") -> int:
     return max(2, min(PROX_HORIZON, max(arena.width, arena.height) - 2))
 
 
-def q_forward(net: QNetwork, s: np.ndarray, masks=None, model: str = "tdms",
+def q_forward(net: QNetwork, s: np.ndarray, keep=None, model: str = "tdms",
               params: mm.EnergyParams | None = None):
     """Quantized layer-by-layer forward pass.
 
     Returns (action values as floats on the real-valued scale, energy_pj).
     Hidden integer activations are rectified and right-shifted back into
-    6-bit operand range before the second layer.
+    6-bit operand range before the second layer. ``keep`` is the first-layer
+    drop-connect mask; the output layer always runs clean.
     """
     if params is None:
         params = mm.default_params()
     x = proximity(s, net.horizon)
     (m1, m2), (s1, s2) = net.quantized()
-    if masks is not None:
-        mask1, mask2 = masks
-        m1 = masked_weights(m1, mask1)
-        m2 = masked_weights(m2, mask2)
+    if keep is not None:
+        m1 = masked_weights(m1, keep)
 
-    full = (1 << net.bits) - 1
     acc1 = (s1 * m1) @ x
     if np.any(np.abs(acc1) > mm.ACC_MAX):
         raise OverflowError("hidden-layer accumulator overflow")
-    hidden = np.minimum(np.maximum(acc1, 0) >> ACT_SHIFT, full)
+    hidden = np.minimum(np.maximum(acc1, 0) >> ACT_SHIFT, DEPTH_MAX)
     acc2 = (s2 * m2) @ hidden
     if np.any(np.abs(acc2) > mm.ACC_MAX):
         raise OverflowError("output-layer accumulator overflow")
 
-    energy = mm.array_energy(x, m1, net.bits, model, params)
-    energy += mm.array_energy(hidden, m2, net.bits, model, params)
-    scale = float(full * full)
-    return acc2.astype(float) / scale, energy
+    energy = mm.array_energy(x, m1, DEPTH_BITS, model, params)
+    energy += mm.array_energy(hidden, m2, DEPTH_BITS, model, params)
+    return acc2.astype(float) / float(DEPTH_MAX * DEPTH_MAX), energy
 
 
-def bellman_target(r: float, q_next_max: float, gamma: float, terminal: bool) -> float:
+def bellman_target(r, q_next_max, gamma: float, terminal):
+    """Elementwise Q-learning target: r at terminal steps, else r + gamma * max Q'."""
     if not 0 <= gamma < 1:
         raise ValueError(f"discount must be in [0, 1), got {gamma}")
-    return r if terminal else r + gamma * q_next_max
+    return np.where(terminal, r, r + gamma * q_next_max)
 
 
 def select_action(qvals, eps: float, lfsr: Lfsr):
@@ -269,42 +265,38 @@ def select_action(qvals, eps: float, lfsr: Lfsr):
     return int(np.argmax(qvals)), lfsr
 
 
-@dataclass(frozen=True)
-class Experience:
-    s: np.ndarray
-    a: int
-    r: float
-    s_next: np.ndarray
-    terminal: bool
-
-    def __post_init__(self):
-        if not 0 <= self.a < N_ACTIONS:
-            raise ValueError(f"action index {self.a} out of range")
-        if not np.isfinite(self.r):
-            raise ValueError("reward must be finite")
-
-
 class Scratchpad:
-    """Bounded experience store, oldest-first eviction, LFSR-driven sampling."""
+    """Bounded experience ring of preallocated arrays, oldest-first eviction."""
 
     def __init__(self, capacity: int):
         if capacity < 1:
             raise ValueError("capacity must be positive")
-        self._buf = deque(maxlen=capacity)
+        self.capacity = capacity
+        self.s = np.zeros((capacity, len(RAY_OFFSETS)), dtype=np.int64)
+        self.a = np.zeros(capacity, dtype=np.int64)
+        self.r = np.zeros(capacity)
+        self.s_next = np.zeros((capacity, len(RAY_OFFSETS)), dtype=np.int64)
+        self.terminal = np.zeros(capacity, dtype=bool)
+        self.pushed = 0
 
     def __len__(self):
-        return len(self._buf)
+        return min(self.pushed, self.capacity)
 
-    @property
-    def capacity(self):
-        return self._buf.maxlen
-
-    def push(self, exp: Experience):
-        self._buf.append(exp)
+    def push(self, s, a: int, r: float, s_next, terminal: bool):
+        i = self.pushed % self.capacity
+        self.s[i], self.a[i], self.r[i] = s, a, r
+        self.s_next[i], self.terminal[i] = s_next, terminal
+        self.pushed += 1
 
     def sample(self, n: int, lfsr: Lfsr):
-        idx, lfsr = lfsr.randints(n, len(self._buf))
-        return [self._buf[i] for i in idx], lfsr
+        """n rows drawn with replacement as (s, a, r, s_next, terminal) arrays;
+        draw value i picks the i-th oldest stored row."""
+        if not self.pushed:
+            raise ValueError("cannot sample an empty scratchpad")
+        idx, lfsr = lfsr.randints(n, len(self))
+        rows = (self.pushed - len(self) + idx) % self.capacity
+        return (self.s[rows], self.a[rows], self.r[rows], self.s_next[rows],
+                self.terminal[rows]), lfsr
 
 
 @dataclass(frozen=True)
@@ -348,47 +340,48 @@ class TrainConfig:
         return max(self.eps_end, self.eps_start * self.eps_decay**episode)
 
 
-def train_step(net: QNetwork, batch, cfg: TrainConfig, masks=None) -> QNetwork:
+def train_step(net: QNetwork, batch, cfg: TrainConfig, keep=None) -> QNetwork:
     """One semi-gradient minibatch update toward the Bellman targets.
 
-    Gradients are taken through the float shadow network (straight-through
-    with respect to quantization); the batch-mean nudge is computed against
-    the entry weights and applied once, then weights re-enter [-1, 1].
+    ``batch`` is the (s, a, r, s_next, terminal) arrays of
+    ``Scratchpad.sample``. Gradients are taken through the float shadow
+    network (straight-through with respect to quantization); the batch-mean
+    nudge is computed against the entry weights and applied once, then
+    weights re-enter [-1, 1].
 
-    With drop-connect masks, the prediction path runs on the masked weights
-    and gradients flow only through kept connections; targets stay clean.
+    With a first-layer drop-connect mask ``keep``, the prediction path runs on
+    the masked weights and first-layer gradients flow only through kept
+    connections; targets stay clean.
     """
-    if not batch:
+    s, actions, rewards, s_next, terminal = batch
+    if len(actions) == 0:
         raise ValueError("batch must be non-empty")
-    xs = proximity(np.stack([e.s for e in batch]), net.horizon).astype(float) / DEPTH_MAX
-    xn = proximity(np.stack([e.s_next for e in batch]), net.horizon).astype(float) / DEPTH_MAX
-    actions = np.array([e.a for e in batch])
-    rewards = np.array([e.r for e in batch])
-    terminal = np.array([e.terminal for e in batch])
+    if not ((actions >= 0) & (actions < N_ACTIONS)).all():
+        raise ValueError(f"action indices must be in [0, {N_ACTIONS})")
+    if not np.isfinite(rewards).all():
+        raise ValueError("rewards must be finite")
+    xs = proximity(s, net.horizon).astype(float) / DEPTH_MAX
+    xn = proximity(s_next, net.horizon).astype(float) / DEPTH_MAX
 
-    w1, w2 = net.w1, net.w2
-    if masks is not None:
-        w1 = masked_weights(w1, masks[0])
-        w2 = masked_weights(w2, masks[1])
+    w1 = net.w1 if keep is None else masked_weights(net.w1, keep)
 
     a1 = xs @ w1.T                               # (B, hidden) pre-activations
     h = np.minimum(np.maximum(a1, 0.0) * ACT_GAIN, 1.0)
-    q = h @ w2.T                                 # (B, actions)
+    q = h @ net.w2.T                             # (B, actions)
     a1n = xn @ net.w1.T
     h_next = np.minimum(np.maximum(a1n, 0.0) * ACT_GAIN, 1.0)
     q_next_max = (h_next @ net.w2.T).max(axis=1)
-    targets = np.where(terminal, rewards, rewards + cfg.gamma * q_next_max)
-    delta = targets - q[np.arange(len(batch)), actions]
+    targets = bellman_target(rewards, q_next_max, cfg.gamma, terminal)
+    delta = targets - q[np.arange(len(actions)), actions]
 
-    step = cfg.alpha / len(batch)
+    step = cfg.alpha / len(actions)
     d_w2 = np.zeros_like(net.w2)
     np.add.at(d_w2, actions, step * delta[:, None] * h)
     active = (a1 > 0.0) & (a1 * ACT_GAIN < 1.0)  # rectifier and saturation gate
-    grad_h = step * delta[:, None] * w2[actions] * active * ACT_GAIN
+    grad_h = step * delta[:, None] * net.w2[actions] * active * ACT_GAIN
     d_w1 = grad_h.T @ xs
-    if masks is not None:
-        d_w1 = d_w1 * masks[0].keep
-        d_w2 = d_w2 * masks[1].keep
+    if keep is not None:
+        d_w1 = d_w1 * keep
 
     w1 = np.clip(net.w1 + d_w1, -1.0, 1.0)
     w2 = np.clip(net.w2 + d_w2, -1.0, 1.0)
@@ -420,14 +413,15 @@ class TrainingTrace:
             yield (int(row[0]), int(row[1]), int(row[2]), float(row[3]), float(row[4]))
 
 
-def _sense_cache(arena: Arena):
-    cache = {}
+def _sense_table(arena: Arena) -> np.ndarray:
+    """Depth readings of every free pose, read as ``depths[x, y, heading]``."""
+    depths = np.zeros((arena.width, arena.height, N_HEADINGS, len(RAY_OFFSETS)), dtype=np.int64)
     for x in range(arena.width):
         for y in range(arena.height):
             if arena.is_free((x, y)):
                 for h in range(N_HEADINGS):
-                    cache[(x, y, h)] = sense(arena, RobotState((x, y), h))
-    return cache
+                    depths[x, y, h] = sense(arena, RobotState((x, y), h))
+    return depths
 
 
 def run_training(arena: Arena, cfg: TrainConfig, seed: int, model: str = "tdms",
@@ -443,12 +437,10 @@ def run_training(arena: Arena, cfg: TrainConfig, seed: int, model: str = "tdms",
     lfsr = Lfsr(seed)
     net, lfsr = init_network(lfsr, horizon=arena_horizon(arena))
     pad = Scratchpad(cfg.capacity)
-    depths = _sense_cache(arena)
+    depths = _sense_table(arena)
 
     # stochastic synapses sit on the sensor fan-in (first layer), refreshed
-    # every forward pass; the output layer always runs clean
-    keep_all_w2 = DropMask(keep=np.ones(net.w2.shape, dtype=bool), p=0.0)
-
+    # every forward pass and every training step
     it_rows, ep_rows, cov_rows, rew_rows, en_rows = [], [], [], [], []
     episode_coverage = []
     converged = False
@@ -464,11 +456,10 @@ def run_training(arena: Arena, cfg: TrainConfig, seed: int, model: str = "tdms",
         eps = cfg.epsilon(ep)
         for _ in range(cfg.max_steps):
             s = depths[(*state.position, state.heading)]
-            masks = None
+            keep = None
             if cfg.stochastic:
-                m1, lfsr = drop_mask(net.w1.shape, cfg.drop_p, lfsr)
-                masks = (m1, keep_all_w2)
-            qvals, energy = q_forward(net, s, masks, model, params)
+                keep, lfsr = drop_mask(net.w1.shape, cfg.drop_p, lfsr)
+            qvals, energy = q_forward(net, s, keep, model, params)
             action, lfsr = select_action(qvals, eps, lfsr)
             new_state, collided = apply_action(arena, state, action)
             reward = 0.0
@@ -479,15 +470,14 @@ def run_training(arena: Arena, cfg: TrainConfig, seed: int, model: str = "tdms",
                 reward = NEW_CELL_REWARD
             terminal = len(visited) == arena.free_cells
             s_next = depths[(*new_state.position, new_state.heading)]
-            pad.push(Experience(s, action, reward, s_next, terminal))
+            pad.push(s, action, reward, s_next, terminal)
 
             if len(pad) >= cfg.batch_size:
                 batch, lfsr = pad.sample(cfg.batch_size, lfsr)
-                train_masks = None
+                keep = None
                 if cfg.stochastic:
-                    m1, lfsr = drop_mask(net.w1.shape, cfg.drop_p, lfsr)
-                    train_masks = (m1, keep_all_w2)
-                net = train_step(net, batch, cfg, train_masks)
+                    keep, lfsr = drop_mask(net.w1.shape, cfg.drop_p, lfsr)
+                net = train_step(net, batch, cfg, keep)
 
             it_rows.append(iteration)
             ep_rows.append(ep)
@@ -534,17 +524,15 @@ def run_policy(arena: Arena, net: QNetwork, eps: float, steps: int, seed: int,
     if params is None:
         params = mm.default_params()
     lfsr = Lfsr(seed)
-    depths = _sense_cache(arena)
-    keep_all_w2 = DropMask(keep=np.ones(net.w2.shape, dtype=bool), p=0.0)
+    depths = _sense_table(arena)
     state = RobotState(arena.start, 0)
     visited = {state.position}
     for _ in range(steps):
-        masks = None
+        keep = None
         if stochastic:
-            m1, lfsr = drop_mask(net.w1.shape, drop_p, lfsr)
-            masks = (m1, keep_all_w2)
+            keep, lfsr = drop_mask(net.w1.shape, drop_p, lfsr)
         qvals, _ = q_forward(net, depths[(*state.position, state.heading)],
-                             masks, model, params)
+                             keep, model, params)
         action, lfsr = select_action(qvals, eps, lfsr)
         state, _ = apply_action(arena, state, action)
         visited.add(state.position)

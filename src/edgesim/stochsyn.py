@@ -143,36 +143,20 @@ def _cycle_tables():
     return _cycle_cache
 
 
-@dataclass(frozen=True)
-class DropMask:
-    """Boolean keep-matrix for one weight matrix plus the drop probability."""
-
-    keep: np.ndarray
-    p: float
-
-    @property
-    def shape(self):
-        return self.keep.shape
-
-    def drop_count(self) -> int:
-        return int(self.keep.size - np.count_nonzero(self.keep))
-
-
-def drop_mask(shape: tuple[int, int], p: float, lfsr: Lfsr) -> tuple[DropMask, Lfsr]:
-    """Generate a drop-connect mask: entry (i, j) is dropped when its 16-bit
-    sample is below p. Row-major draw order, 16 LFSR steps per entry."""
+def drop_mask(shape: tuple[int, int], p: float, lfsr: Lfsr) -> tuple[np.ndarray, Lfsr]:
+    """Generate a drop-connect keep array: entry (i, j) is dropped (False) when
+    its 16-bit sample is below p. Row-major draw order, 16 LFSR steps per entry."""
     if not 0 <= p < 1:
         raise ValueError(f"drop probability must be in [0, 1), got {p}")
     rows, cols = shape
-    n = rows * cols
-    u, nxt = lfsr.uniforms(n)
-    keep = (u >= p).reshape(rows, cols)
-    return DropMask(keep=keep, p=p), nxt
+    u, nxt = lfsr.uniforms(rows * cols)
+    return (u >= p).reshape(rows, cols), nxt
 
 
-def masked_weights(weights: np.ndarray, mask: DropMask) -> np.ndarray:
-    """Zero the dropped entries, leave kept entries untouched."""
+def masked_weights(weights: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """Zero the dropped entries, leave kept entries untouched (a dropped
+    negative weight reads +0, where ``weights * keep`` would write -0.0)."""
     weights = np.asarray(weights)
-    if weights.shape != mask.keep.shape:
-        raise ValueError(f"weight shape {weights.shape} != mask shape {mask.keep.shape}")
-    return np.where(mask.keep, weights, np.zeros((), dtype=weights.dtype))
+    if weights.shape != keep.shape:
+        raise ValueError(f"weight shape {weights.shape} != mask shape {keep.shape}")
+    return np.where(keep, weights, np.zeros((), dtype=weights.dtype))

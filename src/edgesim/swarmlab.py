@@ -150,8 +150,10 @@ class LpuMeter:
         """Elementwise quantized multiply; returns dequantized floats.
 
         Operands must be finite: out-of-range values saturate, NaN and
-        infinities raise ``ValueError``.
+        infinities raise ``ValueError``. Ranges must be positive and finite.
         """
+        if not (0 < a_range < np.inf and 0 < b_range < np.inf):
+            raise ValueError(f"LPU ranges must be in (0, inf), got {a_range}, {b_range}")
         # one ufunc pass in the common case; a sum that overflows from huge
         # finite operands is told apart by testing them one by one
         if not np.isfinite(np.add(a, b)).all() and not (np.isfinite(a).all() and np.isfinite(b).all()):

@@ -1,7 +1,10 @@
 import hashlib
+from collections import deque
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from edgesim import macmodel as mm
 from edgesim import qnav
@@ -9,7 +12,6 @@ from edgesim.macmodel import Operand, default_params
 from edgesim.qnav import (
     Arena,
     ArenaError,
-    Experience,
     QNetwork,
     RobotState,
     Scratchpad,
@@ -26,7 +28,7 @@ from edgesim.qnav import (
     sense,
     train_step,
 )
-from edgesim.stochsyn import DropMask, Lfsr, drop_mask
+from edgesim.stochsyn import Lfsr, drop_mask
 
 
 @pytest.fixture(scope="module")
@@ -123,12 +125,9 @@ def test_q_forward_zero_weights(params):
 def test_q_forward_all_drop_equals_zero_weights(params):
     net, _ = init_network(Lfsr(0xACE1))
     zeros = QNetwork(w1=np.zeros_like(net.w1), w2=np.zeros_like(net.w2))
-    masks = (
-        DropMask(keep=np.zeros(net.w1.shape, dtype=bool), p=0.9),
-        DropMask(keep=np.zeros(net.w2.shape, dtype=bool), p=0.9),
-    )
+    keep = np.zeros(net.w1.shape, dtype=bool)
     s = np.array([2, 4, 6])
-    q_masked, _ = q_forward(net, s, masks, "tdms", params)
+    q_masked, _ = q_forward(net, s, keep, "tdms", params)
     q_zero, _ = q_forward(zeros, s, None, "tdms", params)
     assert np.array_equal(q_masked, q_zero)
 
@@ -139,14 +138,13 @@ def test_q_forward_matches_per_mac_composition(params):
     net, _ = init_network(Lfsr(0x1357))
     s = np.array([1, 4, 9])
     mask1, _ = drop_mask(net.w1.shape, 0.25, Lfsr(0x2468))
-    assert not mask1.keep.all()
-    masks = (mask1, DropMask(keep=np.ones(net.w2.shape, dtype=bool), p=0.0))
+    assert not mask1.all()
     x = proximity(s)
     (m1, m2), (s1, s2) = net.quantized()
-    m1 = np.where(mask1.keep, m1, 0)
+    m1 = np.where(mask1, m1, 0)
     full = 63
     for model in mm.MODELS:
-        q, energy = q_forward(net, s, masks, model, params)
+        q, energy = q_forward(net, s, mask1, model, params)
         acc1 = np.zeros(16, dtype=int)
         total_energy = 0.0
         for j in range(16):
@@ -216,9 +214,15 @@ def test_select_action_uniform_frequencies():
 # training updates
 
 
+def _batch(s, a, r, s_next, terminal):
+    return (np.array(s, dtype=np.int64).reshape(-1, 3), np.array(a, dtype=np.int64),
+            np.array(r, dtype=float), np.array(s_next, dtype=np.int64).reshape(-1, 3),
+            np.array(terminal, dtype=bool))
+
+
 def test_train_step_zero_residual_batch_is_noop():
     net = QNetwork(w1=np.zeros((16, 3)), w2=np.zeros((4, 16)))
-    batch = [Experience(np.array([3, 3, 3]), 0, 0.0, np.array([3, 3, 3]), True)]
+    batch = _batch([[3, 3, 3]], [0], [0.0], [[3, 3, 3]], [True])
     out = train_step(net, batch, TrainConfig())
     assert np.array_equal(out.w1, net.w1) and np.array_equal(out.w2, net.w2)
 
@@ -226,7 +230,15 @@ def test_train_step_zero_residual_batch_is_noop():
 def test_train_step_empty_batch_rejected():
     net, _ = init_network(Lfsr(3))
     with pytest.raises(ValueError):
-        train_step(net, [], TrainConfig())
+        train_step(net, _batch([], [], [], [], []), TrainConfig())
+
+
+@pytest.mark.parametrize("a, r", [(-1, 0.0), (4, 0.0), (0, float("nan"))])
+def test_train_step_rejects_bad_batch(a, r):
+    # a negative action would otherwise index the last action's row
+    net, _ = init_network(Lfsr(3))
+    with pytest.raises(ValueError):
+        train_step(net, _batch([[3, 4, 5]], [a], [r], [[3, 4, 5]], [False]), TrainConfig())
 
 
 def test_train_step_matches_finite_difference():
@@ -234,19 +246,19 @@ def test_train_step_matches_finite_difference():
     cfg = TrainConfig(alpha=1.0, gamma=0.9)
     w1 = np.array([[0.4]])
     w2 = np.array([[0.7]])
-    exp = Experience(np.array([3]), 0, 0.5, np.array([5]), True)
+    batch = (np.array([[3]]), np.array([0]), np.array([0.5]), np.array([[5]]), np.array([True]))
 
     def loss(w1v, w2v):
-        x = proximity(exp.s).astype(float) / qnav.DEPTH_MAX
+        x = proximity(batch[0][0]).astype(float) / qnav.DEPTH_MAX
         h = min(max(w1v * x[0], 0.0) * qnav.ACT_GAIN, 1.0)
         q = w2v * h
-        return 0.5 * (exp.r - q) ** 2
+        return 0.5 * (batch[2][0] - q) ** 2
 
     eps = 1e-6
     g1 = (loss(0.4 + eps, 0.7) - loss(0.4 - eps, 0.7)) / (2 * eps)
     g2 = (loss(0.4, 0.7 + eps) - loss(0.4, 0.7 - eps)) / (2 * eps)
 
-    out = train_step(QNetwork(w1=w1, w2=w2), [exp], cfg)
+    out = train_step(QNetwork(w1=w1, w2=w2), batch, cfg)
     assert out.w1[0, 0] - w1[0, 0] == pytest.approx(-g1, rel=1e-5)
     assert out.w2[0, 0] - w2[0, 0] == pytest.approx(-g2, rel=1e-5)
 
@@ -278,23 +290,57 @@ def test_config_accepts_boundary_values():
                 convergence_frac=1.0, drop_p=0.0, eps_start=1.0, eps_end=0.0, eps_decay=1.0)
 
 
+class _CountingDraw:
+    """Stands in for the LFSR: draw value i is i, so a sample lists the rows oldest first."""
+
+    def randints(self, count, n):
+        return np.arange(count) % n, self
+
+
 def test_scratchpad_evicts_oldest():
     pad = Scratchpad(3)
-    exps = [Experience(np.array([i]), 0, 0.0, np.array([i]), False) for i in range(5)]
-    for e in exps:
-        pad.push(e)
+    for i in range(5):
+        pad.push(np.full(3, i), 0, 0.0, np.full(3, i), False)
     assert len(pad) == 3
-    stored = [int(e.s[0]) for e in pad._buf]
+    (s, *_), _ = pad.sample(3, _CountingDraw())
+    stored = [int(v) for v in s[:, 0]]
     assert stored == [2, 3, 4]
 
 
 def test_scratchpad_sampling_deterministic():
     pad = Scratchpad(8)
     for i in range(8):
-        pad.push(Experience(np.array([i]), 0, 0.0, np.array([i]), False))
+        pad.push(np.full(3, i), 0, 0.0, np.full(3, i), False)
     b1, _ = pad.sample(4, Lfsr(0xACE1))
     b2, _ = pad.sample(4, Lfsr(0xACE1))
-    assert [int(e.s[0]) for e in b1] == [int(e.s[0]) for e in b2]
+    assert [int(v) for v in b1[0][:, 0]] == [int(v) for v in b2[0][:, 0]]
+
+
+@settings(max_examples=200, deadline=None)
+@given(capacity=st.integers(1, 16), pushes=st.integers(0, 50), n=st.integers(1, 8),
+       seed=st.integers(1, 0xFFFF))
+def test_scratchpad_matches_deque_oracle(capacity, pushes, n, seed):
+    # oracle: the deque(maxlen=capacity) store the ring replaced, indexed by
+    # the same randints draw
+    pad = Scratchpad(capacity)
+    buf = deque(maxlen=capacity)
+    for k in range(pushes):
+        row = (np.array([k, k + 1, k + 2]), k % 4, k * 0.5 - 3.0,
+               np.array([k + 3, k + 4, k + 5]), k % 3 == 0)
+        pad.push(*row)
+        buf.append(row)
+    assert len(pad) == len(buf)
+    if not buf:
+        with pytest.raises(ValueError):
+            pad.sample(n, Lfsr(seed))
+        return
+    idx, after = Lfsr(seed).randints(n, len(buf))
+    batch, pad_after = pad.sample(n, Lfsr(seed))
+    assert pad_after == after
+    for field_i, got in enumerate(batch):
+        want = np.array([buf[i][field_i] for i in idx])
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
 
 
 # ---------------------------------------------------------------------------
@@ -365,3 +411,20 @@ def test_training_golden_digest(episodes, model):
     cfg = TrainConfig() if episodes is None else TrainConfig(episodes=episodes)
     trace = run_training(default_arena(), cfg, 0xACE1, model)
     assert _training_digest(trace) == TRAINING_GOLDEN[episodes, model]
+
+
+# sha256 of trace.net.w1.tobytes() + trace.net.w2.tobytes() after 2 tdms
+# episodes on the default arena at seed 0xACE1, captured before the replay
+# buffer and drop masks became plain arrays. A window of 2 makes the returned
+# net the trained one: with episodes < convergence_window, run_training
+# returns the initial network.
+WEIGHTS_GOLDEN = "796959806bafb27074e48795e6b3e9fd256c67893b8a38e83c4d064b65553d1b"
+
+
+def test_training_final_weights_golden():
+    trace = run_training(default_arena(), TrainConfig(episodes=2, convergence_window=2),
+                         0xACE1, "tdms")
+    init, _ = init_network(Lfsr(0xACE1), horizon=qnav.arena_horizon(default_arena()))
+    assert not np.array_equal(trace.net.w1, init.w1)
+    digest = hashlib.sha256(trace.net.w1.tobytes() + trace.net.w2.tobytes()).hexdigest()
+    assert digest == WEIGHTS_GOLDEN

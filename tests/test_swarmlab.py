@@ -262,6 +262,17 @@ def test_meter_rejects_non_finite_operands(a, b):
     assert (meter.energy_pj, meter.macs) == (0.0, 0)
 
 
+@pytest.mark.parametrize("a_range,b_range", [(-1.0, 1.0), (1.0, -1.0), (0.0, 1.0), (1.0, 0.0),
+                                             (np.nan, 1.0), (1.0, np.nan), (np.inf, 1.0),
+                                             (1.0, np.inf), (-np.inf, 1.0)])
+def test_meter_rejects_bad_ranges(a_range, b_range):
+    # a negative range used to flip the sign and a zero range to fail on a NaN cast
+    meter = sl.LpuMeter(5, default_params())
+    with pytest.raises(ValueError, match="range"):
+        meter.mul(0.5, 0.5, a_range, b_range)
+    assert (meter.energy_pj, meter.macs) == (0.0, 0)
+
+
 def test_meter_saturates_huge_finite_operands():
     meter = sl.LpuMeter(5, default_params())
     with np.errstate(over="ignore"):
