@@ -16,7 +16,7 @@ calibration reference.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from functools import lru_cache
 from pathlib import Path
 
@@ -116,6 +116,12 @@ class EnergyParams:
             v = getattr(self, name)
             if not 0.4 <= v <= 1.0:
                 raise ValueError(f"{name} must be in [0.4, 1.0] V, got {v}")
+        # the fields are frozen, so hash them once: energy_table's cache hashes
+        # its key on every lookup, twice per quantized forward pass
+        object.__setattr__(self, "_hash", hash(tuple(getattr(self, f.name) for f in fields(self))))
+
+    def __hash__(self):
+        return self._hash
 
     @property
     def voltage_scale(self) -> float:

@@ -6,11 +6,17 @@ sign-magnitude weights, energy metered per MAC); training keeps float
 shadow weights and re-quantizes after every semi-gradient step. All
 randomness (weight init, exploration, replay sampling, drop-connect)
 comes from one LFSR stream, so runs are bit-reproducible from the seed.
+
+The network never sees raw depths: every pose's proximity operands (the
+integer inputs of the quantized forward pass) and their float scaling (the
+shadow network's inputs) are tabulated once per (arena, horizon) by
+``_input_table``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -180,12 +186,16 @@ class QNetwork:
     horizon: int = PROX_HORIZON
 
     def quantized(self):
-        """Sign/magnitude integer views of both layers (cached)."""
+        """Signed integer weights ``(q1, q2)`` and their magnitudes
+        ``(m1, m2)`` of both layers, quantized in one pass (cached)."""
         cached = getattr(self, "_quant", None)
         if cached is None:
-            layers = (self.w1, self.w2)
-            cached = ([mm.quantize_mags(w, DEPTH_BITS, 1.0) for w in layers],
-                      [np.where(w < 0, -1, 1) for w in layers])
+            w = np.concatenate((self.w1, self.w2), axis=None)
+            mags = mm.quantize_mags(w, DEPTH_BITS, 1.0)
+            signed = np.where(w < 0, -mags, mags)
+            n1 = self.w1.size
+            cached = ((signed[:n1].reshape(self.w1.shape), signed[n1:].reshape(self.w2.shape)),
+                      (mags[:n1].reshape(self.w1.shape), mags[n1:].reshape(self.w2.shape)))
             self._quant = cached
         return cached
 
@@ -218,9 +228,11 @@ def arena_horizon(arena: "Arena") -> int:
     return max(2, min(PROX_HORIZON, max(arena.width, arena.height) - 2))
 
 
-def q_forward(net: QNetwork, s: np.ndarray, keep=None, model: str = "tdms",
+def q_forward(net: QNetwork, x: np.ndarray, keep=None, model: str = "tdms",
               params: mm.EnergyParams | None = None):
-    """Quantized layer-by-layer forward pass.
+    """Quantized layer-by-layer forward pass on the integer operand row ``x``
+    (``proximity`` of a depth reading, or a row of ``_input_table``), whose
+    entries must lie in [0, DEPTH_MAX].
 
     Returns (action values as floats on the real-valued scale, energy_pj).
     Hidden integer activations are rectified and right-shifted back into
@@ -229,17 +241,19 @@ def q_forward(net: QNetwork, s: np.ndarray, keep=None, model: str = "tdms",
     """
     if params is None:
         params = mm.default_params()
-    x = proximity(s, net.horizon)
-    (m1, m2), (s1, s2) = net.quantized()
+    if not ((x >= 0) & (x <= DEPTH_MAX)).all():
+        raise ValueError(f"input operands must be in [0, {DEPTH_MAX}]")
+    (q1, q2), (m1, m2) = net.quantized()
     if keep is not None:
-        m1 = masked_weights(m1, keep)
+        q1 = masked_weights(q1, keep)
+        m1 = np.abs(q1)
 
-    acc1 = (s1 * m1) @ x
-    if np.any(np.abs(acc1) > mm.ACC_MAX):
+    acc1 = q1 @ x
+    if (np.abs(acc1) > mm.ACC_MAX).any():
         raise OverflowError("hidden-layer accumulator overflow")
     hidden = np.minimum(np.maximum(acc1, 0) >> ACT_SHIFT, DEPTH_MAX)
-    acc2 = (s2 * m2) @ hidden
-    if np.any(np.abs(acc2) > mm.ACC_MAX):
+    acc2 = q2 @ hidden
+    if (np.abs(acc2) > mm.ACC_MAX).any():
         raise OverflowError("output-layer accumulator overflow")
 
     energy = mm.array_energy(x, m1, DEPTH_BITS, model, params)
@@ -266,16 +280,20 @@ def select_action(qvals, eps: float, lfsr: Lfsr):
 
 
 class Scratchpad:
-    """Bounded experience ring of preallocated arrays, oldest-first eviction."""
+    """Bounded experience ring of preallocated arrays, oldest-first eviction.
+
+    ``s`` and ``s_next`` hold the float network inputs of the two states (a
+    row of ``_input_table``'s float table), the rows ``train_step`` reads.
+    """
 
     def __init__(self, capacity: int):
         if capacity < 1:
             raise ValueError("capacity must be positive")
         self.capacity = capacity
-        self.s = np.zeros((capacity, len(RAY_OFFSETS)), dtype=np.int64)
+        self.s = np.zeros((capacity, len(RAY_OFFSETS)))
         self.a = np.zeros(capacity, dtype=np.int64)
         self.r = np.zeros(capacity)
-        self.s_next = np.zeros((capacity, len(RAY_OFFSETS)), dtype=np.int64)
+        self.s_next = np.zeros((capacity, len(RAY_OFFSETS)))
         self.terminal = np.zeros(capacity, dtype=bool)
         self.pushed = 0
 
@@ -344,7 +362,8 @@ def train_step(net: QNetwork, batch, cfg: TrainConfig, keep=None) -> QNetwork:
     """One semi-gradient minibatch update toward the Bellman targets.
 
     ``batch`` is the (s, a, r, s_next, terminal) arrays of
-    ``Scratchpad.sample``. Gradients are taken through the float shadow
+    ``Scratchpad.sample``, with float network inputs as the states (rows of
+    ``_input_table``'s float table). Gradients are taken through the float shadow
     network (straight-through with respect to quantization); the batch-mean
     nudge is computed against the entry weights and applied once, then
     weights re-enter [-1, 1].
@@ -353,15 +372,13 @@ def train_step(net: QNetwork, batch, cfg: TrainConfig, keep=None) -> QNetwork:
     the masked weights and first-layer gradients flow only through kept
     connections; targets stay clean.
     """
-    s, actions, rewards, s_next, terminal = batch
+    xs, actions, rewards, xn, terminal = batch
     if len(actions) == 0:
         raise ValueError("batch must be non-empty")
     if not ((actions >= 0) & (actions < N_ACTIONS)).all():
         raise ValueError(f"action indices must be in [0, {N_ACTIONS})")
     if not np.isfinite(rewards).all():
         raise ValueError("rewards must be finite")
-    xs = proximity(s, net.horizon).astype(float) / DEPTH_MAX
-    xn = proximity(s_next, net.horizon).astype(float) / DEPTH_MAX
 
     w1 = net.w1 if keep is None else masked_weights(net.w1, keep)
 
@@ -374,18 +391,20 @@ def train_step(net: QNetwork, batch, cfg: TrainConfig, keep=None) -> QNetwork:
     targets = bellman_target(rewards, q_next_max, cfg.gamma, terminal)
     delta = targets - q[np.arange(len(actions)), actions]
 
-    step = cfg.alpha / len(actions)
-    d_w2 = np.zeros_like(net.w2)
-    np.add.at(d_w2, actions, step * delta[:, None] * h)
-    active = (a1 > 0.0) & (a1 * ACT_GAIN < 1.0)  # rectifier and saturation gate
-    grad_h = step * delta[:, None] * net.w2[actions] * active * ACT_GAIN
-    d_w1 = grad_h.T @ xs
+    nudge = cfg.alpha / len(actions) * delta[:, None]
+    d_w2 = np.zeros(net.w2.shape)
+    np.add.at(d_w2, actions, nudge * h)
+    # rectifier and saturation gate: 0 < a1 and a1 * ACT_GAIN < 1, read off h
+    active = (h > 0.0) & (h < 1.0)
+    d_w1 = (nudge * net.w2[actions] * active * ACT_GAIN).T @ xs
     if keep is not None:
         d_w1 = d_w1 * keep
 
-    w1 = np.clip(net.w1 + d_w1, -1.0, 1.0)
-    w2 = np.clip(net.w2 + d_w2, -1.0, 1.0)
-    return replace(net, w1=w1, w2=w2)
+    # both layers re-enter [-1, 1] in one clip; the new layers are views of it
+    w = np.concatenate((net.w1 + d_w1, net.w2 + d_w2), axis=None).clip(-1.0, 1.0)
+    n1 = net.w1.size
+    return QNetwork(w1=w[:n1].reshape(net.w1.shape), w2=w[n1:].reshape(net.w2.shape),
+                    horizon=net.horizon)
 
 
 # ---------------------------------------------------------------------------
@@ -424,6 +443,18 @@ def _sense_table(arena: Arena) -> np.ndarray:
     return depths
 
 
+@lru_cache(maxsize=8)
+def _input_table(arena: Arena, horizon: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only network inputs of every pose, read as ``table[x, y, heading]``:
+    the integer proximity operands that ``q_forward`` takes and the same
+    values over DEPTH_MAX, the float inputs of ``train_step``."""
+    operands = proximity(_sense_table(arena), horizon)
+    scaled = operands.astype(float) / DEPTH_MAX
+    for table in (operands, scaled):
+        table.flags.writeable = False
+    return operands, scaled
+
+
 def run_training(arena: Arena, cfg: TrainConfig, seed: int, model: str = "tdms",
                  params: mm.EnergyParams | None = None) -> TrainingTrace:
     """Train the navigation policy; deterministic given the seed.
@@ -431,13 +462,15 @@ def run_training(arena: Arena, cfg: TrainConfig, seed: int, model: str = "tdms",
     Convergence: first episode whose moving-average coverage (window
     cfg.convergence_window) reaches cfg.convergence_frac of the free cells.
     The run stops there, or at the episode budget with converged=False.
+    ``trace.net`` is the network at the end of the strongest window, or the
+    last network when the run ends before a full window.
     """
     if params is None:
         params = mm.default_params()
     lfsr = Lfsr(seed)
     net, lfsr = init_network(lfsr, horizon=arena_horizon(arena))
     pad = Scratchpad(cfg.capacity)
-    depths = _sense_table(arena)
+    operands, scaled = _input_table(arena, net.horizon)
 
     # stochastic synapses sit on the sensor fan-in (first layer), refreshed
     # every forward pass and every training step
@@ -448,18 +481,18 @@ def run_training(arena: Arena, cfg: TrainConfig, seed: int, model: str = "tdms",
     iteration = 0
     target_cells = cfg.convergence_frac * arena.free_cells
     best_window = -1.0
-    best_net = net
+    best_net = None
 
     for ep in range(cfg.episodes):
         state = RobotState(arena.start, 0)
         visited = {state.position}
         eps = cfg.epsilon(ep)
+        pose = (*state.position, state.heading)
         for _ in range(cfg.max_steps):
-            s = depths[(*state.position, state.heading)]
             keep = None
             if cfg.stochastic:
                 keep, lfsr = drop_mask(net.w1.shape, cfg.drop_p, lfsr)
-            qvals, energy = q_forward(net, s, keep, model, params)
+            qvals, energy = q_forward(net, operands[pose], keep, model, params)
             action, lfsr = select_action(qvals, eps, lfsr)
             new_state, collided = apply_action(arena, state, action)
             reward = 0.0
@@ -469,8 +502,8 @@ def run_training(arena: Arena, cfg: TrainConfig, seed: int, model: str = "tdms",
                 visited.add(new_state.position)
                 reward = NEW_CELL_REWARD
             terminal = len(visited) == arena.free_cells
-            s_next = depths[(*new_state.position, new_state.heading)]
-            pad.push(s, action, reward, s_next, terminal)
+            new_pose = (*new_state.position, new_state.heading)
+            pad.push(scaled[pose], action, reward, scaled[new_pose], terminal)
 
             if len(pad) >= cfg.batch_size:
                 batch, lfsr = pad.sample(cfg.batch_size, lfsr)
@@ -485,7 +518,7 @@ def run_training(arena: Arena, cfg: TrainConfig, seed: int, model: str = "tdms",
             rew_rows.append(reward)
             en_rows.append(energy)
             iteration += 1
-            state = new_state
+            state, pose = new_state, new_pose
             if terminal:
                 break
         episode_coverage.append(len(visited))
@@ -509,7 +542,7 @@ def run_training(arena: Arena, cfg: TrainConfig, seed: int, model: str = "tdms",
         energy_pj=np.array(en_rows),
         episode_coverage=np.array(episode_coverage),
         converged=converged, convergence_episode=convergence_episode,
-        free_cells=arena.free_cells, net=best_net,
+        free_cells=arena.free_cells, net=net if best_net is None else best_net,
     )
 
 
@@ -524,14 +557,14 @@ def run_policy(arena: Arena, net: QNetwork, eps: float, steps: int, seed: int,
     if params is None:
         params = mm.default_params()
     lfsr = Lfsr(seed)
-    depths = _sense_table(arena)
+    operands, _ = _input_table(arena, net.horizon)
     state = RobotState(arena.start, 0)
     visited = {state.position}
     for _ in range(steps):
         keep = None
         if stochastic:
             keep, lfsr = drop_mask(net.w1.shape, drop_p, lfsr)
-        qvals, _ = q_forward(net, depths[(*state.position, state.heading)],
+        qvals, _ = q_forward(net, operands[(*state.position, state.heading)],
                              keep, model, params)
         action, lfsr = select_action(qvals, eps, lfsr)
         state, _ = apply_action(arena, state, action)

@@ -4,6 +4,11 @@ The pseudo-random source is a Fibonacci LFSR over the maximal-length
 polynomial x^16 + x^14 + x^13 + x^11 + 1 (period 65535). Masks consume 16
 output bits per weight: the bits, read MSB-first as a fraction of 2^16,
 drop the weight when they fall below the drop probability.
+
+Draws read a read-only stream table built once per process: ``stream[j]``
+is the 16-bit word that starts at cycle index 16*j mod 65535, so the words
+a state draws in order sit next to each other and a draw of n words is one
+slice (a gather only when it runs past the table's padding).
 """
 
 from __future__ import annotations
@@ -18,6 +23,12 @@ LFSR_PERIOD = (1 << LFSR_BITS) - 1
 _TAP_MASK = 0b0000_0000_0010_1101
 
 BITS_PER_SAMPLE = 16
+# 16 * 4096 = 65536 = 1 (mod 65535): the word at cycle index i is stream
+# entry i * 4096 mod 65535
+_SLOT_PER_INDEX = pow(BITS_PER_SAMPLE, -1, LFSR_PERIOD)
+# stream entries past one period, so that draws of up to this many words are
+# one slice from any state
+_STREAM_PAD = 4096
 
 
 @dataclass(frozen=True)
@@ -46,19 +57,25 @@ class Lfsr:
         return out, Lfsr(int(states[(start + n) % LFSR_PERIOD]))
 
     def _next_words(self, count: int) -> tuple[np.ndarray, "Lfsr"]:
-        """The next ``count`` 16-bit samples: one gather from the word table."""
+        """The next ``count`` 16-bit samples (a read-only view when they are
+        one slice of the stream table)."""
         if count < 0:
             raise ValueError("sample count must be non-negative")
-        states, _bits, index_of, words = _cycle_tables()
+        states, _bits, index_of, stream = _cycle_tables()
         start = int(index_of[self.state])
-        idx = (start + BITS_PER_SAMPLE * np.arange(count)) % LFSR_PERIOD
-        return words[idx], Lfsr(int(states[(start + BITS_PER_SAMPLE * count) % LFSR_PERIOD]))
+        slot = start * _SLOT_PER_INDEX % LFSR_PERIOD
+        if slot + count <= len(stream):
+            words = stream[slot:slot + count]
+        else:
+            words = stream[(slot + np.arange(count)) % LFSR_PERIOD]
+        return words, Lfsr(int(states[(start + BITS_PER_SAMPLE * count) % LFSR_PERIOD]))
 
     def _next_word(self) -> tuple[int, "Lfsr"]:
         """The next 16-bit sample, as ``_next_words(1)`` without the arrays."""
-        states, _bits, index_of, words = _cycle_tables()
+        states, _bits, index_of, stream = _cycle_tables()
         start = int(index_of[self.state])
-        return int(words[start]), Lfsr(int(states[(start + BITS_PER_SAMPLE) % LFSR_PERIOD]))
+        return (int(stream[start * _SLOT_PER_INDEX % LFSR_PERIOD]),
+                Lfsr(int(states[(start + BITS_PER_SAMPLE) % LFSR_PERIOD])))
 
     def uniforms(self, n: int) -> tuple[np.ndarray, "Lfsr"]:
         """Draw n floats in [0, 1): 16 bits each, MSB-first, over 2^16."""
@@ -116,7 +133,7 @@ def _build_cycle():
     out = _cycle_bits()
     bits = out[:LFSR_PERIOD]
     # states[i] = sum_j out[i+j] << j; words[i]: the 16 output bits from cycle
-    # index i on, read MSB first
+    # index i on, read MSB first; stream: the words in draw order (module docstring)
     wrapped = out[:LFSR_PERIOD + BITS_PER_SAMPLE - 1]
     states = np.zeros(LFSR_PERIOD, dtype=np.uint16)
     words = np.zeros(LFSR_PERIOD, dtype=np.int64)
@@ -132,11 +149,18 @@ def _build_cycle():
             and np.array_equal(index_of[states], np.arange(LFSR_PERIOD))
             and np.array_equal(out[LFSR_PERIOD:], out[:LFSR_BITS])):
         raise AssertionError("LFSR tap mask is not maximal length")
-    return states, bits, index_of, words
+    # int32 slots (16 * 69631 < 2^31) keep this gather's transient memory
+    # below that of the loop above
+    stream = words[np.arange(LFSR_PERIOD + _STREAM_PAD, dtype=np.int32) * BITS_PER_SAMPLE
+                   % LFSR_PERIOD]
+    tables = states, bits, index_of, stream
+    for table in tables:
+        table.flags.writeable = False
+    return tables
 
 
 def _cycle_tables():
-    """(states, bits, index_of, words) of the cycle, built on first use."""
+    """(states, bits, index_of, stream) of the cycle, built on first use."""
     global _cycle_cache
     if _cycle_cache is None:
         _cycle_cache = _build_cycle()

@@ -278,6 +278,17 @@ def test_voltage_out_of_range():
         p.at_voltage(1.1)
 
 
+def test_params_hash_follows_fields(params):
+    # the hash is computed once per instance; equal fields must still share
+    # energy_table's cache entry, and a changed field must not
+    twin = replace(params)
+    assert twin is not params and hash(twin) == hash(params)
+    assert mm.energy_table(6, "tdms", twin) is mm.energy_table(6, "tdms", params)
+    other = params.at_voltage(0.7)
+    assert other != params and hash(other) != hash(params)
+    assert mm.energy_table(6, "tdms", other)[5, 5] != mm.energy_table(6, "tdms", params)[5, 5]
+
+
 def test_surface_is_full_grid(params):
     table = mm.energy_table(4, "hdms", params)
     assert table.shape == (16, 16)

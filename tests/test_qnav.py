@@ -118,7 +118,7 @@ def test_apply_action_turns_do_not_move():
 
 def test_q_forward_zero_weights(params):
     net = QNetwork(w1=np.zeros((16, 3)), w2=np.zeros((4, 16)))
-    q, _ = q_forward(net, np.array([3, 5, 7]), None, "tdms", params)
+    q, _ = q_forward(net, proximity(np.array([3, 5, 7])), None, "tdms", params)
     assert np.all(q == 0)
 
 
@@ -126,32 +126,51 @@ def test_q_forward_all_drop_equals_zero_weights(params):
     net, _ = init_network(Lfsr(0xACE1))
     zeros = QNetwork(w1=np.zeros_like(net.w1), w2=np.zeros_like(net.w2))
     keep = np.zeros(net.w1.shape, dtype=bool)
-    s = np.array([2, 4, 6])
-    q_masked, _ = q_forward(net, s, keep, "tdms", params)
-    q_zero, _ = q_forward(zeros, s, None, "tdms", params)
+    x = proximity(np.array([2, 4, 6]))
+    q_masked, _ = q_forward(net, x, keep, "tdms", params)
+    q_zero, _ = q_forward(zeros, x, None, "tdms", params)
     assert np.array_equal(q_masked, q_zero)
+
+
+@pytest.mark.parametrize("x", [[-1, 0, 0], [0, 64, 0]])
+def test_q_forward_rejects_out_of_range_operands(params, x):
+    # a negative operand would index the energy table from its far end
+    net, _ = init_network(Lfsr(0xACE1))
+    with pytest.raises(ValueError):
+        q_forward(net, np.array(x), None, "tdms", params)
+
+
+@pytest.mark.parametrize("wide, message", [("input", "hidden-layer"), ("hidden", "output-layer")])
+def test_q_forward_accumulator_overflow(params, wide, message):
+    # 2,200 full-scale products of 63 * 63 sum to 8,731,800, past the 24-bit
+    # ACC_MAX of 8,388,607; a 3-input first layer saturates its hidden units
+    n = 2200
+    shapes = {"input": ((16, n), (4, 16)), "hidden": ((n, 3), (4, n))}[wide]
+    net = QNetwork(w1=np.ones(shapes[0]), w2=np.ones(shapes[1]))
+    x = np.full(shapes[0][1], qnav.DEPTH_MAX)
+    with pytest.raises(OverflowError, match=message):
+        q_forward(net, x, None, "tdms", params)
 
 
 def test_q_forward_matches_per_mac_composition(params):
     # oracle: run the same forward as explicit per-element MAC ops, with a
     # first-layer drop mask whose dropped weights are priced at magnitude 0
     net, _ = init_network(Lfsr(0x1357))
-    s = np.array([1, 4, 9])
+    x = proximity(np.array([1, 4, 9]))
     mask1, _ = drop_mask(net.w1.shape, 0.25, Lfsr(0x2468))
     assert not mask1.all()
-    x = proximity(s)
-    (m1, m2), (s1, s2) = net.quantized()
-    m1 = np.where(mask1, m1, 0)
+    w1 = [[mm.quantize(float(v), 6, 1.0) if k else Operand(0) for v, k in zip(row, keep)]
+          for row, keep in zip(net.w1, mask1)]
+    w2 = [[mm.quantize(float(v), 6, 1.0) for v in row] for row in net.w2]
     full = 63
     for model in mm.MODELS:
-        q, energy = q_forward(net, s, mask1, model, params)
+        q, energy = q_forward(net, x, mask1, model, params)
         acc1 = np.zeros(16, dtype=int)
         total_energy = 0.0
         for j in range(16):
             acc = 0
             for i in range(3):
-                r = mm.mac(model, Operand(int(x[i])), Operand(int(m1[j, i]), int(s1[j, i])),
-                           acc, params, 6)
+                r = mm.mac(model, Operand(int(x[i])), w1[j][i], acc, params, 6)
                 acc = r.value
                 total_energy += r.energy_pj
             acc1[j] = acc
@@ -160,8 +179,7 @@ def test_q_forward_matches_per_mac_composition(params):
         for a in range(4):
             acc = 0
             for j in range(16):
-                r = mm.mac(model, Operand(int(hidden[j])), Operand(int(m2[a, j]), int(s2[a, j])),
-                           acc, params, 6)
+                r = mm.mac(model, Operand(int(hidden[j])), w2[a][j], acc, params, 6)
                 acc = r.value
                 total_energy += r.energy_pj
             acc2[a] = acc
@@ -171,8 +189,8 @@ def test_q_forward_matches_per_mac_composition(params):
 
 def test_q_forward_energy_models(params):
     net, _ = init_network(Lfsr(0x2222))
-    s_near = np.array([1, 1, 1])
-    s_far = np.array([8, 8, 8])
+    s_near = proximity(np.array([1, 1, 1]))
+    s_far = proximity(np.array([8, 8, 8]))
     e_dig_near = q_forward(net, s_near, None, "digital", params)[1]
     e_dig_far = q_forward(net, s_far, None, "digital", params)[1]
     assert e_dig_near == e_dig_far
@@ -215,9 +233,12 @@ def test_select_action_uniform_frequencies():
 
 
 def _batch(s, a, r, s_next, terminal):
-    return (np.array(s, dtype=np.int64).reshape(-1, 3), np.array(a, dtype=np.int64),
-            np.array(r, dtype=float), np.array(s_next, dtype=np.int64).reshape(-1, 3),
-            np.array(terminal, dtype=bool))
+    """A train_step batch from depth rows, which enter as proximity / DEPTH_MAX."""
+    def inputs(depths):
+        return proximity(np.array(depths, dtype=np.int64).reshape(-1, 3)) / qnav.DEPTH_MAX
+
+    return (inputs(s), np.array(a, dtype=np.int64), np.array(r, dtype=float),
+            inputs(s_next), np.array(terminal, dtype=bool))
 
 
 def test_train_step_zero_residual_batch_is_noop():
@@ -246,11 +267,11 @@ def test_train_step_matches_finite_difference():
     cfg = TrainConfig(alpha=1.0, gamma=0.9)
     w1 = np.array([[0.4]])
     w2 = np.array([[0.7]])
-    batch = (np.array([[3]]), np.array([0]), np.array([0.5]), np.array([[5]]), np.array([True]))
+    x = proximity(np.array([[3], [5]])) / qnav.DEPTH_MAX
+    batch = (x[:1], np.array([0]), np.array([0.5]), x[1:], np.array([True]))
 
     def loss(w1v, w2v):
-        x = proximity(batch[0][0]).astype(float) / qnav.DEPTH_MAX
-        h = min(max(w1v * x[0], 0.0) * qnav.ACT_GAIN, 1.0)
+        h = min(max(w1v * x[0, 0], 0.0) * qnav.ACT_GAIN, 1.0)
         q = w2v * h
         return 0.5 * (batch[2][0] - q) ** 2
 
@@ -325,8 +346,8 @@ def test_scratchpad_matches_deque_oracle(capacity, pushes, n, seed):
     pad = Scratchpad(capacity)
     buf = deque(maxlen=capacity)
     for k in range(pushes):
-        row = (np.array([k, k + 1, k + 2]), k % 4, k * 0.5 - 3.0,
-               np.array([k + 3, k + 4, k + 5]), k % 3 == 0)
+        row = (np.array([k, k + 1, k + 2]) / 63, k % 4, k * 0.5 - 3.0,
+               np.array([k + 3, k + 4, k + 5]) / 63, k % 3 == 0)
         pad.push(*row)
         buf.append(row)
     assert len(pad) == len(buf)
@@ -381,6 +402,20 @@ def test_trace_rows_schema(small_run):
     assert isinstance(row[0], int) and isinstance(row[3], float)
 
 
+def test_input_table_matches_sensing():
+    operands, scaled = qnav._input_table(SMALL_ARENA, 4)
+    assert qnav._input_table(SMALL_ARENA, 4)[0] is operands
+    for x in range(1, 5):
+        for y in range(1, 5):
+            for h in range(qnav.N_HEADINGS):
+                want = proximity(sense(SMALL_ARENA, RobotState((x, y), h)), 4)
+                assert np.array_equal(operands[x, y, h], want)
+                assert np.array_equal(scaled[x, y, h], want.astype(float) / qnav.DEPTH_MAX)
+    for table in (operands, scaled):
+        with pytest.raises(ValueError):
+            table[1, 1, 0, 0] = 0
+
+
 def test_run_policy_deterministic(small_run):
     c1 = run_policy(SMALL_ARENA, small_run.net, 0.1, 100, seed=7, stochastic=True)
     c2 = run_policy(SMALL_ARENA, small_run.net, 0.1, 100, seed=7, stochastic=True)
@@ -415,9 +450,8 @@ def test_training_golden_digest(episodes, model):
 
 # sha256 of trace.net.w1.tobytes() + trace.net.w2.tobytes() after 2 tdms
 # episodes on the default arena at seed 0xACE1, captured before the replay
-# buffer and drop masks became plain arrays. A window of 2 makes the returned
-# net the trained one: with episodes < convergence_window, run_training
-# returns the initial network.
+# buffer and drop masks became plain arrays. With a window of 2 the returned
+# net is the one at the end of the only full window, the last one.
 WEIGHTS_GOLDEN = "796959806bafb27074e48795e6b3e9fd256c67893b8a38e83c4d064b65553d1b"
 
 
@@ -428,3 +462,51 @@ def test_training_final_weights_golden():
     assert not np.array_equal(trace.net.w1, init.w1)
     digest = hashlib.sha256(trace.net.w1.tobytes() + trace.net.w2.tobytes()).hexdigest()
     assert digest == WEIGHTS_GOLDEN
+
+
+def test_training_returns_last_net_before_full_window():
+    # 2 episodes never fill the default window of 10: the net after the last
+    # update comes back, as in the window-2 run above
+    trace = run_training(default_arena(), TrainConfig(episodes=2), 0xACE1, "tdms")
+    digest = hashlib.sha256(trace.net.w1.tobytes() + trace.net.w2.tobytes()).hexdigest()
+    assert digest == WEIGHTS_GOLDEN
+
+
+# cells covered by run_policy(stochastic=True) from the small_run net on
+# SMALL_ARENA, eps 0.1, 100 steps, seeds 1-8, captured before the forward
+# pass took proximity operands; a policy that ignored its drop masks covers
+# [2, 4, 5, 2, 4, 1, 4, 2], the clean policy [1, 1, 1, 2, 6, 1, 1, 4]
+STOCHASTIC_POLICY_GOLDEN = [2, 3, 5, 4, 4, 7, 5, 2]
+
+
+def test_run_policy_stochastic_golden(small_run):
+    covered = [run_policy(SMALL_ARENA, small_run.net, 0.1, 100, seed, stochastic=True)
+               for seed in range(1, 9)]
+    assert covered == STOCHASTIC_POLICY_GOLDEN
+
+
+# a 10x10 arena, whose conditioning horizon (10 - 2 = 8) comes from its size
+# rather than from the PROX_HORIZON cap alone
+ARENA_10 = Arena.from_text(
+    """\
+##########
+#........#
+#........#
+#..##....#
+#..##....#
+#.....#..#
+#.....#..#
+#........#
+#S.......#
+##########
+"""
+)
+# _training_digest of 3 episodes of the default config at 0xACE1 under tdms,
+# captured before the forward pass took proximity operands
+ARENA_10_GOLDEN = "ad32fa07e21d9c073e9607c8fc4508bcfe0091aea7db8e70dccb1b14c25ea827"
+
+
+def test_training_golden_small_arena():
+    assert qnav.arena_horizon(ARENA_10) == 8
+    trace = run_training(ARENA_10, TrainConfig(episodes=3), 0xACE1, "tdms")
+    assert _training_digest(trace) == ARENA_10_GOLDEN

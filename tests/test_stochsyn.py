@@ -1,6 +1,8 @@
+import functools
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from edgesim import stochsyn
@@ -53,7 +55,9 @@ def test_full_period_returns_to_seed():
     assert 0 not in seen
 
 
-def test_cycle_tables_match_stepping():
+@functools.cache
+def _stepped_cycle():
+    """(states, bits, index_of) of the cycle from state 1, by Lfsr.step."""
     states = np.empty(LFSR_PERIOD, dtype=np.uint16)
     bits = np.empty(LFSR_PERIOD, dtype=np.uint8)
     index_of = np.zeros(1 << 16, dtype=np.int32)
@@ -63,13 +67,26 @@ def test_cycle_tables_match_stepping():
         index_of[lfsr.state] = i
         bits[i], lfsr = lfsr.step()
     assert lfsr.state == 1
-    wrapped = np.concatenate([bits, bits[:15]]).astype(np.int64)
-    words = np.zeros(LFSR_PERIOD, dtype=np.int64)
-    for k in range(16):
-        words = (words << 1) | wrapped[k:k + LFSR_PERIOD]
-    for got, want in zip(_cycle_tables(), (states, bits, index_of, words)):
+    return states, bits, index_of
+
+
+def _stepped_words_at(index, count):
+    """count 16-bit words, MSB first, read from the stepped bits at cycle index on."""
+    _states, bits, _index_of = _stepped_cycle()
+    offsets = index + 16 * np.arange(count)[:, None] + np.arange(16)
+    return (bits[offsets % LFSR_PERIOD].astype(np.int64) << np.arange(15, -1, -1)).sum(axis=1)
+
+
+def test_cycle_tables_match_stepping():
+    # the stream table: stream[j] is the word at cycle index 16 * j, one
+    # period plus the padding long
+    states, bits, index_of = _stepped_cycle()
+    stream = _stepped_words_at(0, LFSR_PERIOD + stochsyn._STREAM_PAD)
+    for got, want in zip(_cycle_tables(), (states, bits, index_of, stream)):
         assert got.dtype == want.dtype
         assert np.array_equal(got, want)
+        with pytest.raises(ValueError):
+            got[0] = 1
 
 
 # periods from state 1: 16; never returns (no tap 0, so stepping is not
@@ -131,6 +148,31 @@ def test_word_draws_match_stepping(state, count, n):
     assert lfsr.uniform() == (word / 65536, after)
     assert lfsr.randint(n) == (word % n, after)
     assert type(lfsr.uniform()[0]) is float and type(lfsr.randint(n)[0]) is int
+
+
+_PAD = stochsyn._STREAM_PAD
+
+
+# any stream slot, or one near the end of the period, so that draws run into
+# the padding and, past it, wrap to the table's start
+@settings(max_examples=200, deadline=None)
+@example(slot=LFSR_PERIOD - 1, count=_PAD + 1)  # the last draw that is one slice
+@example(slot=LFSR_PERIOD - 1, count=_PAD + 2)  # the first that is not
+@given(slot=st.one_of(st.integers(0, LFSR_PERIOD - 1),
+                      st.integers(LFSR_PERIOD - 300, LFSR_PERIOD - 1)),
+       count=st.one_of(st.integers(0, 64), st.integers(_PAD - 300, _PAD + 300)))
+def test_stream_slice_draws_match_stepping(slot, count):
+    states, _bits, _index_of = _stepped_cycle()
+    index = 16 * slot % LFSR_PERIOD  # slot = index * 4096 mod 65535
+    lfsr = Lfsr(int(states[index]))
+    want = _stepped_words_at(index, count)
+    after = Lfsr(int(states[(index + 16 * count) % LFSR_PERIOD]))
+    u, nxt = lfsr.uniforms(count)
+    assert u.dtype == np.float64 and np.array_equal(u, want / 65536)
+    assert nxt == after
+    r, nxt = lfsr.randints(count, 7)
+    assert r.dtype == np.int64 and np.array_equal(r, want % 7)
+    assert nxt == after
 
 
 def test_word_draws_reject_negative_counts():
