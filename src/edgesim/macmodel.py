@@ -186,6 +186,12 @@ def quantize_mags(v, bits: int, value_range: float):
     return (np.minimum(np.abs(v), value_range) / value_range * full + 0.5).astype(np.int64)
 
 
+def quantize_mag(x: float, bits: int, value_range: float) -> int:
+    """``quantize_mags`` of one real, in Python arithmetic (same rule, same
+    float operations, no validation)."""
+    return int(min(abs(x), value_range) / value_range * ((1 << bits) - 1) + 0.5)
+
+
 def quantize(x: float, bits: int, value_range: float) -> Operand:
     """Map a real in [-value_range, value_range] to a ``bits``-bit sign-magnitude
     operand, rounding to nearest and saturating at full scale."""
@@ -194,7 +200,7 @@ def quantize(x: float, bits: int, value_range: float) -> Operand:
         raise ValueError(f"cannot quantize non-finite value {x!r}")
     if value_range <= 0:
         raise ValueError(f"range must be positive, got {value_range}")
-    return Operand(int(quantize_mags(x, bits, value_range)), sign=1 if x >= 0 else -1)
+    return Operand(quantize_mag(x, bits, value_range), sign=1 if x >= 0 else -1)
 
 
 def dequantize(op: Operand, bits: int, value_range: float) -> float:

@@ -172,18 +172,23 @@ def apply_action(arena: Arena, state: RobotState, action: int):
 # quantized action-value network
 
 
-@dataclass
+@dataclass(frozen=True)
 class QNetwork:
     """3-16-4 rectifier network; float shadow weights in [-1, 1], executed on
     the MAC models as 6-bit sign-magnitude operands.
 
-    Instances are treated as immutable: training returns a new network, so
-    the quantized view can be cached per instance.
+    Immutable: training returns a new network, so the quantized view is
+    cached per instance. The layer arrays passed in are marked read-only
+    (not copied), so no write can leave that cache stale.
     """
 
     w1: np.ndarray  # (hidden, 3)
     w2: np.ndarray  # (4, hidden)
     horizon: int = PROX_HORIZON
+
+    def __post_init__(self):
+        self.w1.setflags(write=False)
+        self.w2.setflags(write=False)
 
     def quantized(self):
         """Signed integer weights ``(q1, q2)`` and their magnitudes
@@ -196,7 +201,7 @@ class QNetwork:
             n1 = self.w1.size
             cached = ((signed[:n1].reshape(self.w1.shape), signed[n1:].reshape(self.w2.shape)),
                       (mags[:n1].reshape(self.w1.shape), mags[n1:].reshape(self.w2.shape)))
-            self._quant = cached
+            object.__setattr__(self, "_quant", cached)
         return cached
 
 

@@ -9,6 +9,13 @@ Draws read a read-only stream table built once per process: ``stream[j]``
 is the 16-bit word that starts at cycle index 16*j mod 65535, so the words
 a state draws in order sit next to each other and a draw of n words is one
 slice (a gather only when it runs past the table's padding).
+
+A hot loop that draws word by word can read a block instead: ``words(k)``
+returns the next k words without stepping, the loop converts each word it
+uses with ``to_uniform``/``to_randint`` (the conversions ``uniform`` and
+``randint`` apply), and ``advance(used)`` then gives the state after the
+words it used, in one table lookup. The result is bit-identical to making
+the same draws one call at a time.
 """
 
 from __future__ import annotations
@@ -56,22 +63,27 @@ class Lfsr:
         out = cycle_bits[idx]
         return out, Lfsr(int(states[(start + n) % LFSR_PERIOD]))
 
-    def _next_words(self, count: int) -> tuple[np.ndarray, "Lfsr"]:
-        """The next ``count`` 16-bit samples (a read-only view when they are
-        one slice of the stream table)."""
+    def words(self, count: int) -> np.ndarray:
+        """The next ``count`` 16-bit samples, without stepping: a read-only
+        view when they are one slice of the stream table. ``advance(k)`` is
+        the state after the first k of them."""
         if count < 0:
             raise ValueError("sample count must be non-negative")
-        states, _bits, index_of, stream = _cycle_tables()
-        start = int(index_of[self.state])
-        slot = start * _SLOT_PER_INDEX % LFSR_PERIOD
+        _states, _bits, index_of, stream = _cycle_tables()
+        slot = int(index_of[self.state]) * _SLOT_PER_INDEX % LFSR_PERIOD
         if slot + count <= len(stream):
-            words = stream[slot:slot + count]
-        else:
-            words = stream[(slot + np.arange(count)) % LFSR_PERIOD]
-        return words, Lfsr(int(states[(start + BITS_PER_SAMPLE * count) % LFSR_PERIOD]))
+            return stream[slot:slot + count]
+        return stream[(slot + np.arange(count)) % LFSR_PERIOD]
+
+    def advance(self, count: int) -> "Lfsr":
+        """The state after ``count`` 16-bit samples, in one table lookup."""
+        if count < 0:
+            raise ValueError("sample count must be non-negative")
+        states, _bits, index_of, _stream = _cycle_tables()
+        return Lfsr(int(states[(int(index_of[self.state]) + BITS_PER_SAMPLE * count) % LFSR_PERIOD]))
 
     def _next_word(self) -> tuple[int, "Lfsr"]:
-        """The next 16-bit sample, as ``_next_words(1)`` without the arrays."""
+        """The next 16-bit sample, as ``words(1)`` and ``advance(1)`` without the arrays."""
         states, _bits, index_of, stream = _cycle_tables()
         start = int(index_of[self.state])
         return (int(stream[start * _SLOT_PER_INDEX % LFSR_PERIOD]),
@@ -79,23 +91,34 @@ class Lfsr:
 
     def uniforms(self, n: int) -> tuple[np.ndarray, "Lfsr"]:
         """Draw n floats in [0, 1): 16 bits each, MSB-first, over 2^16."""
-        words, nxt = self._next_words(n)
-        return words / float(1 << BITS_PER_SAMPLE), nxt
+        return to_uniform(self.words(n)), self.advance(n)
 
     def uniform(self) -> tuple[float, "Lfsr"]:
         word, nxt = self._next_word()
-        return word / float(1 << BITS_PER_SAMPLE), nxt
+        return to_uniform(word), nxt
 
     def randint(self, n: int) -> tuple[int, "Lfsr"]:
         """Draw an integer in [0, n) from one 16-bit sample (n must divide 2^16
         for exact uniformity; callers here use powers of two)."""
         word, nxt = self._next_word()
-        return word % n, nxt
+        return to_randint(word, n), nxt
 
     def randints(self, count: int, n: int) -> tuple[np.ndarray, "Lfsr"]:
         """Batched randint; consumes the same bit stream as repeated calls."""
-        words, nxt = self._next_words(count)
-        return words % n, nxt
+        return to_randint(self.words(count), n), self.advance(count)
+
+
+_WORD_SCALE = float(1 << BITS_PER_SAMPLE)
+
+
+def to_uniform(word):
+    """The float in [0, 1) that a 16-bit sample (int or int array) draws."""
+    return word / _WORD_SCALE
+
+
+def to_randint(word, n: int):
+    """The integer in [0, n) that a 16-bit sample (int or int array) draws."""
+    return word % n
 
 
 # Full output cycle, computed once. Walking the cycle is bit-identical to

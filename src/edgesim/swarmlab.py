@@ -19,7 +19,7 @@ import numpy as np
 
 from edgesim import macmodel as mm
 from edgesim.macmodel import EnergyParams
-from edgesim.stochsyn import Lfsr
+from edgesim.stochsyn import Lfsr, to_randint, to_uniform
 
 WORKLOADS = ("path", "formation", "predprey", "explore")
 PREDATOR_POLICIES = ("qlearn", "random")
@@ -112,6 +112,15 @@ class LpuMeter:
     the model's cached ``macmodel.energy_table``. NFE evaluations are charged
     one MAC each (the interpolation multiply).
 
+    ``mul`` has two paths with the same rounding, pricing and signs, chosen
+    by the operands' kind. Two Python floats, or two equal-length lists of
+    them, run in Python arithmetic and return a float or a list; anything
+    else (ndarrays, mixed kinds, or a call with a ``ledger``) runs in numpy
+    and returns an ndarray, or a float for 0-d operands. The Python path
+    charges its energies summed left to right, which is the ``ndarray.sum``
+    the numpy path charges for fewer than 8 elements (numpy sums pairwise in
+    blocks of 8 beyond that).
+
     Each ``mul``/``nfe`` call adds its summed energy to ``energy_pj``; given a
     ``ledger`` list it appends its per-element energies there instead, for a
     batching caller to ``charge`` in the order of the calls it stands for.
@@ -150,10 +159,16 @@ class LpuMeter:
         """Elementwise quantized multiply; returns dequantized floats.
 
         Operands must be finite: out-of-range values saturate, NaN and
-        infinities raise ``ValueError``. Ranges must be positive and finite.
+        infinities raise ``ValueError``, and so do lists of unequal length.
+        Ranges must be positive and finite.
         """
         if not (0 < a_range < np.inf and 0 < b_range < np.inf):
             raise ValueError(f"LPU ranges must be in (0, inf), got {a_range}, {b_range}")
+        if ledger is None:
+            if isinstance(a, float) and isinstance(b, float):
+                return self._mul_python([a], [b], a_range, b_range)[0]
+            if isinstance(a, list) and isinstance(b, list):
+                return self._mul_python(a, b, a_range, b_range)
         # one ufunc pass in the common case; a sum that overflows from huge
         # finite operands is told apart by testing them one by one
         if not np.isfinite(np.add(a, b)).all() and not (np.isfinite(a).all() and np.isfinite(b).all()):
@@ -165,6 +180,26 @@ class LpuMeter:
         product = ma * mb  # exact integer product, scaled once
         out = np.where(np.less(a, 0) != np.less(b, 0), -product, product) * scale
         return out if out.ndim else float(out)
+
+    def _mul_python(self, xs: list, ys: list, x_range: float, y_range: float) -> list:
+        """``mul`` of two equal-length lists of reals, element by element."""
+        if len(xs) != len(ys):
+            raise ValueError(f"LPU operand lists differ in length: {len(xs)} != {len(ys)}")
+        if not (all(map(math.isfinite, xs)) and all(map(math.isfinite, ys))):
+            raise ValueError("LPU operands must be finite")
+        bits, table = self.bits, self._table
+        scale = (x_range * y_range) / float(self._full * self._full)
+        out = []
+        energy = 0.0
+        for x, y in zip(xs, ys):
+            mx = mm.quantize_mag(x, bits, x_range)
+            my = mm.quantize_mag(y, bits, y_range)
+            energy += table.item(mx, my)
+            product = mx * my
+            out.append((-product if (x < 0) != (y < 0) else product) * scale)
+        self.energy_pj += energy
+        self.macs += len(out)
+        return out
 
     def nfe(self, table: NfeTable, x, ledger: list | None = None):
         """Metered table lookup: one interpolation MAC per evaluated element."""
@@ -620,21 +655,28 @@ def _step_predprey(state, cfg, meter):
     g = cfg.grid_size
     nbrs = _grid_neighbours(g)
     prey = state.prey
+    n = len(state.positions)
+    # each predator draws one LFSR word, or two for an epsilon-greedy random move
+    words = state.lfsr.words(2 * n).tolist()
+    used = 0
     # predators move every step; the prey every other one
-    for i in range(len(state.positions)):
-        px, py = state.positions[i]
+    for i in range(n):
+        px, py = state.positions[i].tolist()
         dx, dy = prey[0] - px, prey[1] - py
         dist = abs(dx) + abs(dy)
         s = _bearing_state(dx, dy, dist)
         if cfg.predator_policy == "random":
-            a, state.lfsr = state.lfsr.randint(4)
+            a = to_randint(words[used], 4)
+            used += 1
         else:
-            u, state.lfsr = state.lfsr.uniform()
+            u = to_uniform(words[used])
+            used += 1
             if u < PRED_EPS:
-                a, state.lfsr = state.lfsr.randint(4)
+                a = to_randint(words[used], 4)
+                used += 1
             else:
                 a = int(np.argmax(state.qtable[s]))
-        nx, ny = divmod(int(nbrs[px, py, a]), g)
+        nx, ny = divmod(nbrs.item(px, py, a), g)
         new_dist = abs(prey[0] - nx) + abs(prey[1] - ny)
         caught = (nx, ny) == prey
         if cfg.predator_policy != "random":
@@ -648,6 +690,7 @@ def _step_predprey(state, cfg, meter):
         state.positions[i] = (nx, ny)
         if caught:
             state.caught = True
+    state.lfsr = state.lfsr.advance(used)
     if not state.caught and state.prey_moves:
         # flee along the largest gap to the nearest predator
         best, best_gap = prey, -1.0
@@ -671,7 +714,7 @@ EXPLORE_WINDOW = 2  # half-width of the frontier-count window
 def _visit(state, x, y):
     """Mark (x, y) visited; on a first visit it leaves the unvisited count of
     every window that holds it (the cells within EXPLORE_WINDOW of it)."""
-    if not state.visited[x, y]:
+    if not state.visited.item(x, y):
         state.visited[x, y] = True
         w = EXPLORE_WINDOW
         state.frontier[max(x - w, 0):x + w + 1, max(y - w, 0):y + w + 1] -= 1
@@ -683,35 +726,45 @@ def _step_explore(state, cfg, meter):
     nbrs = _grid_neighbours(g)
     frontier = state.frontier.reshape(-1)  # flat views, indexed by nbrs
     visited = state.visited.reshape(-1)
-    for i in range(len(state.positions)):
-        px, py = state.positions[i]
-        cells = nbrs[px, py]
-        feats = frontier[cells]
-        u, state.lfsr = state.lfsr.uniform()
+    positions = state.positions.tolist()
+    weights = state.explore_w.tolist()
+    # each agent draws one LFSR word, or two for an epsilon-greedy random move
+    words = state.lfsr.words(2 * len(positions)).tolist()
+    used = 0
+    for i, (px, py) in enumerate(positions):
+        row = nbrs[px, py]
+        feats = frontier[row].tolist()
+        cells = row.tolist()
+        u = to_uniform(words[used])
+        used += 1
         if u < EXPLORE_EPS:
-            a, state.lfsr = state.lfsr.randint(4)
-        elif feats.max() == 0:
+            a = to_randint(words[used], 4)
+            used += 1
+        elif max(feats) == 0:
             # local window exhausted: head for the nearest frontier cell
             frontier_cells = np.argwhere(~state.visited)
             if len(frontier_cells) == 0:
                 a = 0
             else:
                 dists = np.abs(frontier_cells[:, 0] - px) + np.abs(frontier_cells[:, 1] - py)
-                tx, ty = frontier_cells[int(np.argmin(dists))]
+                tx, ty = frontier_cells[int(np.argmin(dists))].tolist()
                 if abs(tx - px) >= abs(ty - py):
                     a = 0 if tx > px else 2
                 else:
                     a = 1 if ty > py else 3
         else:
-            qvals = meter.mul(state.explore_w, feats / area, 2.0, 1.0)
-            a = int(np.argmax(qvals))
+            qvals = meter.mul(weights, [f / area for f in feats], 2.0, 1.0)
+            a = qvals.index(max(qvals))  # the first maximum, as argmax
             # linear value update on the chosen direction's weight
-            reward = 0.0 if visited[cells[a]] else 1.0
-            state.explore_w[a] += EXPLORE_ALPHA * (reward - qvals[a]) * feats[a] / area
-        nx, ny = divmod(int(cells[a]), g)
-        state.positions[i] = (nx, ny)
+            reward = 0.0 if visited.item(cells[a]) else 1.0
+            weights[a] += EXPLORE_ALPHA * (reward - qvals[a]) * feats[a] / area
+        nx, ny = divmod(cells[a], g)
+        positions[i] = [nx, ny]
         _visit(state, nx, ny)
-    return len(state.positions)
+    state.positions[:] = positions
+    state.explore_w[:] = weights
+    state.lfsr = state.lfsr.advance(used)
+    return len(positions)
 
 
 # ---------------------------------------------------------------------------

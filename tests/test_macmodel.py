@@ -114,6 +114,7 @@ def test_quantize_mags_matches_every_old_rule(values, bits, r):
         assert np.array_equal(got[fits], _qvalue_rule(v, bits, r)[fits])
     for x, mag, finite in zip(values, got, np.isfinite(scaled)):
         assert quantize(x, bits, r).magnitude == mag
+        assert mm.quantize_mag(x, bits, r) == mag
         if finite:
             assert _scalar_rule(x, bits, r) == mag
 

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 from collections import deque
 
@@ -120,6 +121,20 @@ def test_q_forward_zero_weights(params):
     net = QNetwork(w1=np.zeros((16, 3)), w2=np.zeros((4, 16)))
     q, _ = q_forward(net, proximity(np.array([3, 5, 7])), None, "tdms", params)
     assert np.all(q == 0)
+
+
+def test_qnetwork_layers_cannot_change_under_its_cache(params):
+    # the quantized view is cached per network, so neither a reassigned
+    # layer nor a write into one may leave it stale
+    net, _ = init_network(Lfsr(0xACE1))
+    x = proximity(np.array([2, 3, 4]))
+    q, _ = q_forward(net, x, None, "tdms", params)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        net.w1 = np.zeros_like(net.w1)
+    for layer in (net.w1, net.w2):
+        with pytest.raises(ValueError, match="read-only"):
+            layer[0, 0] = 0.0
+    assert np.array_equal(q_forward(net, x, None, "tdms", params)[0], q)
 
 
 def test_q_forward_all_drop_equals_zero_weights(params):

@@ -180,6 +180,29 @@ def test_word_draws_reject_negative_counts():
         Lfsr(1).uniforms(-1)
     with pytest.raises(ValueError):
         Lfsr(1).randints(-2, 4)
+    with pytest.raises(ValueError):
+        Lfsr(1).words(-1)
+    with pytest.raises(ValueError):
+        Lfsr(1).advance(-1)
+
+
+# from the last states of the cycle table, k words step the index across
+# the cycle's wrap back to its start
+@settings(max_examples=300, deadline=None)
+@example(state=int(_cycle_tables()[0][LFSR_PERIOD - 1]), k=1)
+@given(state=_states, k=st.integers(0, 40))
+def test_block_read_and_advance_match_uniform_draws(state, k):
+    lfsr = Lfsr(state)
+    drawn, cur = [], lfsr
+    for _ in range(k):
+        u, cur = cur.uniform()
+        drawn.append(u)
+    assert lfsr.advance(k) == cur
+    words = lfsr.words(k)
+    assert [stochsyn.to_uniform(w) for w in words.tolist()] == drawn
+    assert np.array_equal(stochsyn.to_uniform(words), lfsr.uniforms(k)[0])
+    assert [stochsyn.to_randint(w, 4) for w in words.tolist()] == lfsr.randints(k, 4)[0].tolist()
+    assert lfsr == Lfsr(state)  # a block read does not step
 
 
 def test_drop_mask_reference_evaluation():

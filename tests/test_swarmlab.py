@@ -2,6 +2,8 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from edgesim import macmodel as mm
 from edgesim.macmodel import default_params
@@ -38,6 +40,17 @@ GRID_GOLDEN = {
         "e17c3a451de029ffca501c2dc6c7d51d0a1455a2c34b2e85b307a056a101760e",
     ("predprey", 2, "predator_policy", "random"):
         "a6759ddbddba16f7d8531b662144d932df10707c5b6d98eaa1264d3236728290",
+    # captured before the predprey step read its LFSR words as one block; at
+    # n >= 3 the prey flees the nearest of several predators, and at n=5 a
+    # catch's reward reaches the Q-table before the run stops
+    ("predprey", 3, "predator_policy", "qlearn"):
+        "2c4f72853557aa05a01b26dc9f05c32f91b564739353243f77904c8ae266dc18",
+    ("predprey", 3, "predator_policy", "random"):
+        "4940c4125649e31300944cfd0e7b618518f03b12a8cf352affbed743398d4fe3",
+    ("predprey", 5, "predator_policy", "qlearn"):
+        "9dc3573214a210d3d5ef3a568ab8a84680642b82a3db05771b1b700062addcab",
+    ("predprey", 5, "predator_policy", "random"):
+        "3d022eab1e5ce8ef3e993fc5a092bd03a306fcfc37ded3497deefa9d14200b8f",
 }
 
 # sha256 over every step of (positions, prey, LFSR state, step energy, MACs,
@@ -52,6 +65,16 @@ TRAJECTORY_GOLDEN = {
         "8ad0e550761f989425bbc89eb4697d5c64b67c664af74f6967ae4bc9eaa9535f",
     ("explore", 10, "model", "digital", 200):
         "91a16aad1ca34cea9a2fd5503201d9389e5abea6e5c75c9d57ba726a1949dd1e",
+    # captured with the n=3 and n=5 run digests above; the runs at n=5 end
+    # early, so these also pin the steps after the catch
+    ("predprey", 3, "predator_policy", "qlearn", 400):
+        "eb1859d8abc7ee5ee3fa26855e0dd7d0e5faab5d41c2b0718e7ea93c73e22499",
+    ("predprey", 3, "predator_policy", "random", 400):
+        "af2daf2cf984af964052c2676b72332bcc8679baf2d0ba97145b7c628796ccd3",
+    ("predprey", 5, "predator_policy", "qlearn", 400):
+        "1fbad5d9b0096f61453adfa64640f58d0c96691c9ec86b5a8721e731da8fc54d",
+    ("predprey", 5, "predator_policy", "random", 400):
+        "3ab21fcd02db3565cc6fb2a4ca46cdbf37b29f50413430f0f685f9454f09ef7f",
 }
 
 
@@ -252,14 +275,27 @@ def test_check_collisions():
 # meter and scenario boundaries
 
 
+def _operand(v, kind):
+    """``v`` as an ndarray (the meter's numpy path) or as a Python float or
+    list of floats (its Python path)."""
+    v = np.asarray(v, dtype=float)
+    return v if kind == "numpy" else v.tolist()
+
+
+KINDS = ("numpy", "python")
+
+
+# each check runs on both of the meter's paths
 @pytest.mark.parametrize("a,b", [(np.nan, 0.5), (0.5, np.inf), (-np.inf, 0.5),
                                  (np.array([0.5, np.nan]), np.ones(2)),
+                                 (np.ones(2), np.array([-np.inf, 0.5])),
                                  (np.inf, -np.inf)])
 def test_meter_rejects_non_finite_operands(a, b):
-    meter = sl.LpuMeter(5, default_params())
-    with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="finite"):
-        meter.mul(a, b, 1.0, 1.0)
-    assert (meter.energy_pj, meter.macs) == (0.0, 0)
+    for kind in KINDS:
+        meter = sl.LpuMeter(5, default_params())
+        with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="finite"):
+            meter.mul(_operand(a, kind), _operand(b, kind), 1.0, 1.0)
+        assert (meter.energy_pj, meter.macs) == (0.0, 0)
 
 
 @pytest.mark.parametrize("a_range,b_range", [(-1.0, 1.0), (1.0, -1.0), (0.0, 1.0), (1.0, 0.0),
@@ -267,17 +303,64 @@ def test_meter_rejects_non_finite_operands(a, b):
                                              (1.0, np.inf), (-np.inf, 1.0)])
 def test_meter_rejects_bad_ranges(a_range, b_range):
     # a negative range used to flip the sign and a zero range to fail on a NaN cast
+    for kind in KINDS:
+        meter = sl.LpuMeter(5, default_params())
+        with pytest.raises(ValueError, match="range"):
+            meter.mul(_operand(0.5, kind), _operand(0.5, kind), a_range, b_range)
+        with pytest.raises(ValueError, match="range"):
+            meter.mul(_operand([0.5, -0.5], kind), _operand([0.5, 0.5], kind), a_range, b_range)
+        assert (meter.energy_pj, meter.macs) == (0.0, 0)
+
+
+@pytest.mark.parametrize("a,b", [([0.5, 0.5], [0.5]), ([], [0.5]), ([0.5], [])])
+def test_meter_rejects_unequal_length_lists(a, b):
+    # zip would silently drop the longer list's tail
     meter = sl.LpuMeter(5, default_params())
-    with pytest.raises(ValueError, match="range"):
-        meter.mul(0.5, 0.5, a_range, b_range)
+    with pytest.raises(ValueError, match="length"):
+        meter.mul(a, b, 1.0, 1.0)
     assert (meter.energy_pj, meter.macs) == (0.0, 0)
 
 
 def test_meter_saturates_huge_finite_operands():
-    meter = sl.LpuMeter(5, default_params())
+    for kind in KINDS:
+        meter = sl.LpuMeter(5, default_params())
+        with np.errstate(over="ignore"):
+            assert meter.mul(_operand(1e308, kind), _operand(1e308, kind), 1.0, 1.0) == 1.0
+            out = meter.mul(_operand([1e308, -1e308], kind), _operand([1e308, 1e308], kind),
+                            1.0, 1.0)
+        assert list(out) == [1.0, -1.0]
+        assert meter.macs == 3
+
+
+_lpu_operands = st.one_of(
+    st.floats(-3.0, 3.0),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e308, -1.7e308]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+# at most 7 elements: the Python path charges a left-to-right sum, which is
+# numpy's ndarray.sum only below its pairwise block of 8
+@settings(max_examples=300, deadline=None)
+@given(bits=st.integers(mm.MIN_BITS, mm.MAX_BITS), model=st.sampled_from(mm.MODELS),
+       pairs=st.lists(st.tuples(_lpu_operands, _lpu_operands), min_size=1, max_size=7),
+       ranges=st.tuples(st.sampled_from([1.0, 2.0, 8.0]), st.floats(1e-3, 1e3)))
+@example(bits=3, model="hdms", pairs=[(0.0, -0.0), (-0.0, -1.0), (-0.4, 0.9), (1e308, -1e308)],
+         ranges=(1.0, 1.0))
+def test_meter_python_path_matches_numpy_path(bits, model, pairs, ranges):
+    params = default_params()
+    xs, ys = [x for x, _ in pairs], [y for _, y in pairs]
+    by_list, by_array, by_float, by_0d = (sl.LpuMeter(bits, params, model) for _ in range(4))
     with np.errstate(over="ignore"):
-        assert meter.mul(1e308, 1e308, 1.0, 1.0) == 1.0
-    assert meter.macs == 1
+        want = by_array.mul(np.array(xs), np.array(ys), *ranges)
+        got = by_list.mul(xs, ys, *ranges)
+        assert type(got) is list and np.array(got).tobytes() == want.tobytes()
+        assert (by_list.energy_pj, by_list.macs) == (by_array.energy_pj, by_array.macs)
+        for x, y in pairs:
+            got = by_float.mul(x, y, *ranges)
+            want = by_0d.mul(np.array(x), np.array(y), *ranges)
+            assert type(got) is float and np.array(got).tobytes() == np.array(want).tobytes()
+            assert (by_float.energy_pj, by_float.macs) == (by_0d.energy_pj, by_0d.macs)
 
 
 @pytest.mark.parametrize("bits", range(3, 9))

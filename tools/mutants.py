@@ -1,0 +1,177 @@
+"""Mutation audit: check that the tier-1 suite fails on hand-written source mutants.
+
+Each mutant is one exact-match text replacement in one file, plus the reason
+it exists. The audit copies ``src``, ``tests`` and ``pyproject.toml`` to a
+temporary directory, checks that the unmutated copy passes, then applies each
+mutant to a fresh copy and runs the suite there (``pytest -x``). A mutant is
+killed when the suite fails. Mutants marked equivalent cannot change any
+result; they stay on the list with the reason, and their survival is expected.
+
+Standard library only; it is not part of the test suite and never edits the
+working tree. A mutant whose old text does not occur exactly once in its file
+stops the audit before any test runs.
+
+    python tools/mutants.py            # every mutant
+    python tools/mutants.py flee-max   # the named ones
+    python tools/mutants.py --list
+
+Exit status: 0 when every non-equivalent mutant is killed, 1 otherwise.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from dataclasses import dataclass
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+COPIED = ("src", "tests", "pyproject.toml")
+SWARM = "src/edgesim/swarmlab.py"
+QNAV = "src/edgesim/qnav.py"
+
+
+@dataclass(frozen=True)
+class Mutant:
+    name: str
+    path: str
+    old: str
+    new: str
+    reason: str
+    equivalent: bool = False
+
+
+MUTANTS = (
+    Mutant("flee-max", SWARM,
+           "gap = min(abs(cand[0] - p[0]) + abs(cand[1] - p[1]) for p in state.positions)",
+           "gap = max(abs(cand[0] - p[0]) + abs(cand[1] - p[1]) for p in state.positions)",
+           "the prey flees the nearest predator; min equals max with one predator, so "
+           "only the n=3 and n=5 predprey goldens tell them apart"),
+    Mutant("catch-reward", SWARM,
+           "reward = 5.0 if caught else float(dist - new_dist)",
+           "reward = 4.0 if caught else float(dist - new_dist)",
+           "the run stops at a catch, so only a later predator in the same step reads "
+           "the catch's Q-table write (the n=5 qlearn trajectory golden)"),
+    Mutant("python-mul-sign", SWARM,
+           "out.append((-product if (x < 0) != (y < 0) else product) * scale)",
+           "out.append((-product if (x < 0) == (y < 0) else product) * scale)",
+           "the sign rule of LpuMeter.mul's Python path"),
+    Mutant("predprey-advance-block", SWARM,
+           "    state.lfsr = state.lfsr.advance(used)\n    if not state.caught",
+           "    state.lfsr = state.lfsr.advance(2 * n)\n    if not state.caught",
+           "the predprey step advances the LFSR past the words it used, not past its "
+           "whole block"),
+    Mutant("explore-advance-block", SWARM,
+           "    state.lfsr = state.lfsr.advance(used)\n    return len(positions)",
+           "    state.lfsr = state.lfsr.advance(2 * len(positions))\n    return len(positions)",
+           "the explore step advances the LFSR past the words it used, not past its "
+           "whole block"),
+    Mutant("explore-reused-word", SWARM,
+           "            a = to_randint(words[used], 4)\n            used += 1\n"
+           "        elif max(feats) == 0:",
+           "            a = to_randint(words[used - 1], 4)\n            used += 1\n"
+           "        elif max(feats) == 0:",
+           "an explore agent's random move reads a fresh word, not its epsilon draw's"),
+    Mutant("arena-horizon", QNAV,
+           "max(arena.width, arena.height) - 2))",
+           "max(arena.width, arena.height) - 3))",
+           "on the default 12x12 arena both give the cap of 8; the 10x10 training "
+           "golden tells them apart"),
+    Mutant("run-policy-masks", QNAV,
+           "            keep, lfsr = drop_mask(net.w1.shape, drop_p, lfsr)",
+           "            _keep, lfsr = drop_mask(net.w1.shape, drop_p, lfsr)",
+           "run_policy(stochastic=True) must apply the masks it draws"),
+    Mutant("qnetwork-writable", QNAV,
+           "        self.w1.setflags(write=False)\n",
+           "",
+           "a write into a layer would leave the cached quantized view stale"),
+    Mutant("predprey-eps-boundary", SWARM,
+           "            if u < PRED_EPS:",
+           "            if u <= PRED_EPS:",
+           "equivalent: u is a multiple of 2^-16 and PRED_EPS = 0.15 is not, so u never "
+           "equals it", equivalent=True),
+    Mutant("collision-self-distance", SWARM,
+           "np.fill_diagonal(d, np.inf)",
+           "np.fill_diagonal(d, 1e9)",
+           "equivalent: any self-distance above the collision radius never collides",
+           equivalent=True),
+)
+
+
+def _check_unique(root: Path, mutants) -> None:
+    for m in mutants:
+        count = (root / m.path).read_text().count(m.old)
+        if count != 1:
+            raise SystemExit(f"{m.name}: old text occurs {count} times in {m.path}, expected 1")
+
+
+def _copy(dest: Path) -> Path:
+    dest.mkdir()
+    for name in COPIED:
+        src = ROOT / name
+        if src.is_dir():
+            shutil.copytree(src, dest / name,
+                            ignore=shutil.ignore_patterns("__pycache__", ".hypothesis"))
+        else:
+            shutil.copy2(src, dest / name)
+    return dest
+
+
+def _suite_passes(root: Path) -> bool:
+    env = dict(os.environ, PYTHONPATH=str(root / "src"), PYTHONDONTWRITEBYTECODE="1")
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
+         "--continue-on-collection-errors"],
+        cwd=root, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    return proc.returncode == 0
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("names", nargs="*", help="mutants to run (default: all)")
+    parser.add_argument("--list", action="store_true", help="list the mutants and exit")
+    args = parser.parse_args(argv)
+    by_name = {m.name: m for m in MUTANTS}
+    unknown = [n for n in args.names if n not in by_name]
+    if unknown:
+        parser.error(f"unknown mutants {unknown}; expected some of {sorted(by_name)}")
+    chosen = [by_name[n] for n in args.names] or list(MUTANTS)
+    if args.list:
+        for m in chosen:
+            print(f"{m.name:26} {m.path}: {m.reason}")
+        return 0
+    _check_unique(ROOT, chosen)
+
+    survivors = []
+    with tempfile.TemporaryDirectory(prefix="mutants-") as tmp:
+        if not _suite_passes(_copy(Path(tmp) / "base")):
+            raise SystemExit("the suite fails on the unmutated copy")
+        for m in chosen:
+            work = _copy(Path(tmp) / m.name)
+            path = work / m.path
+            path.write_text(path.read_text().replace(m.old, m.new))
+            t0 = time.perf_counter()
+            killed = not _suite_passes(work)
+            shutil.rmtree(work)
+            if killed:
+                verdict = "killed"
+            elif m.equivalent:
+                verdict = "survived (equivalent)"
+            else:
+                verdict = "SURVIVED"
+                survivors.append(m.name)
+            print(f"{verdict:22} {m.name:26} {time.perf_counter() - t0:5.1f} s  {m.reason}",
+                  flush=True)
+    if survivors:
+        print(f"{len(survivors)} non-equivalent mutant(s) survived: {', '.join(survivors)}")
+        return 1
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
