@@ -38,12 +38,18 @@ class CalibrationError(RuntimeError):
     """Raised when no non-negative coefficients can reproduce the anchors."""
 
 
+def check_int(value, name: str) -> int:
+    """``value`` as an int: numpy integers pass, bools and other types raise ``TypeError``."""
+    if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def check_bits(bits: int) -> int:
-    if not isinstance(bits, (int, np.integer)) or isinstance(bits, bool):
-        raise TypeError(f"bit width must be an integer, got {bits!r}")
+    bits = check_int(bits, "bit width")
     if not MIN_BITS <= bits <= MAX_BITS:
         raise ValueError(f"bit width must be in [{MIN_BITS}, {MAX_BITS}], got {bits}")
-    return int(bits)
+    return bits
 
 
 def check_model(model: str) -> str:
@@ -139,8 +145,6 @@ class HdmsPlan:
     left-shift applied to each of the ``kernel_passes`` partial products.
     """
 
-    bits: int
-    chunk_width: int
     chunks: tuple
     partial_shifts: tuple
     kernel_passes: int
@@ -152,16 +156,12 @@ def hdms_plan(bits: int) -> HdmsPlan:
     bits = check_bits(bits)
     if bits <= TDMS_KERNEL_BITS:
         return HdmsPlan(
-            bits=bits,
-            chunk_width=TDMS_KERNEL_BITS,
             chunks=((0, bits),),
             partial_shifts=(0,),
             kernel_passes=1,
         )
     low = TDMS_KERNEL_BITS
     return HdmsPlan(
-        bits=bits,
-        chunk_width=TDMS_KERNEL_BITS,
         chunks=((0, low), (low, bits - low)),
         partial_shifts=(0, low, low, 2 * low),
         kernel_passes=4,

@@ -344,8 +344,8 @@ class TrainConfig:
             raise ValueError("alpha must be in (0, 1]")
         if not 0 <= self.gamma < 1:
             raise ValueError("gamma must be in [0, 1)")
-        for name in ("episodes", "max_steps", "batch_size", "convergence_window"):
-            if not getattr(self, name) >= 1:
+        for name in ("episodes", "max_steps", "batch_size", "capacity", "convergence_window"):
+            if not mm.check_int(getattr(self, name), name) >= 1:
                 raise ValueError(f"{name} must be at least 1")
         if self.capacity < self.batch_size:
             raise ValueError("scratchpad capacity must be >= batch size")

@@ -24,6 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from edgesim.macmodel import check_int
+
 LFSR_BITS = 16
 LFSR_PERIOD = (1 << LFSR_BITS) - 1
 # taps for x^16 + x^14 + x^13 + x^11 + 1 in shift-right form: state bits 0, 2, 3, 5
@@ -45,6 +47,8 @@ class Lfsr:
     state: int = 0xACE1
 
     def __post_init__(self):
+        if type(self.state) is not int:  # the common case skips the full check
+            check_int(self.state, "LFSR state")
         if not 0 < self.state <= 0xFFFF:
             raise ValueError(f"LFSR state must be a nonzero 16-bit value, got {self.state:#x}")
 
@@ -57,10 +61,10 @@ class Lfsr:
         """Emit the next n output bits as a uint8 array (cycle-cache fast path)."""
         if n < 0:
             raise ValueError("bit count must be non-negative")
-        states, cycle_bits, index_of, _words = _cycle_tables()
+        states, index_of, _stream = _cycle_tables()
         start = index_of[self.state]
-        idx = (start + np.arange(n)) % LFSR_PERIOD
-        out = cycle_bits[idx]
+        # the output bit is the low bit of the state that emits it
+        out = (states[(start + np.arange(n)) % LFSR_PERIOD] & 1).astype(np.uint8)
         return out, Lfsr(int(states[(start + n) % LFSR_PERIOD]))
 
     def words(self, count: int) -> np.ndarray:
@@ -69,7 +73,7 @@ class Lfsr:
         the state after the first k of them."""
         if count < 0:
             raise ValueError("sample count must be non-negative")
-        _states, _bits, index_of, stream = _cycle_tables()
+        _states, index_of, stream = _cycle_tables()
         slot = int(index_of[self.state]) * _SLOT_PER_INDEX % LFSR_PERIOD
         if slot + count <= len(stream):
             return stream[slot:slot + count]
@@ -79,12 +83,12 @@ class Lfsr:
         """The state after ``count`` 16-bit samples, in one table lookup."""
         if count < 0:
             raise ValueError("sample count must be non-negative")
-        states, _bits, index_of, _stream = _cycle_tables()
+        states, index_of, _stream = _cycle_tables()
         return Lfsr(int(states[(int(index_of[self.state]) + BITS_PER_SAMPLE * count) % LFSR_PERIOD]))
 
     def _next_word(self) -> tuple[int, "Lfsr"]:
         """The next 16-bit sample, as ``words(1)`` and ``advance(1)`` without the arrays."""
-        states, _bits, index_of, stream = _cycle_tables()
+        states, index_of, stream = _cycle_tables()
         start = int(index_of[self.state])
         return (int(stream[start * _SLOT_PER_INDEX % LFSR_PERIOD]),
                 Lfsr(int(states[(start + BITS_PER_SAMPLE) % LFSR_PERIOD])))
@@ -154,7 +158,6 @@ def _cycle_bits() -> np.ndarray:
 
 def _build_cycle():
     out = _cycle_bits()
-    bits = out[:LFSR_PERIOD]
     # states[i] = sum_j out[i+j] << j; words[i]: the 16 output bits from cycle
     # index i on, read MSB first; stream: the words in draw order (module docstring)
     wrapped = out[:LFSR_PERIOD + BITS_PER_SAMPLE - 1]
@@ -176,14 +179,14 @@ def _build_cycle():
     # below that of the loop above
     stream = words[np.arange(LFSR_PERIOD + _STREAM_PAD, dtype=np.int32) * BITS_PER_SAMPLE
                    % LFSR_PERIOD]
-    tables = states, bits, index_of, stream
+    tables = states, index_of, stream
     for table in tables:
         table.flags.writeable = False
     return tables
 
 
 def _cycle_tables():
-    """(states, bits, index_of, stream) of the cycle, built on first use."""
+    """(states, index_of, stream) of the cycle, built on first use."""
     global _cycle_cache
     if _cycle_cache is None:
         _cycle_cache = _build_cycle()

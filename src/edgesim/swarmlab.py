@@ -83,7 +83,10 @@ def nfe_build(fid: str, domain: tuple, n_segments: int = 32) -> NfeTable:
     if fid == "recip" and lo <= 0 <= hi:
         raise ValueError("recip domain must exclude 0")
     breaks = np.linspace(lo, hi, n_segments + 1)
-    return NfeTable(fid=fid, breakpoints=breaks, values=_NFE_FUNCS[fid](breaks))
+    values = _NFE_FUNCS[fid](breaks)
+    for arr in (breaks, values):
+        arr.flags.writeable = False  # tables are shared, so they must not change
+    return NfeTable(fid=fid, breakpoints=breaks, values=values)
 
 
 def nfe_eval(table: NfeTable, x):
@@ -129,8 +132,6 @@ class LpuMeter:
     def __init__(self, bits: int, params: EnergyParams, model: str = "hdms"):
         self.bits = mm.check_bits(bits)
         self._table = mm.energy_table(self.bits, model, params)  # checks the model
-        self.params = params
-        self.model = model
         self.energy_pj = 0.0
         self.macs = 0
         self._full = (1 << self.bits) - 1
@@ -228,16 +229,17 @@ class PotentialParams:
 
 # repulsion distances below this floor saturate (the 1/d table domain end)
 D_FLOOR = 0.1
+# the one 1/d table every metered APF call reads
+RECIP_TABLE = nfe_build("recip", (D_FLOOR, 2.0), 32)
 
 
-def apf_force(pos, goal, obstacles, params: PotentialParams,
-              meter: LpuMeter | None = None, recip_table: NfeTable | None = None):
+def apf_force(pos, goal, obstacles, params: PotentialParams, meter: LpuMeter | None = None):
     """Attractive-plus-repulsive potential field forces of n agents, each clamped to v_max.
 
     ``pos`` and ``goal`` are (n, 2); ``obstacles`` is (n, K, 2), row i
     listing the points that repel agent i, and only points closer than d0
     push. With a meter attached, multiplies run on the quantized LPU and the
-    1/d terms go through the reciprocal NFE table. Forces, energy and MACs
+    1/d terms go through the NFE table ``RECIP_TABLE``. Forces, energy and MACs
     are exactly those of n single-agent calls made in agent order.
     """
     pos = np.asarray(pos, dtype=float)
@@ -272,7 +274,7 @@ def apf_force(pos, goal, obstacles, params: PotentialParams,
         # metered pushes saturate at the f_cap quantizer range; the exact
         # formula is unbounded and relies on the final v_max clamp alone
         f_cap = 4.0 * params.v_max
-        u = meter.nfe(recip_table, dc, ledger)
+        u = meter.nfe(RECIP_TABLE, dc, ledger)
         uu = meter.mul(u, u, 1.0 / D_FLOOR, 1.0 / D_FLOOR, ledger)
         mag = meter.mul(params.k_rep * (u - u0), uu, 10.0, (1.0 / D_FLOOR) ** 2, ledger)
         push = meter.mul(mag[:, None], direction, f_cap, 1.0, ledger)
@@ -299,7 +301,7 @@ def apf_force(pos, goal, obstacles, params: PotentialParams,
 # scenarios and configuration
 
 
-@dataclass
+@dataclass(frozen=True)
 class SwarmConfig:
     workload: str
     n_agents: int
@@ -315,7 +317,7 @@ class SwarmConfig:
     def __post_init__(self):
         if self.workload not in WORKLOADS:
             raise ValueError(f"unknown workload {self.workload!r}; expected one of {WORKLOADS}")
-        if not MIN_AGENTS <= self.n_agents <= MAX_AGENTS:
+        if not MIN_AGENTS <= mm.check_int(self.n_agents, "n_agents") <= MAX_AGENTS:
             raise ValueError(f"n_agents must be in [{MIN_AGENTS}, {MAX_AGENTS}]")
         mm.check_model(self.model)
         if self.predator_policy not in PREDATOR_POLICIES:
@@ -601,45 +603,35 @@ def _quantize_qvalues(q, bits):
     return np.sign(q) * mm.quantize_mags(q, bits, Q_RANGE) / ((1 << bits) - 1) * Q_RANGE
 
 
-def workload_step(state: WorkloadState, cfg: SwarmConfig, meter: LpuMeter,
-                  tables: dict):
-    """Advance every agent one synchronous step; returns (state, StepMetrics)."""
+def workload_step(state: WorkloadState, cfg: SwarmConfig, meter: LpuMeter) -> StepMetrics:
+    """Advance every agent one synchronous step, updating ``state`` in place."""
     macs0, energy0 = meter.macs, meter.energy_pj
-    if cfg.workload == "path":
-        actions = _step_path(state, cfg, meter, tables)
-    elif cfg.workload == "formation":
-        actions = _step_formation(state, cfg, meter, tables)
-    elif cfg.workload == "predprey":
-        actions = _step_predprey(state, cfg, meter)
-    elif cfg.workload == "explore":
-        actions = _step_explore(state, cfg, meter)
-    else:
-        raise ValueError(f"unknown workload {cfg.workload!r}")
-    return state, StepMetrics(actions=actions,
-                              energy_pj=meter.energy_pj - energy0,
-                              macs=meter.macs - macs0)
+    actions = _STEPS[cfg.workload](state, cfg, meter)
+    return StepMetrics(actions=actions, energy_pj=meter.energy_pj - energy0,
+                       macs=meter.macs - macs0)
 
 
-def _step_path(state, cfg, meter, tables):
-    _step_apf(state, state.goals, state.obstacles, cfg, meter, tables)
+def _step_path(state, cfg, meter):
+    _step_apf(state, state.goals, cfg, meter)
     _check_collisions(state, cfg)
     return len(state.positions)
 
 
-def _step_formation(state, cfg, meter, tables):
-    _step_apf(state, state.slots, np.zeros((0, 2)), cfg, meter, tables)
+def _step_formation(state, cfg, meter):
+    _step_apf(state, state.slots, cfg, meter)
     return len(state.positions)
 
 
-def _step_apf(state, targets, obstacles, cfg, meter, tables):
+def _step_apf(state, targets, cfg, meter):
     """Move every agent by its APF force toward its target, repelled by the
     other agents (in index order) and then by the static obstacles."""
     pos = state.positions
+    obstacles = state.obstacles
     n = len(pos)
     j = np.arange(n - 1)
     others = pos[j + (j >= np.arange(n)[:, None])]  # row i skips agent i
     repel = np.concatenate([others, np.broadcast_to(obstacles, (n, *obstacles.shape))], axis=1)
-    state.positions = pos + apf_force(pos, targets, repel, cfg.potential, meter, tables["recip"])
+    state.positions = pos + apf_force(pos, targets, repel, cfg.potential, meter)
 
 
 def _check_collisions(state, cfg):
@@ -767,6 +759,10 @@ def _step_explore(state, cfg, meter):
     return len(positions)
 
 
+_STEPS = {"path": _step_path, "formation": _step_formation,
+          "predprey": _step_predprey, "explore": _step_explore}
+
+
 # ---------------------------------------------------------------------------
 # success criteria and the driver
 
@@ -802,20 +798,16 @@ def run_workload(scn: Scenario, params: EnergyParams | None = None,
     if budget is None:
         budget = DEFAULT_BUDGETS[cfg.workload]
     meter = LpuMeter(cfg.bits, params, cfg.model)
-    tables = {"recip": nfe_build("recip", (D_FLOOR, 2.0), 32)}
     state = init_state(scn)
     actions = 0
     steps = 0
     success, score = workload_success(state, cfg)
     while not success and steps < budget:
-        state, sm = workload_step(state, cfg, meter, tables)
-        actions += sm.actions
+        actions += workload_step(state, cfg, meter).actions
         steps += 1
         success, score = workload_success(state, cfg)
-        if cfg.workload == "predprey":
-            score = float(steps)
-    if cfg.workload == "predprey" and not success:
-        score = float(budget)
+    if cfg.workload == "predprey":
+        score = float(steps)  # steps to the catch, or the whole budget
     return WorkloadMetrics(workload=cfg.workload, n_agents=cfg.n_agents, bits=cfg.bits,
                            steps=steps, actions=actions, energy_pj=meter.energy_pj,
                            success=success, score=score)

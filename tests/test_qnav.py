@@ -321,6 +321,26 @@ def test_config_rejects_out_of_range_fields(field, value):
         TrainConfig(**{field: value})
 
 
+COUNT_FIELDS = ("episodes", "max_steps", "batch_size", "capacity", "convergence_window")
+
+
+@pytest.mark.parametrize("field", COUNT_FIELDS)
+@pytest.mark.parametrize("value", [1.5, 8.0, True])
+def test_config_rejects_non_integer_counts(field, value):
+    # a float count would fail only inside run_training (range, array sizes)
+    with pytest.raises(TypeError, match=field):
+        TrainConfig(**{field: value})
+
+
+def test_config_accepts_numpy_integer_counts():
+    values = dict(episodes=2, max_steps=20, batch_size=4, capacity=16, convergence_window=2)
+    cfg = TrainConfig(**{k: np.int64(v) for k, v in values.items()})
+    a = run_training(SMALL_ARENA, cfg, seed=0x0BAD)
+    b = run_training(SMALL_ARENA, TrainConfig(**values), seed=0x0BAD)
+    assert np.array_equal(a.covered_cells, b.covered_cells)
+    assert np.array_equal(a.energy_pj, b.energy_pj)
+
+
 def test_config_accepts_boundary_values():
     TrainConfig(episodes=1, max_steps=1, batch_size=1, convergence_window=1,
                 convergence_frac=1.0, drop_p=0.0, eps_start=1.0, eps_end=0.0, eps_decay=1.0)

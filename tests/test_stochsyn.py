@@ -32,6 +32,22 @@ def test_zero_state_rejected():
         Lfsr(0)
 
 
+@pytest.mark.parametrize("state", [True, 1.5, 2.0, "0xACE1", None])
+def test_non_integer_state_rejected(state):
+    with pytest.raises(TypeError, match="LFSR state"):
+        Lfsr(state)
+
+
+@pytest.mark.parametrize("state", [np.uint16(0xACE1), np.int64(0xACE1), np.int32(0xACE1)])
+def test_numpy_integer_state_draws_as_int(state):
+    lfsr = Lfsr(state)
+    assert lfsr == Lfsr(0xACE1)
+    assert lfsr.uniform() == Lfsr(0xACE1).uniform()
+    assert lfsr.words(5).tolist() == Lfsr(0xACE1).words(5).tolist()
+    with pytest.raises(ValueError, match="nonzero 16-bit"):
+        Lfsr(type(state)(0))
+
+
 def test_step_matches_reference():
     state = 0xACE1
     lfsr = Lfsr(state)
@@ -81,8 +97,12 @@ def test_cycle_tables_match_stepping():
     # the stream table: stream[j] is the word at cycle index 16 * j, one
     # period plus the padding long
     states, bits, index_of = _stepped_cycle()
+    # the output bit is the low bit of the state that emits it
+    assert np.array_equal(states & 1, bits)
     stream = _stepped_words_at(0, LFSR_PERIOD + stochsyn._STREAM_PAD)
-    for got, want in zip(_cycle_tables(), (states, bits, index_of, stream)):
+    tables = _cycle_tables()
+    assert len(tables) == 3
+    for got, want in zip(tables, (states, index_of, stream)):
         assert got.dtype == want.dtype
         assert np.array_equal(got, want)
         with pytest.raises(ValueError):

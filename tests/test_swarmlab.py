@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 
 import numpy as np
@@ -108,7 +109,7 @@ def _trajectory_digest(scn, steps):
     state = sl.init_state(scn)
     h = hashlib.sha256()
     for _ in range(steps):
-        state, sm = sl.workload_step(state, cfg, meter, {})
+        sm = sl.workload_step(state, cfg, meter)
         prey = None if state.prey is None else tuple(int(v) for v in state.prey)
         qtable = None if state.qtable is None else state.qtable.tolist()
         h.update(repr((state.positions.tolist(), prey, state.lfsr.state, sm.energy_pj, sm.macs,
@@ -140,7 +141,7 @@ def test_explore_frontier_counts_match_brute_force(n, seed, extent):
     assert np.array_equal(state.frontier, _frontier_brute_force(state.visited))
     exhausted = False
     for _ in range(sl.DEFAULT_BUDGETS["explore"]):
-        state, _ = sl.workload_step(state, cfg, meter, {})
+        sl.workload_step(state, cfg, meter)
         assert np.array_equal(state.frontier, _frontier_brute_force(state.visited))
         exhausted |= bool((state.frontier == 0).any())
         if sl.workload_success(state, cfg)[0]:
@@ -172,7 +173,7 @@ def test_golden_outcomes(golden_runs):
 # batched APF
 
 
-def _apf_force_reference(pos, goal, obstacles, params, meter, recip_table):
+def _apf_force_reference(pos, goal, obstacles, params, meter):
     """One agent, one scalar LPU call per term: the loop apf_force batches."""
     sat = 2.0 * params.v_max
     err_c = np.clip(goal - pos, -sat, sat)
@@ -193,7 +194,7 @@ def _apf_force_reference(pos, goal, obstacles, params, meter, recip_table):
             u = 1.0 / dc
             force = force + params.k_rep * (u - u0) * u * u * direction
         else:
-            u = meter.nfe(recip_table, dc)
+            u = meter.nfe(sl.RECIP_TABLE, dc)
             uu = meter.mul(u, u, 1.0 / sl.D_FLOOR, 1.0 / sl.D_FLOOR)
             push = meter.mul(params.k_rep * (u - u0), uu, 10.0, (1.0 / sl.D_FLOOR) ** 2)
             force = force + meter.mul(np.full(2, push), direction, f_cap, 1.0)
@@ -219,7 +220,6 @@ def _random_swarm(rng, n, m):
 def test_batched_apf_matches_per_agent_calls(model, bits):
     params = default_params()
     pot = sl.PotentialParams()
-    recip = sl.nfe_build("recip", (sl.D_FLOOR, 2.0), 32)
     rng = np.random.default_rng(7)
     near = far = False
     for n, m in ((1, 0), (2, 1), (6, 0), (12, 3)):
@@ -229,12 +229,12 @@ def test_batched_apf_matches_per_agent_calls(model, bits):
         near |= bool((d < sl.D_FLOOR).any())
         far |= bool((d >= pot.d0).any())
         meters = [None if model is None else sl.LpuMeter(bits, params, model) for _ in range(3)]
-        batched = sl.apf_force(pos, goal, obstacles, pot, meters[0], recip)
+        batched = sl.apf_force(pos, goal, obstacles, pot, meters[0])
         one_by_one = np.concatenate([
-            sl.apf_force(pos[i:i + 1], goal[i:i + 1], obstacles[i:i + 1], pot, meters[1], recip)
+            sl.apf_force(pos[i:i + 1], goal[i:i + 1], obstacles[i:i + 1], pot, meters[1])
             for i in range(n)])
         reference = np.stack([
-            _apf_force_reference(pos[i], goal[i], obstacles[i], pot, meters[2], recip)
+            _apf_force_reference(pos[i], goal[i], obstacles[i], pot, meters[2])
             for i in range(n)])
         assert batched.shape == (n, 2)
         assert batched.tobytes() == one_by_one.tobytes() == reference.tobytes()
@@ -247,13 +247,22 @@ def test_batched_apf_matches_per_agent_calls(model, bits):
 def test_apf_agent_on_obstacle_raises():
     pot = sl.PotentialParams()
     meter = sl.LpuMeter(5, default_params())
-    recip = sl.nfe_build("recip", (sl.D_FLOOR, 2.0), 32)
     pos = np.array([[1.0, 1.0], [4.0, 4.0]])
     obstacles = np.array([[[4.0, 4.0], [1.0, 1.0]], [[1.0, 1.0], [9.0, 9.0]]])
     with pytest.raises(ValueError, match="obstacle"):
-        sl.apf_force(pos, pos + 1.0, obstacles, pot, meter, recip)
+        sl.apf_force(pos, pos + 1.0, obstacles, pot, meter)
     with pytest.raises(ValueError, match="obstacle"):
         sl.apf_force(pos, pos + 1.0, obstacles, pot)
+
+
+def test_recip_table_is_the_built_table_and_read_only():
+    built = sl.nfe_build("recip", (sl.D_FLOOR, 2.0), 32)
+    for name in ("breakpoints", "values"):
+        shared = getattr(sl.RECIP_TABLE, name)
+        assert shared.tobytes() == getattr(built, name).tobytes()
+        for table in (shared, getattr(built, name)):
+            with pytest.raises(ValueError, match="read-only"):
+                table[0] = 1.0
 
 
 def test_check_collisions():
@@ -392,6 +401,25 @@ def test_quantized_qvalues_keep_negative_zero():
     got = sl._quantize_qvalues(np.array([-1e-9, -0.5 / 7, -5e-324, 1e-9, 0.0]), 3)
     assert np.array_equal(got, np.zeros(5))
     assert np.signbit(got).tolist() == [True, True, True, False, False]
+
+
+def test_swarm_config_is_frozen():
+    scn = sl.make_scenario("predprey", 2, seed=1)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        scn.config.predator_policy = "greedy"  # would skip validation
+
+
+@pytest.mark.parametrize("n_agents", [2.5, 3.0, True, "3"])
+def test_swarm_config_rejects_non_integer_agents(n_agents):
+    with pytest.raises(TypeError, match="n_agents"):
+        sl.SwarmConfig(workload="explore", n_agents=n_agents)
+
+
+def test_swarm_config_accepts_numpy_integer_agents():
+    scn = sl.make_scenario("explore", np.int64(3), seed=1)
+    assert scn.config.bits == sl.bitwidth_for_swarm(3)
+    assert sl.run_workload(scn, budget=5).row() == sl.run_workload(
+        sl.make_scenario("explore", 3, seed=1), budget=5).row()
 
 
 def test_meter_rejects_unknown_model():

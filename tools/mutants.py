@@ -9,7 +9,8 @@ result; they stay on the list with the reason, and their survival is expected.
 
 Standard library only; it is not part of the test suite and never edits the
 working tree. A mutant whose old text does not occur exactly once in its file
-stops the audit before any test runs.
+stops the audit before any test runs; ``tests/test_mutants.py`` makes the same
+check in the suite, and the audit leaves that test out of its own runs.
 
     python tools/mutants.py            # every mutant
     python tools/mutants.py flee-max   # the named ones
@@ -34,6 +35,7 @@ ROOT = Path(__file__).resolve().parents[1]
 COPIED = ("src", "tests", "pyproject.toml")
 SWARM = "src/edgesim/swarmlab.py"
 QNAV = "src/edgesim/qnav.py"
+STOCHSYN = "src/edgesim/stochsyn.py"
 
 
 @dataclass(frozen=True)
@@ -90,6 +92,28 @@ MUTANTS = (
            "        self.w1.setflags(write=False)\n",
            "",
            "a write into a layer would leave the cached quantized view stale"),
+    Mutant("swarm-config-unfrozen", SWARM,
+           "@dataclass(frozen=True)\nclass SwarmConfig:",
+           "@dataclass\nclass SwarmConfig:",
+           "a config changed after construction skips its validation"),
+    Mutant("nfe-writable", SWARM,
+           "        arr.flags.writeable = False",
+           "        arr.flags.writeable = True",
+           "RECIP_TABLE is shared by every run, so a write would leak into later runs"),
+    Mutant("predprey-score-budget", SWARM,
+           "score = float(steps)",
+           "score = float(budget)",
+           "a predprey run scores the steps to the catch; only unsuccessful runs use "
+           "the whole budget"),
+    Mutant("step-table-swapped", SWARM,
+           '"path": _step_path, "formation": _step_formation,',
+           '"path": _step_formation, "formation": _step_path,',
+           "each workload steps through its own function in the step table"),
+    Mutant("lfsr-int-check", STOCHSYN,
+           '            check_int(self.state, "LFSR state")\n',
+           "            pass\n",
+           "a float or bool LFSR state constructs and fails only inside numpy at the "
+           "first draw"),
     Mutant("predprey-eps-boundary", SWARM,
            "            if u < PRED_EPS:",
            "            if u <= PRED_EPS:",
@@ -124,9 +148,11 @@ def _copy(dest: Path) -> Path:
 
 def _suite_passes(root: Path) -> bool:
     env = dict(os.environ, PYTHONPATH=str(root / "src"), PYTHONDONTWRITEBYTECODE="1")
+    # the copy has no tools/, and a mutated copy lacks its own old text, so
+    # the check that this list applies runs on the working tree only
     proc = subprocess.run(
         [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
-         "--continue-on-collection-errors"],
+         "--continue-on-collection-errors", "--ignore", "tests/test_mutants.py"],
         cwd=root, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
     return proc.returncode == 0
 
