@@ -347,14 +347,17 @@ def energy_table(bits: int, model: str, params: EnergyParams) -> np.ndarray:
     return table
 
 
-def array_energy(x_mag, w_mag, bits: int, model: str, params: EnergyParams) -> float:
-    """Total energy (pJ) of pairing each weight magnitude in ``w_mag`` (one
-    entry per MAC) with its input magnitude in ``x_mag``, which broadcasts
-    against it."""
+def array_pricer(bits: int, model: str, params: EnergyParams):
+    """A function ``price(x_mag, w_mag)``: the total energy (pJ) of pairing
+    each weight magnitude in ``w_mag`` (one entry per MAC) with its input
+    magnitude in ``x_mag``, which broadcasts against it. The energy table is
+    looked up once, here, so a hot loop pays only the gather."""
     if check_model(model) == "digital":
+        per_mac = digital_energy(bits, params)
         # n * e: a summed gather of the constant table differs by up to 1.6e-16
-        return float(np.size(w_mag) * digital_energy(bits, params))
-    return float(energy_table(bits, model, params)[x_mag, w_mag].sum())
+        return lambda x_mag, w_mag: float(np.size(w_mag) * per_mac)
+    table = energy_table(bits, model, params)
+    return lambda x_mag, w_mag: float(table[x_mag, w_mag].sum())
 
 
 def mean_energy(model: str, bits: int, params: EnergyParams) -> float:

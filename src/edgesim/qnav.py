@@ -10,7 +10,18 @@ comes from one LFSR stream, so runs are bit-reproducible from the seed.
 The network never sees raw depths: every pose's proximity operands (the
 integer inputs of the quantized forward pass) and their float scaling (the
 shadow network's inputs) are tabulated once per (arena, horizon) by
-``_input_table``.
+``_input_table``. Nor does a run move the robot through ``apply_action``:
+``_pose_table`` tabulates every (pose, action) transition once per arena,
+and a run tracks its pose as one flat index into these tables.
+
+A training step reads its randomness as one block of the LFSR stream,
+``lfsr.words(k)``, and steps past the words it used with one
+``lfsr.advance(used)``. It takes them in the order of the per-call draws
+``drop_mask``, ``select_action`` and ``Scratchpad.sample``: 48 words for the
+action mask (stochastic runs only), one for epsilon plus one more when
+exploring, ``batch_size`` for the replay sample once the scratchpad holds a
+batch, then 48 for the update mask. A run is therefore bit-identical to
+making those draws one call at a time.
 """
 
 from __future__ import annotations
@@ -22,7 +33,7 @@ from pathlib import Path
 import numpy as np
 
 from edgesim import macmodel as mm
-from edgesim.stochsyn import Lfsr, drop_mask, masked_weights
+from edgesim.stochsyn import Lfsr, drop_mask, keep_mask, masked_weights, to_randint, to_uniform
 
 # headings are 45-degree steps counterclockwise from +x
 HEADING_VECS = ((1, 0), (1, 1), (0, 1), (-1, 1), (-1, 0), (-1, -1), (0, -1), (1, -1))
@@ -192,10 +203,13 @@ class QNetwork:
 
     def quantized(self):
         """Signed integer weights ``(q1, q2)`` and their magnitudes
-        ``(m1, m2)`` of both layers, quantized in one pass (cached)."""
+        ``(m1, m2)`` of both layers, quantized in one pass (cached). Every
+        magnitude is at most DEPTH_MAX, so the weights must be finite."""
         cached = getattr(self, "_quant", None)
         if cached is None:
             w = np.concatenate((self.w1, self.w2), axis=None)
+            if not np.isfinite(w).all():
+                raise ValueError("network weights must be finite")
             mags = mm.quantize_mags(w, DEPTH_BITS, 1.0)
             signed = np.where(w < 0, -mags, mags)
             n1 = self.w1.size
@@ -248,21 +262,32 @@ def q_forward(net: QNetwork, x: np.ndarray, keep=None, model: str = "tdms",
         params = mm.default_params()
     if not ((x >= 0) & (x <= DEPTH_MAX)).all():
         raise ValueError(f"input operands must be in [0, {DEPTH_MAX}]")
+    return _forward(net, x, keep, mm.array_pricer(DEPTH_BITS, model, params))
+
+
+# a layer's accumulator sums one product of two 6-bit magnitudes per input,
+# so only a layer with more inputs than this can pass ACC_MAX
+_SAFE_FAN_IN = mm.ACC_MAX // (DEPTH_MAX * DEPTH_MAX)
+
+
+def _forward(net: QNetwork, x: np.ndarray, keep, price):
+    """``q_forward`` on an operand row already known to lie in [0, DEPTH_MAX],
+    with the layers priced by ``price``, an ``mm.array_pricer``. A run
+    checks its operand table and looks up its pricer once."""
     (q1, q2), (m1, m2) = net.quantized()
     if keep is not None:
         q1 = masked_weights(q1, keep)
         m1 = np.abs(q1)
 
     acc1 = q1 @ x
-    if (np.abs(acc1) > mm.ACC_MAX).any():
+    if x.size > _SAFE_FAN_IN and (np.abs(acc1) > mm.ACC_MAX).any():
         raise OverflowError("hidden-layer accumulator overflow")
     hidden = np.minimum(np.maximum(acc1, 0) >> ACT_SHIFT, DEPTH_MAX)
     acc2 = q2 @ hidden
-    if (np.abs(acc2) > mm.ACC_MAX).any():
+    if hidden.size > _SAFE_FAN_IN and (np.abs(acc2) > mm.ACC_MAX).any():
         raise OverflowError("output-layer accumulator overflow")
 
-    energy = mm.array_energy(x, m1, DEPTH_BITS, model, params)
-    energy += mm.array_energy(hidden, m2, DEPTH_BITS, model, params)
+    energy = price(x, m1) + price(hidden, m2)
     return acc2.astype(float) / float(DEPTH_MAX * DEPTH_MAX), energy
 
 
@@ -277,11 +302,17 @@ def select_action(qvals, eps: float, lfsr: Lfsr):
     """Epsilon-greedy over the action values; ties go to the lowest index."""
     if not 0 <= eps <= 1:
         raise ValueError(f"exploration rate must be in [0, 1], got {eps}")
-    u, lfsr = lfsr.uniform()
-    if u < eps:
-        action, lfsr = lfsr.randint(N_ACTIONS)
-        return action, lfsr
-    return int(np.argmax(qvals)), lfsr
+    action, used = _epsilon_greedy(qvals, eps, lfsr.words(2))
+    return action, lfsr.advance(used)
+
+
+def _epsilon_greedy(qvals, eps: float, words):
+    """The action that 16-bit samples ``words`` pick, and how many it used:
+    the first explores when it draws below ``eps``, and the second then draws
+    the random action."""
+    if to_uniform(words[0]) < eps:
+        return int(to_randint(words[1], N_ACTIONS)), 2
+    return int(np.argmax(qvals)), 1
 
 
 class Scratchpad:
@@ -311,15 +342,15 @@ class Scratchpad:
         self.s_next[i], self.terminal[i] = s_next, terminal
         self.pushed += 1
 
-    def sample(self, n: int, lfsr: Lfsr):
-        """n rows drawn with replacement as (s, a, r, s_next, terminal) arrays;
-        draw value i picks the i-th oldest stored row."""
+    def sample(self, draws):
+        """The rows that the 16-bit samples ``draws`` pick, with replacement,
+        as (s, a, r, s_next, terminal) arrays: sample ``w`` picks the
+        ``to_randint(w, len(self))``-th oldest stored row (0 is the oldest)."""
         if not self.pushed:
             raise ValueError("cannot sample an empty scratchpad")
-        idx, lfsr = lfsr.randints(n, len(self))
-        rows = (self.pushed - len(self) + idx) % self.capacity
+        rows = (self.pushed - len(self) + to_randint(draws, len(self))) % self.capacity
         return (self.s[rows], self.a[rows], self.r[rows], self.s_next[rows],
-                self.terminal[rows]), lfsr
+                self.terminal[rows])
 
 
 @dataclass(frozen=True)
@@ -358,6 +389,9 @@ class TrainConfig:
                 raise ValueError(f"{name} must be in [0, 1]")
         if not 0 < self.eps_decay <= 1:
             raise ValueError("eps_decay must be in (0, 1]")
+        for name in ("stochastic", "stop_at_convergence"):
+            if not isinstance(getattr(self, name), (bool, np.bool_)):
+                raise TypeError(f"{name} must be a bool, got {getattr(self, name)!r}")
 
     def epsilon(self, episode: int) -> float:
         return max(self.eps_end, self.eps_start * self.eps_decay**episode)
@@ -452,12 +486,49 @@ def _sense_table(arena: Arena) -> np.ndarray:
 def _input_table(arena: Arena, horizon: int) -> tuple[np.ndarray, np.ndarray]:
     """Read-only network inputs of every pose, read as ``table[x, y, heading]``:
     the integer proximity operands that ``q_forward`` takes and the same
-    values over DEPTH_MAX, the float inputs of ``train_step``."""
+    values over DEPTH_MAX, the float inputs of ``train_step``. The operand
+    range that ``q_forward`` checks per call is checked here once."""
     operands = proximity(_sense_table(arena), horizon)
+    if not ((operands >= 0) & (operands <= DEPTH_MAX)).all():
+        raise ValueError(f"input operands must be in [0, {DEPTH_MAX}]")
     scaled = operands.astype(float) / DEPTH_MAX
     for table in (operands, scaled):
         table.flags.writeable = False
     return operands, scaled
+
+
+def _flat_pose(arena: Arena, position, heading: int) -> int:
+    """Row of a pose in the flattened pose tables: ``_input_table`` reshaped
+    to ``(-1, 3)``, and ``_pose_table``. Its cell is ``pose // N_HEADINGS``."""
+    x, y = position
+    return (x * arena.height + y) * N_HEADINGS + heading
+
+
+@lru_cache(maxsize=8)
+def _pose_table(arena: Arena) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only transitions of every free pose, read as ``table[pose, action]``
+    at a ``_flat_pose``: the next flat pose and whether the move collided, as
+    ``apply_action`` gives them. Poses on obstacle cells are never reached."""
+    n_poses = arena.width * arena.height * N_HEADINGS
+    next_pose = np.zeros((n_poses, N_ACTIONS), dtype=np.int32)
+    collided = np.zeros((n_poses, N_ACTIONS), dtype=bool)
+    for x in range(arena.width):
+        for y in range(arena.height):
+            if not arena.is_free((x, y)):
+                continue
+            for h in range(N_HEADINGS):
+                pose = _flat_pose(arena, (x, y), h)
+                for action in range(N_ACTIONS):
+                    new, collided[pose, action] = apply_action(arena, RobotState((x, y), h), action)
+                    next_pose[pose, action] = _flat_pose(arena, new.position, new.heading)
+    for table in (next_pose, collided):
+        table.flags.writeable = False
+    return next_pose, collided
+
+
+def _flat_inputs(arena: Arena, horizon: int) -> tuple[np.ndarray, np.ndarray]:
+    """``_input_table`` with one row per ``_flat_pose``."""
+    return tuple(table.reshape(-1, len(RAY_OFFSETS)) for table in _input_table(arena, horizon))
 
 
 def run_training(arena: Arena, cfg: TrainConfig, seed: int, model: str = "tdms",
@@ -472,13 +543,20 @@ def run_training(arena: Arena, cfg: TrainConfig, seed: int, model: str = "tdms",
     """
     if params is None:
         params = mm.default_params()
+    price = mm.array_pricer(DEPTH_BITS, model, params)
     lfsr = Lfsr(seed)
     net, lfsr = init_network(lfsr, horizon=arena_horizon(arena))
     pad = Scratchpad(cfg.capacity)
-    operands, scaled = _input_table(arena, net.horizon)
+    operands, scaled = _flat_inputs(arena, net.horizon)
+    next_pose, collided = _pose_table(arena)
+    start = _flat_pose(arena, arena.start, 0)
 
     # stochastic synapses sit on the sensor fan-in (first layer), refreshed
     # every forward pass and every training step
+    shape = net.w1.shape
+    mask_words = net.w1.size if cfg.stochastic else 0
+    # the most a step draws: two masks, two epsilon-greedy words and a batch
+    block = 2 * mask_words + 2 + cfg.batch_size
     it_rows, ep_rows, cov_rows, rew_rows, en_rows = [], [], [], [], []
     episode_coverage = []
     converged = False
@@ -489,44 +567,48 @@ def run_training(arena: Arena, cfg: TrainConfig, seed: int, model: str = "tdms",
     best_net = None
 
     for ep in range(cfg.episodes):
-        state = RobotState(arena.start, 0)
-        visited = {state.position}
+        pose = start
+        visited = bytearray(arena.width * arena.height)
+        visited[pose // N_HEADINGS] = 1
+        covered = 1
         eps = cfg.epsilon(ep)
-        pose = (*state.position, state.heading)
         for _ in range(cfg.max_steps):
-            keep = None
-            if cfg.stochastic:
-                keep, lfsr = drop_mask(net.w1.shape, cfg.drop_p, lfsr)
-            qvals, energy = q_forward(net, operands[pose], keep, model, params)
-            action, lfsr = select_action(qvals, eps, lfsr)
-            new_state, collided = apply_action(arena, state, action)
+            words = lfsr.words(block)
+            keep = keep_mask(words[:mask_words], cfg.drop_p, shape) if mask_words else None
+            qvals, energy = _forward(net, operands[pose], keep, price)
+            action, used = _epsilon_greedy(qvals, eps, words[mask_words:])
+            used += mask_words
+            new_pose = int(next_pose[pose, action])
             reward = 0.0
-            if collided:
+            if collided[pose, action]:
                 reward = COLLISION_REWARD
-            elif new_state.position not in visited:
-                visited.add(new_state.position)
+            elif not visited[new_pose // N_HEADINGS]:
+                visited[new_pose // N_HEADINGS] = 1
+                covered += 1
                 reward = NEW_CELL_REWARD
-            terminal = len(visited) == arena.free_cells
-            new_pose = (*new_state.position, new_state.heading)
+            terminal = covered == arena.free_cells
             pad.push(scaled[pose], action, reward, scaled[new_pose], terminal)
 
             if len(pad) >= cfg.batch_size:
-                batch, lfsr = pad.sample(cfg.batch_size, lfsr)
+                batch = pad.sample(words[used:used + cfg.batch_size])
+                used += cfg.batch_size
                 keep = None
-                if cfg.stochastic:
-                    keep, lfsr = drop_mask(net.w1.shape, cfg.drop_p, lfsr)
+                if mask_words:
+                    keep = keep_mask(words[used:used + mask_words], cfg.drop_p, shape)
+                    used += mask_words
                 net = train_step(net, batch, cfg, keep)
+            lfsr = lfsr.advance(used)
 
             it_rows.append(iteration)
             ep_rows.append(ep)
-            cov_rows.append(len(visited))
+            cov_rows.append(covered)
             rew_rows.append(reward)
             en_rows.append(energy)
             iteration += 1
-            state, pose = new_state, new_pose
+            pose = new_pose
             if terminal:
                 break
-        episode_coverage.append(len(visited))
+        episode_coverage.append(covered)
         window = episode_coverage[-cfg.convergence_window:]
         if len(window) == cfg.convergence_window:
             avg = sum(window) / len(window)
@@ -559,19 +641,23 @@ def run_policy(arena: Arena, net: QNetwork, eps: float, steps: int, seed: int,
     With stochastic=True the synapse masks stay active, matching how a
     stochastic-hardware policy actually executes.
     """
+    if mm.check_int(steps, "steps") < 0:
+        raise ValueError(f"steps must be non-negative, got {steps}")
     if params is None:
         params = mm.default_params()
+    price = mm.array_pricer(DEPTH_BITS, model, params)
     lfsr = Lfsr(seed)
-    operands, _ = _input_table(arena, net.horizon)
-    state = RobotState(arena.start, 0)
-    visited = {state.position}
+    operands, _ = _flat_inputs(arena, net.horizon)
+    next_pose, _ = _pose_table(arena)
+    pose = _flat_pose(arena, arena.start, 0)
+    visited = bytearray(arena.width * arena.height)
+    visited[pose // N_HEADINGS] = 1
     for _ in range(steps):
         keep = None
         if stochastic:
             keep, lfsr = drop_mask(net.w1.shape, drop_p, lfsr)
-        qvals, _ = q_forward(net, operands[(*state.position, state.heading)],
-                             keep, model, params)
+        qvals, _ = _forward(net, operands[pose], keep, price)
         action, lfsr = select_action(qvals, eps, lfsr)
-        state, _ = apply_action(arena, state, action)
-        visited.add(state.position)
-    return len(visited)
+        pose = int(next_pose[pose, action])
+        visited[pose // N_HEADINGS] = 1
+    return sum(visited)

@@ -15,7 +15,12 @@ returns the next k words without stepping, the loop converts each word it
 uses with ``to_uniform``/``to_randint`` (the conversions ``uniform`` and
 ``randint`` apply), and ``advance(used)`` then gives the state after the
 words it used, in one table lookup. The result is bit-identical to making
-the same draws one call at a time.
+the same draws one call at a time. A drop-connect mask drawn from a block is
+``keep_mask`` on a slice of it, as ``drop_mask`` draws it.
+
+Each step of the grid swarm workloads and each ``qnav`` training step reads
+one block this way. A training step's block holds, in order, its action
+mask, its epsilon-greedy words, its replay sample and its update mask.
 """
 
 from __future__ import annotations
@@ -199,8 +204,13 @@ def drop_mask(shape: tuple[int, int], p: float, lfsr: Lfsr) -> tuple[np.ndarray,
     if not 0 <= p < 1:
         raise ValueError(f"drop probability must be in [0, 1), got {p}")
     rows, cols = shape
-    u, nxt = lfsr.uniforms(rows * cols)
-    return (u >= p).reshape(rows, cols), nxt
+    return keep_mask(lfsr.words(rows * cols), p, shape), lfsr.advance(rows * cols)
+
+
+def keep_mask(words, p: float, shape: tuple[int, int]) -> np.ndarray:
+    """The keep array that 16-bit samples ``words`` draw in ``drop_mask``'s
+    row-major order: an entry is dropped (False) when its sample is below p."""
+    return (to_uniform(words) >= p).reshape(shape)
 
 
 def masked_weights(weights: np.ndarray, keep: np.ndarray) -> np.ndarray:

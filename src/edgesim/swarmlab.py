@@ -319,6 +319,12 @@ class SwarmConfig:
             raise ValueError(f"unknown workload {self.workload!r}; expected one of {WORKLOADS}")
         if not MIN_AGENTS <= mm.check_int(self.n_agents, "n_agents") <= MAX_AGENTS:
             raise ValueError(f"n_agents must be in [{MIN_AGENTS}, {MAX_AGENTS}]")
+        if mm.check_int(self.seed, "seed") < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
+        # the grid workloads start their LFSR at the seed
+        if self.workload in ("predprey", "explore") and not 0 < self.seed <= 0xFFFF:
+            raise ValueError(f"seed of the {self.workload} workload must be a nonzero "
+                             f"16-bit LFSR state, got {self.seed:#x}")
         mm.check_model(self.model)
         if self.predator_policy not in PREDATOR_POLICIES:
             raise ValueError(f"unknown predator policy {self.predator_policy!r}; "
@@ -797,6 +803,8 @@ def run_workload(scn: Scenario, params: EnergyParams | None = None,
         params = mm.default_params()
     if budget is None:
         budget = DEFAULT_BUDGETS[cfg.workload]
+    elif mm.check_int(budget, "budget") < 0:
+        raise ValueError(f"budget must be non-negative, got {budget}")
     meter = LpuMeter(cfg.bits, params, cfg.model)
     state = init_state(scn)
     actions = 0

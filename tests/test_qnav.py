@@ -4,7 +4,7 @@ from collections import deque
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from edgesim import macmodel as mm
@@ -29,7 +29,7 @@ from edgesim.qnav import (
     sense,
     train_step,
 )
-from edgesim.stochsyn import Lfsr, drop_mask
+from edgesim.stochsyn import BITS_PER_SAMPLE, LFSR_PERIOD, Lfsr, _cycle_tables, drop_mask
 
 
 @pytest.fixture(scope="module")
@@ -135,6 +135,19 @@ def test_qnetwork_layers_cannot_change_under_its_cache(params):
         with pytest.raises(ValueError, match="read-only"):
             layer[0, 0] = 0.0
     assert np.array_equal(q_forward(net, x, None, "tdms", params)[0], q)
+
+
+@pytest.mark.parametrize("layer", ["w1", "w2"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("model", mm.MODELS)
+def test_q_forward_rejects_non_finite_weights(params, layer, bad, model):
+    # the forward skips its accumulator checks on layers too narrow to
+    # overflow, which holds only for quantized magnitudes <= DEPTH_MAX
+    net, _ = init_network(Lfsr(0xACE1))
+    w = {"w1": net.w1.copy(), "w2": net.w2.copy()}
+    w[layer][0, 0] = bad
+    with pytest.raises(ValueError, match="finite"):
+        q_forward(QNetwork(**w), proximity(np.array([2, 3, 4])), None, model, params)
 
 
 def test_q_forward_all_drop_equals_zero_weights(params):
@@ -346,11 +359,20 @@ def test_config_accepts_boundary_values():
                 convergence_frac=1.0, drop_p=0.0, eps_start=1.0, eps_end=0.0, eps_decay=1.0)
 
 
-class _CountingDraw:
-    """Stands in for the LFSR: draw value i is i, so a sample lists the rows oldest first."""
+@pytest.mark.parametrize("field", ["stochastic", "stop_at_convergence"])
+@pytest.mark.parametrize("value", [2, 0, 1.0, "yes", None])
+def test_config_rejects_non_bool_flags(field, value):
+    # a training step sizes its LFSR block from `stochastic`
+    with pytest.raises(TypeError, match=field):
+        TrainConfig(**{field: value})
 
-    def randints(self, count, n):
-        return np.arange(count) % n, self
+
+def test_config_accepts_numpy_bool_flags():
+    flags = dict(episodes=1, max_steps=20, stochastic=False, stop_at_convergence=True)
+    a = run_training(SMALL_ARENA, TrainConfig(**{k: np.bool_(v) if isinstance(v, bool) else v
+                                                 for k, v in flags.items()}), seed=0x0BAD)
+    b = run_training(SMALL_ARENA, TrainConfig(**flags), seed=0x0BAD)
+    assert list(a.rows()) == list(b.rows())
 
 
 def test_scratchpad_evicts_oldest():
@@ -358,7 +380,8 @@ def test_scratchpad_evicts_oldest():
     for i in range(5):
         pad.push(np.full(3, i), 0, 0.0, np.full(3, i), False)
     assert len(pad) == 3
-    (s, *_), _ = pad.sample(3, _CountingDraw())
+    # draw value i picks the i-th oldest row, so draws 0, 1, 2 list them oldest first
+    s, *_ = pad.sample(np.arange(3))
     stored = [int(v) for v in s[:, 0]]
     assert stored == [2, 3, 4]
 
@@ -367,8 +390,8 @@ def test_scratchpad_sampling_deterministic():
     pad = Scratchpad(8)
     for i in range(8):
         pad.push(np.full(3, i), 0, 0.0, np.full(3, i), False)
-    b1, _ = pad.sample(4, Lfsr(0xACE1))
-    b2, _ = pad.sample(4, Lfsr(0xACE1))
+    b1 = pad.sample(Lfsr(0xACE1).words(4))
+    b2 = pad.sample(Lfsr(0xACE1).words(4))
     assert [int(v) for v in b1[0][:, 0]] == [int(v) for v in b2[0][:, 0]]
 
 
@@ -386,13 +409,15 @@ def test_scratchpad_matches_deque_oracle(capacity, pushes, n, seed):
         pad.push(*row)
         buf.append(row)
     assert len(pad) == len(buf)
+    draws = Lfsr(seed).words(n)
     if not buf:
         with pytest.raises(ValueError):
-            pad.sample(n, Lfsr(seed))
+            pad.sample(draws)
         return
     idx, after = Lfsr(seed).randints(n, len(buf))
-    batch, pad_after = pad.sample(n, Lfsr(seed))
-    assert pad_after == after
+    batch = pad.sample(draws)
+    # the caller steps past the draws it passed, which is where randints stops
+    assert Lfsr(seed).advance(len(draws)) == after
     for field_i, got in enumerate(batch):
         want = np.array([buf[i][field_i] for i in idx])
         assert got.dtype == want.dtype
@@ -458,6 +483,19 @@ def test_run_policy_deterministic(small_run):
     assert 1 <= c1 <= SMALL_ARENA.free_cells
 
 
+@pytest.mark.parametrize("steps, error", [(-1, ValueError), (2.5, TypeError),
+                                          (3.0, TypeError), (True, TypeError)])
+def test_run_policy_rejects_bad_step_counts(small_run, steps, error):
+    with pytest.raises(error, match="steps"):
+        run_policy(SMALL_ARENA, small_run.net, 0.1, steps, seed=7)
+
+
+def test_run_policy_step_counts(small_run):
+    assert run_policy(SMALL_ARENA, small_run.net, 0.1, 0, seed=7) == 1  # the start cell
+    assert (run_policy(SMALL_ARENA, small_run.net, 0.1, np.int64(100), seed=7)
+            == run_policy(SMALL_ARENA, small_run.net, 0.1, 100, seed=7))
+
+
 # sha256 of TrainingTrace.rows(), episode_coverage and convergence_episode on
 # the default arena at seed 0xACE1 (the hash bench/workloads.digest_training
 # uses), captured while default_params() still ran the calibration fit
@@ -469,11 +507,14 @@ TRAINING_GOLDEN = {
 }
 
 
-def _training_digest(trace):
+def _training_text(trace):
     rows = repr(list(trace.rows()))
     coverage = repr([int(c) for c in trace.episode_coverage])
-    text = f"{rows}|{coverage}|{int(trace.convergence_episode)}"
-    return hashlib.sha256(text.encode()).hexdigest()
+    return f"{rows}|{coverage}|{int(trace.convergence_episode)}".encode()
+
+
+def _training_digest(trace):
+    return hashlib.sha256(_training_text(trace)).hexdigest()
 
 
 @pytest.mark.parametrize("episodes, model", list(TRAINING_GOLDEN), ids=str)
@@ -545,3 +586,195 @@ def test_training_golden_small_arena():
     assert qnav.arena_horizon(ARENA_10) == 8
     trace = run_training(ARENA_10, TrainConfig(episodes=3), 0xACE1, "tdms")
     assert _training_digest(trace) == ARENA_10_GOLDEN
+
+
+# sha256 of _training_text followed by the bytes of trace.net.w1 and
+# trace.net.w2, on the default arena at 0xACE1 under tdms, captured before a
+# training step read its LFSR draws as one block. Without masks a step's block
+# holds no mask words; at epsilon 1 every step draws the random-action word.
+STEP_SHAPE_GOLDEN = {
+    "no-masks": (dict(episodes=3, stochastic=False),
+                 "87a18f6f9425f4fce903d9fb31f7e80d6a9ce675730ce2fe2aba48ec94649799"),
+    "always-explore": (dict(episodes=2, eps_start=1.0, eps_end=1.0),
+                       "38090ee6d2eab0c276e7b5f7a24e93d2133366b859001ada81a5709ee4cfbc87"),
+}
+
+
+@pytest.mark.parametrize("case", list(STEP_SHAPE_GOLDEN))
+def test_training_step_shape_golden(case):
+    fields, golden = STEP_SHAPE_GOLDEN[case]
+    trace = run_training(default_arena(), TrainConfig(**fields), 0xACE1, "tdms")
+    digest = hashlib.sha256(_training_text(trace) + trace.net.w1.tobytes()
+                            + trace.net.w2.tobytes()).hexdigest()
+    assert digest == golden
+
+
+# ---------------------------------------------------------------------------
+# pose table and the one-block training step
+
+
+def _check_pose_table(arena):
+    """The pose table against apply_action, and the flat pose against the
+    input table, at every free pose and action."""
+    next_pose, collided = qnav._pose_table(arena)
+    assert qnav._pose_table(arena)[0] is next_pose
+    operands, _ = qnav._input_table(arena, 4)
+    flat, _ = qnav._flat_inputs(arena, 4)
+    for x in range(arena.width):
+        for y in range(arena.height):
+            if not arena.is_free((x, y)):
+                continue
+            for h in range(qnav.N_HEADINGS):
+                pose = qnav._flat_pose(arena, (x, y), h)
+                assert pose // qnav.N_HEADINGS == x * arena.height + y
+                assert np.array_equal(flat[pose], operands[x, y, h])
+                for action in range(qnav.N_ACTIONS):
+                    new, hit = apply_action(arena, RobotState((x, y), h), action)
+                    assert next_pose[pose, action] == qnav._flat_pose(arena, new.position,
+                                                                      new.heading)
+                    assert collided[pose, action] == hit
+    for table in (next_pose, collided):
+        with pytest.raises(ValueError):
+            table[0, 0] = 0
+
+
+@pytest.mark.parametrize("arena", [default_arena(), ARENA_10, SMALL_ARENA], ids=str)
+def test_pose_table_matches_apply_action(arena):
+    _check_pose_table(arena)
+
+
+@st.composite
+def _arenas(draw):
+    width, height = draw(st.integers(3, 9)), draw(st.integers(3, 9))
+    boundary = {(x, y) for x in range(width) for y in range(height)
+                if x in (0, width - 1) or y in (0, height - 1)}
+    interior = sorted({(x, y) for x in range(width) for y in range(height)} - boundary)
+    blocked = draw(st.sets(st.sampled_from(interior), max_size=len(interior) - 1))
+    start = draw(st.sampled_from(sorted(set(interior) - blocked)))
+    return Arena(width, height, frozenset(boundary | blocked), start)
+
+
+@settings(max_examples=40, deadline=None)
+@given(arena=_arenas())
+def test_pose_table_matches_apply_action_on_drawn_arenas(arena):
+    _check_pose_table(arena)
+
+
+TINY_ARENA = Arena.from_text("####\n#.S#\n#..#\n####")
+# the words init_network draws before the first training step
+_INIT_WORDS = 16 * 3 + qnav.N_ACTIONS * 16
+
+
+def _per_call_training(arena, cfg, seed, ends):
+    """run_training's steps with one call per draw: drop_mask, select_action
+    and a scratchpad sample that steps past its own words, moving the robot
+    by apply_action. No convergence check: the runs here end before a full
+    window. Appends the LFSR after each step to ``ends``."""
+    params = default_params()
+    lfsr = Lfsr(seed)
+    net, lfsr = init_network(lfsr, horizon=qnav.arena_horizon(arena))
+    pad = Scratchpad(cfg.capacity)
+    operands, scaled = qnav._input_table(arena, net.horizon)
+    rows, coverage = [], []
+    for ep in range(cfg.episodes):
+        state = RobotState(arena.start, 0)
+        visited = {state.position}
+        for _ in range(cfg.max_steps):
+            pose = (*state.position, state.heading)
+            keep = None
+            if cfg.stochastic:
+                keep, lfsr = drop_mask(net.w1.shape, cfg.drop_p, lfsr)
+            qvals, energy = q_forward(net, operands[pose], keep, "tdms", params)
+            action, lfsr = select_action(qvals, cfg.epsilon(ep), lfsr)
+            new_state, collided = apply_action(arena, state, action)
+            reward = 0.0
+            if collided:
+                reward = qnav.COLLISION_REWARD
+            elif new_state.position not in visited:
+                visited.add(new_state.position)
+                reward = qnav.NEW_CELL_REWARD
+            terminal = len(visited) == arena.free_cells
+            pad.push(scaled[pose], action, reward,
+                     scaled[(*new_state.position, new_state.heading)], terminal)
+            if len(pad) >= cfg.batch_size:
+                batch = pad.sample(lfsr.words(cfg.batch_size))
+                lfsr = lfsr.advance(cfg.batch_size)
+                keep = None
+                if cfg.stochastic:
+                    keep, lfsr = drop_mask(net.w1.shape, cfg.drop_p, lfsr)
+                net = qnav.train_step(net, batch, cfg, keep)
+            ends.append(lfsr)
+            rows.append((len(visited), reward, energy))
+            state = new_state
+            if terminal:
+                break
+        coverage.append(len(visited))
+    return rows, coverage, net
+
+
+def _same(a, b):
+    if a is None or b is None:
+        return a is None and b is None
+    if isinstance(a, tuple):
+        return len(a) == len(b) and all(_same(u, v) for u, v in zip(a, b))
+    return a.dtype == b.dtype and np.array_equal(a, b)
+
+
+def _stream_slot_index(slot):
+    """The cycle index whose words start at stream slot ``slot``."""
+    return slot * BITS_PER_SAMPLE % LFSR_PERIOD
+
+
+@settings(max_examples=60, deadline=None)
+@example(index=LFSR_PERIOD - 1, eps=1.0, stochastic=True, batch_size=2, steps=6, arena=0)
+@example(index=_stream_slot_index(LFSR_PERIOD - 30), eps=0.0, stochastic=True, batch_size=1,
+         steps=8, arena=1)
+@example(index=12345, eps=1.0, stochastic=False, batch_size=6, steps=4, arena=0)
+@given(index=st.one_of(st.integers(0, LFSR_PERIOD - 1),
+                       st.integers(LFSR_PERIOD - 2000, LFSR_PERIOD - 1)),
+       eps=st.sampled_from([0.0, 1.0, 0.4]), stochastic=st.booleans(),
+       batch_size=st.integers(1, 6), steps=st.integers(1, 12), arena=st.sampled_from([0, 1]))
+def test_block_step_matches_per_call_draws(index, eps, stochastic, batch_size, steps, arena):
+    # one block read and one advance(used) per step give the same action
+    # masks, actions, replay rows, update masks and LFSR states as drawing
+    # each of them with its own call; the first step starts at cycle index
+    # `index` (near the cycle's end, a step's words and advance wrap)
+    arena = (TINY_ARENA, SMALL_ARENA)[arena]
+    seed = int(_cycle_tables()[0][(index - BITS_PER_SAMPLE * _INIT_WORDS) % LFSR_PERIOD])
+    cfg = TrainConfig(episodes=2, max_steps=steps, batch_size=batch_size, capacity=batch_size + 3,
+                      stochastic=stochastic, eps_start=eps, eps_end=eps)
+    forward, update, advance = qnav._forward, qnav.train_step, Lfsr.advance
+
+    def run(per_call):
+        log, ends = [], []
+        with pytest.MonkeyPatch.context() as mp:
+            def spy_forward(net, x, keep, price):
+                log.append(("act", keep))
+                return forward(net, x, keep, price)
+
+            def spy_update(net, batch, cfg, keep=None):
+                log.append(("update", batch, keep))
+                return update(net, batch, cfg, keep)
+
+            mp.setattr(qnav, "_forward", spy_forward)
+            mp.setattr(qnav, "train_step", spy_update)
+            if per_call:
+                return log, ends, _per_call_training(arena, cfg, seed, ends)
+
+            def spy_advance(lfsr, count):
+                ends.append(advance(lfsr, count))
+                return ends[-1]
+
+            mp.setattr(Lfsr, "advance", spy_advance)
+            trace = run_training(arena, cfg, seed, "tdms")
+            return log, ends[1:], trace  # ends[0] is init_network's draw
+
+    log, ends, trace = run(per_call=False)
+    want_log, want_ends, (rows, coverage, net) = run(per_call=True)
+    assert len(log) == len(want_log)
+    for got, want in zip(log, want_log):
+        assert got[0] == want[0] and all(_same(u, v) for u, v in zip(got[1:], want[1:]))
+    assert ends == want_ends
+    assert [row[2:] for row in trace.rows()] == rows
+    assert trace.episode_coverage.tolist() == coverage
+    assert np.array_equal(trace.net.w1, net.w1) and np.array_equal(trace.net.w2, net.w2)

@@ -453,3 +453,50 @@ def test_scenario_file_defaults_and_unknown_keys(tmp_path):
                     "\n[agents]\n1.0 2.0\n3.0 4.0\n")
     with pytest.raises(ValueError, match="model"):
         sl.load_scenario(path)
+
+
+@pytest.mark.parametrize("workload", ["explore", "predprey"])
+@pytest.mark.parametrize("seed", [0, 0x1ACE1, -5])
+def test_grid_workloads_reject_seeds_outside_the_lfsr_range(workload, seed):
+    # the grid workloads start their LFSR at the seed; a seed it rejects used
+    # to construct and then fail at the first run
+    with pytest.raises(ValueError, match="seed"):
+        sl.make_scenario(workload, 3, seed=seed)
+
+
+@pytest.mark.parametrize("workload", ["path", "formation"])
+def test_apf_workloads_take_any_non_negative_seed(workload):
+    for seed in (0, 0x1ACE1):
+        assert sl.make_scenario(workload, 3, seed=seed).config.seed == seed
+    with pytest.raises(ValueError, match="seed"):
+        sl.make_scenario(workload, 3, seed=-5)
+
+
+@pytest.mark.parametrize("workload", sl.WORKLOADS)
+@pytest.mark.parametrize("seed", [1.5, 2.0, True, "1", None])
+def test_swarm_config_rejects_non_integer_seeds(workload, seed):
+    with pytest.raises(TypeError, match="seed"):
+        sl.SwarmConfig(workload=workload, n_agents=3, seed=seed)
+
+
+def test_grid_workloads_run_at_both_ends_of_the_seed_range():
+    for workload in ("explore", "predprey"):
+        for seed in (1, 0xFFFF, np.uint16(0xFFFF)):
+            scn = sl.make_scenario(workload, 3, seed=seed)
+            assert sl.run_workload(scn, budget=3).steps <= 3
+
+
+@pytest.mark.parametrize("budget, error", [(-1, ValueError), (2.5, TypeError), (3.0, TypeError),
+                                           (True, TypeError), ("3", TypeError)])
+def test_run_workload_rejects_bad_budgets(budget, error):
+    scn = sl.make_scenario("explore", 3, seed=1)
+    with pytest.raises(error, match="budget"):
+        sl.run_workload(scn, budget=budget)
+
+
+def test_run_workload_budgets():
+    scn = sl.make_scenario("explore", 3, seed=1)
+    assert sl.run_workload(scn, budget=0).steps == 0
+    assert sl.run_workload(scn, budget=np.int64(4)).row() == sl.run_workload(scn, budget=4).row()
+    assert (sl.run_workload(scn, budget=None).row()
+            == sl.run_workload(scn, budget=sl.DEFAULT_BUDGETS["explore"]).row())

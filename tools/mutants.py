@@ -1,8 +1,8 @@
 """Mutation audit: check that the tier-1 suite fails on hand-written source mutants.
 
 Each mutant is one exact-match text replacement in one file, plus the reason
-it exists. The audit copies ``src``, ``tests`` and ``pyproject.toml`` to a
-temporary directory, checks that the unmutated copy passes, then applies each
+it exists. The audit copies ``src``, ``tests``, ``bench`` and ``pyproject.toml``
+to a temporary directory, checks that the unmutated copy passes, then applies each
 mutant to a fresh copy and runs the suite there (``pytest -x``). A mutant is
 killed when the suite fails. Mutants marked equivalent cannot change any
 result; they stay on the list with the reason, and their survival is expected.
@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-COPIED = ("src", "tests", "pyproject.toml")
+COPIED = ("src", "tests", "bench", "pyproject.toml")
 SWARM = "src/edgesim/swarmlab.py"
 QNAV = "src/edgesim/qnav.py"
 STOCHSYN = "src/edgesim/stochsyn.py"
@@ -114,6 +114,45 @@ MUTANTS = (
            "            pass\n",
            "a float or bool LFSR state constructs and fails only inside numpy at the "
            "first draw"),
+    Mutant("train-advance-block", QNAV,
+           "            lfsr = lfsr.advance(used)\n",
+           "            lfsr = lfsr.advance(block)\n",
+           "a training step advances the LFSR past the words it used, not past its "
+           "whole block"),
+    Mutant("train-collided-ignored", QNAV,
+           "            if collided[pose, action]:",
+           "            if False and collided[pose, action]:",
+           "a refused move earns the collision penalty from the pose table's flag"),
+    Mutant("train-update-mask-reused", QNAV,
+           "keep = keep_mask(words[used:used + mask_words], cfg.drop_p, shape)",
+           "keep = keep_mask(words[:mask_words], cfg.drop_p, shape)",
+           "the update mask reads its own words, after the replay sample's"),
+    Mutant("forward-safe-fan-in", QNAV,
+           "_SAFE_FAN_IN = mm.ACC_MAX // (DEPTH_MAX * DEPTH_MAX)",
+           "_SAFE_FAN_IN = 2 * mm.ACC_MAX // (DEPTH_MAX * DEPTH_MAX)",
+           "the forward skips its accumulator checks only for layers too narrow to "
+           "overflow"),
+    Mutant("qnetwork-finite", QNAV,
+           "            if not np.isfinite(w).all():",
+           "            if False:",
+           "a NaN weight quantizes past DEPTH_MAX, and the forward's accumulator bound "
+           "no longer holds"),
+    Mutant("train-config-bool", QNAV,
+           "            if not isinstance(getattr(self, name), (bool, np.bool_)):",
+           "            if False:",
+           "TrainConfig(stochastic=2) would size a step's LFSR block from a non-bool"),
+    Mutant("run-policy-steps", QNAV,
+           'if mm.check_int(steps, "steps") < 0:',
+           "if steps < -1:",
+           "run_policy(steps=-1) silently covered the start cell only"),
+    Mutant("swarm-seed-range", SWARM,
+           'self.workload in ("predprey", "explore") and not 0 < self.seed <= 0xFFFF',
+           'self.workload in ("predprey",) and not 0 < self.seed <= 0xFFFF',
+           "an explore seed outside the LFSR's range failed only at run time"),
+    Mutant("run-workload-budget", SWARM,
+           'elif mm.check_int(budget, "budget") < 0:',
+           "elif budget < -1:",
+           "a budget of -1, 2.5 or True ran 0, 3 or 1 steps"),
     Mutant("predprey-eps-boundary", SWARM,
            "            if u < PRED_EPS:",
            "            if u <= PRED_EPS:",
