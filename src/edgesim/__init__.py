@@ -8,13 +8,10 @@ from edgesim.macmodel import (
     Operand,
     calibrate_energy,
     default_params,
-    digital_mac,
-    hdms_mac,
-    hdms_plan,
+    mac,
     mean_energy,
     quantize,
     dequantize,
-    tdms_mac,
 )
 from edgesim.stochsyn import Lfsr, drop_mask, masked_weights
 
@@ -28,13 +25,10 @@ __all__ = [
     "calibrate_energy",
     "default_params",
     "dequantize",
-    "digital_mac",
     "drop_mask",
-    "hdms_mac",
-    "hdms_plan",
+    "mac",
     "masked_weights",
     "mean_energy",
     "quantize",
-    "tdms_mac",
     "__version__",
 ]

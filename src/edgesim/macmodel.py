@@ -1,17 +1,20 @@
 """Functional and energy models of digital, TD-MS, and HD-MS multiply-accumulate units.
 
-Three MAC flavors share one value contract (signed integer product plus
-accumulator) but differ in how energy is charged:
+One ``mac`` serves all three models: every model computes the same value
+(signed integer product plus a 24-bit accumulator) and differs only in the
+energy it is charged and the oscillator (DCO) cycles it runs:
 
-* digital   - energy depends on bit width only, quadratic in b.
+* digital   - energy depends on bit width only, quadratic in b; no cycles.
 * tdms      - a pulse-width/counter scheme: one oscillator cycle per unit of
               x*w, so energy is affine in the product magnitude.
 * hdms      - pure TD-MS up to 5-bit operands; above that, both operands are
               split into a low 5-bit and a high (b-5)-bit chunk and the four
               partial products run on the 5-bit kernel with digital shift-add.
 
-All energies scale with the square of the supply voltage relative to the
-calibration reference.
+``energy_table`` is the one place that maps a model to its energy formula;
+``mac``, ``mean_energy`` and ``array_pricer`` price from it. All energies
+scale with the square of the supply voltage relative to the calibration
+reference.
 """
 
 from __future__ import annotations
@@ -137,42 +140,6 @@ class EnergyParams:
         return replace(self, v_supply=v_supply)
 
 
-@dataclass(frozen=True)
-class HdmsPlan:
-    """Chunk decomposition used by the HD-MS kernel at a given bit width.
-
-    ``chunks`` lists (shift, width) per operand; ``partial_shifts`` gives the
-    left-shift applied to each of the ``kernel_passes`` partial products.
-    """
-
-    chunks: tuple
-    partial_shifts: tuple
-    kernel_passes: int
-
-
-def hdms_plan(bits: int) -> HdmsPlan:
-    """Plan the chunking for ``bits``-wide operands: single pass up to 5 bits,
-    otherwise a 2x2 schoolbook split into low-5/high-(b-5) chunks."""
-    bits = check_bits(bits)
-    if bits <= TDMS_KERNEL_BITS:
-        return HdmsPlan(
-            chunks=((0, bits),),
-            partial_shifts=(0,),
-            kernel_passes=1,
-        )
-    low = TDMS_KERNEL_BITS
-    return HdmsPlan(
-        chunks=((0, low), (low, bits - low)),
-        partial_shifts=(0, low, low, 2 * low),
-        kernel_passes=4,
-    )
-
-
-def split_chunks(magnitude: int, plan: HdmsPlan) -> tuple:
-    """Split a magnitude into the plan's chunk values (low chunk first)."""
-    return tuple((magnitude >> shift) & ((1 << width) - 1) for shift, width in plan.chunks)
-
-
 # ---------------------------------------------------------------------------
 # quantization front-end
 
@@ -198,15 +165,15 @@ def quantize(x: float, bits: int, value_range: float) -> Operand:
     bits = check_bits(bits)
     if not np.isfinite(x):
         raise ValueError(f"cannot quantize non-finite value {x!r}")
-    if value_range <= 0:
-        raise ValueError(f"range must be positive, got {value_range}")
+    if not 0 < value_range < np.inf:
+        raise ValueError(f"quantize range must be in (0, inf), got {value_range}")
     return Operand(quantize_mag(x, bits, value_range), sign=1 if x >= 0 else -1)
 
 
 def dequantize(op: Operand, bits: int, value_range: float) -> float:
     bits = check_bits(bits)
-    if value_range <= 0:
-        raise ValueError(f"range must be positive, got {value_range}")
+    if not 0 < value_range < np.inf:
+        raise ValueError(f"dequantize range must be in (0, inf), got {value_range}")
     return op.sign * op.magnitude / ((1 << bits) - 1) * value_range
 
 
@@ -229,11 +196,11 @@ def tdms_energy(cycles, bits: int, params: EnergyParams):
 
 def _chunk_cycles(x_mag, w_mag):
     """Oscillator cycles of the four low/high chunk partial products, each on
-    the 5-bit kernel (operands wider than the kernel)."""
+    the 5-bit kernel (operands wider than the kernel): xl*wl + xl*wh + xh*wl
+    + xh*wh, which factors into ds(x)*ds(w) with ds(m) = low(m) + high(m)."""
     low_mask = (1 << TDMS_KERNEL_BITS) - 1
-    xl, xh = x_mag & low_mask, x_mag >> TDMS_KERNEL_BITS
-    wl, wh = w_mag & low_mask, w_mag >> TDMS_KERNEL_BITS
-    return xl * wl + xl * wh + xh * wl + xh * wh
+    return (((x_mag & low_mask) + (x_mag >> TDMS_KERNEL_BITS))
+            * ((w_mag & low_mask) + (w_mag >> TDMS_KERNEL_BITS)))
 
 
 def hdms_energy(x_mag, w_mag, bits: int, params: EnergyParams):
@@ -254,77 +221,32 @@ def hdms_energy(x_mag, w_mag, bits: int, params: EnergyParams):
 # MAC operations
 
 
-def _check_mac_inputs(x: Operand, w: Operand, acc: int, bits: int) -> int:
+def mac(model: str, x: Operand, w: Operand, acc: int, params: EnergyParams, bits: int) -> MacResult:
+    """One multiply-accumulate under ``model``: ``acc`` plus the signed
+    product, priced from ``energy_table``. Digital runs no oscillator cycles;
+    TD-MS, and HD-MS up to 5 bits, count x*w cycles in one kernel pass; wider
+    HD-MS operands run the four chunk partial products in 4 passes."""
+    check_model(model)
     bits = check_bits(bits)
     x.check_fits(bits)
     w.check_fits(bits)
+    acc = check_int(acc, "accumulator")
     if not ACC_MIN <= acc <= ACC_MAX:
         raise OverflowError(f"accumulator input {acc} outside {ACC_BITS}-bit signed range")
-    return bits
-
-
-def _accumulate(acc: int, signed_product: int) -> int:
-    value = acc + signed_product
+    product = x.magnitude * w.magnitude
+    value = acc + x.sign * w.sign * product
     if not ACC_MIN <= value <= ACC_MAX:
         raise OverflowError(
-            f"accumulator overflow: {acc} + {signed_product} leaves {ACC_BITS}-bit signed range"
+            f"accumulator overflow: {acc} + {value - acc} leaves {ACC_BITS}-bit signed range"
         )
-    return value
-
-
-def tdms_mac(x: Operand, w: Operand, acc: int, params: EnergyParams, bits: int) -> MacResult:
-    """Time-domain MAC: the counter runs for x*w oscillator cycles, counting up
-    or down according to the sign product."""
-    bits = _check_mac_inputs(x, w, acc, bits)
-    cycles = x.magnitude * w.magnitude
-    value = _accumulate(acc, x.sign * w.sign * cycles)
-    return MacResult(
-        value=value,
-        energy_pj=float(tdms_energy(cycles, bits, params)),
-        dco_cycles=cycles,
-        kernel_passes=1,
-    )
-
-
-def digital_mac(x: Operand, w: Operand, acc: int, params: EnergyParams, bits: int) -> MacResult:
-    """Digital baseline MAC: same value contract, operand-independent energy."""
-    bits = _check_mac_inputs(x, w, acc, bits)
-    product = x.magnitude * w.magnitude
-    value = _accumulate(acc, x.sign * w.sign * product)
-    return MacResult(
-        value=value,
-        energy_pj=float(digital_energy(bits, params)),
-        dco_cycles=0,
-        kernel_passes=1,
-    )
-
-
-def hdms_mac(x: Operand, w: Operand, acc: int, params: EnergyParams, bits: int) -> MacResult:
-    """Hybrid MAC: below 6 bits this is exactly tdms_mac; above, the four
-    chunk partial products are shifted and added back together."""
-    bits = _check_mac_inputs(x, w, acc, bits)
-    plan = hdms_plan(bits)
-    if plan.kernel_passes == 1:
-        return tdms_mac(x, w, acc, params, bits)
-    xl, xh = split_chunks(x.magnitude, plan)
-    wl, wh = split_chunks(w.magnitude, plan)
-    partials = (xl * wl, xl * wh, xh * wl, xh * wh)
-    cycles = sum(partials)
-    product = sum(p << s for p, s in zip(partials, plan.partial_shifts))
-    value = _accumulate(acc, x.sign * w.sign * product)
-    return MacResult(
-        value=value,
-        energy_pj=float(hdms_energy(x.magnitude, w.magnitude, bits, params)),
-        dco_cycles=cycles,
-        kernel_passes=plan.kernel_passes,
-    )
-
-
-_MAC_FNS = {"digital": digital_mac, "tdms": tdms_mac, "hdms": hdms_mac}
-
-
-def mac(model: str, x: Operand, w: Operand, acc: int, params: EnergyParams, bits: int) -> MacResult:
-    return _MAC_FNS[check_model(model)](x, w, acc, params, bits)
+    if model == "digital":
+        cycles, passes = 0, 1
+    elif model == "hdms" and bits > TDMS_KERNEL_BITS:
+        cycles, passes = _chunk_cycles(x.magnitude, w.magnitude), 4
+    else:
+        cycles, passes = product, 1
+    energy = float(energy_table(bits, model, params)[x.magnitude, w.magnitude])
+    return MacResult(value=value, energy_pj=energy, dco_cycles=cycles, kernel_passes=passes)
 
 
 # ---------------------------------------------------------------------------
@@ -352,11 +274,11 @@ def array_pricer(bits: int, model: str, params: EnergyParams):
     each weight magnitude in ``w_mag`` (one entry per MAC) with its input
     magnitude in ``x_mag``, which broadcasts against it. The energy table is
     looked up once, here, so a hot loop pays only the gather."""
-    if check_model(model) == "digital":
-        per_mac = digital_energy(bits, params)
+    table = energy_table(bits, model, params)
+    if model == "digital":
+        per_mac = float(table[0, 0])
         # n * e: a summed gather of the constant table differs by up to 1.6e-16
         return lambda x_mag, w_mag: float(np.size(w_mag) * per_mac)
-    table = energy_table(bits, model, params)
     return lambda x_mag, w_mag: float(table[x_mag, w_mag].sum())
 
 

@@ -223,8 +223,8 @@ class PotentialParams:
 
     def __post_init__(self):
         for f in fields(self):
-            if not getattr(self, f.name) > 0:
-                raise ValueError(f"{f.name} must be positive")
+            if not 0 < getattr(self, f.name) < np.inf:
+                raise ValueError(f"{f.name} must be in (0, inf), got {getattr(self, f.name)}")
 
 
 # repulsion distances below this floor saturate (the 1/d table domain end)
@@ -330,8 +330,8 @@ class SwarmConfig:
             raise ValueError(f"unknown predator policy {self.predator_policy!r}; "
                              f"expected one of {PREDATOR_POLICIES}")
         for name in ("extent", "goal_tolerance", "slot_tolerance", "collision_radius"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be positive")
+            if not 0 < getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be in (0, inf), got {getattr(self, name)}")
 
     @property
     def bits(self) -> int:

@@ -12,12 +12,9 @@ from edgesim.macmodel import (
     calibrate_energy,
     default_params,
     dequantize,
-    digital_mac,
-    hdms_mac,
-    hdms_plan,
+    mac,
     mean_energy,
     quantize,
-    tdms_mac,
 )
 
 
@@ -53,6 +50,16 @@ def test_quantize_rejects_bad_inputs():
         quantize(0.5, 4, 0.0)
     with pytest.raises(ValueError):
         quantize(0.5, 2, 1.0)
+
+
+@pytest.mark.parametrize("value_range", [0.0, -1.0, np.inf, -np.inf, np.nan])
+def test_quantize_ranges_must_be_positive_and_finite(value_range):
+    # an infinite range quantized every real to 0, and a NaN range failed
+    # inside int() or dequantized to NaN
+    with pytest.raises(ValueError, match=r"quantize range must be in \(0, inf\)"):
+        quantize(0.5, 4, value_range)
+    with pytest.raises(ValueError, match=r"dequantize range must be in \(0, inf\)"):
+        dequantize(Operand(3), 4, value_range)
 
 
 def test_quantize_roundtrip_error_bound():
@@ -124,23 +131,23 @@ def test_quantize_mags_matches_every_old_rule(values, bits, r):
 
 
 def test_tdms_zero_pulse():
-    r = tdms_mac(Operand(0), Operand(5), 0, default_params(), 4)
+    r = mac("tdms", Operand(0), Operand(5), 0, default_params(), 4)
     assert r.value == 0 and r.dco_cycles == 0
 
 
 def test_tdms_product(params):
-    r = tdms_mac(Operand(5), Operand(3), 0, params, 5)
+    r = mac("tdms", Operand(5), Operand(3), 0, params, 5)
     assert r.value == 15 and r.dco_cycles == 15
 
 
 def test_digital_product(params):
-    assert digital_mac(Operand(7), Operand(7), 0, params, 3).value == 49
+    assert mac("digital", Operand(7), Operand(7), 0, params, 3).value == 49
 
 
 def test_signs_and_accumulator(params):
-    r = tdms_mac(Operand(5, -1), Operand(3), 10, params, 4)
+    r = mac("tdms", Operand(5, -1), Operand(3), 10, params, 4)
     assert r.value == 10 - 15
-    r = hdms_mac(Operand(9, -1), Operand(9, -1), -4, params, 4)
+    r = mac("hdms", Operand(9, -1), Operand(9, -1), -4, params, 4)
     assert r.value == -4 + 81
 
 
@@ -149,40 +156,60 @@ def test_exhaustive_products_5bit(params):
     for x in range(32):
         for w in range(32):
             expected = x * w
-            assert tdms_mac(Operand(x), Operand(w), 0, params, 5).value == expected
-            assert hdms_mac(Operand(x), Operand(w), 0, params, 5).value == expected
-            assert digital_mac(Operand(x), Operand(w), 0, params, 5).value == expected
+            assert mac("tdms", Operand(x), Operand(w), 0, params, 5).value == expected
+            assert mac("hdms", Operand(x), Operand(w), 0, params, 5).value == expected
+            assert mac("digital", Operand(x), Operand(w), 0, params, 5).value == expected
 
 
 def test_exhaustive_hdms_high_bits(params):
-    # spot-check the mac function against the vectorized energy table
+    # spot-check the mac function against the scalar energy primitive
     for bits in (6, 7, 8):
-        table = mm.energy_table(bits, "hdms", params)
         n = 1 << bits
         rng = np.random.default_rng(bits)
         for x, w in rng.integers(0, n, size=(50, 2)):
-            r = hdms_mac(Operand(int(x)), Operand(int(w)), 0, params, bits)
+            r = mac("hdms", Operand(int(x)), Operand(int(w)), 0, params, bits)
             assert r.value == int(x) * int(w)
-            assert r.energy_pj == float(table[x, w])
+            assert r.energy_pj == float(mm.hdms_energy(int(x), int(w), bits, params))
+
+
+def test_hdms_chunks_exhaustive_high_bits(params):
+    # above 5 bits each magnitude splits into a low 5-bit and a high chunk;
+    # the four chunk partial products run on the kernel, shifted by 0, 5, 5, 10
+    for bits in (6, 7, 8):
+        ops = [Operand(m) for m in range(1 << bits)]
+        for x in ops:
+            xl, xh = x.magnitude & 31, x.magnitude >> 5
+            for w in ops:
+                wl, wh = w.magnitude & 31, w.magnitude >> 5
+                r = mac("hdms", x, w, 0, params, bits)
+                assert r.value == x.magnitude * w.magnitude == (
+                    xl * wl + (xl * wh << 5) + (xh * wl << 5) + (xh * wh << 10))
+                assert r.dco_cycles == xl * wl + xl * wh + xh * wl + xh * wh
+                assert r.kernel_passes == 4
 
 
 def test_hdms_worked_decomposition(params):
     # 171 = (5 << 5) + 11, 200 = (6 << 5) + 8
-    r = hdms_mac(Operand(171), Operand(200), 0, params, 8)
+    r = mac("hdms", Operand(171), Operand(200), 0, params, 8)
     assert r.value == 171 * 200 == 34200
     assert r.dco_cycles == 11 * 8 + 11 * 6 + 5 * 8 + 5 * 6
     assert r.kernel_passes == 4
 
 
 def test_hdms_below_threshold_matches_tdms(params):
-    a = hdms_mac(Operand(9), Operand(9), 0, params, 4)
-    b = tdms_mac(Operand(9), Operand(9), 0, params, 4)
+    a = mac("hdms", Operand(9), Operand(9), 0, params, 4)
+    b = mac("tdms", Operand(9), Operand(9), 0, params, 4)
     assert a == b
+    for bits in (3, 4, 5):  # one kernel pass up to the 5-bit kernel
+        top = Operand((1 << bits) - 1)
+        r = mac("hdms", top, top, 0, params, bits)
+        assert r == mac("tdms", top, top, 0, params, bits)
+        assert r.kernel_passes == 1
 
 
 def test_operand_range_checks(params):
     with pytest.raises(ValueError):
-        tdms_mac(Operand(8), Operand(1), 0, params, 3)
+        mac("tdms", Operand(8), Operand(1), 0, params, 3)
     with pytest.raises(ValueError):
         Operand(-1)
     with pytest.raises(ValueError):
@@ -192,41 +219,26 @@ def test_operand_range_checks(params):
 @pytest.mark.parametrize("magnitude", [2.5, 3.0, np.float64(3.0), True, "3"])
 def test_operand_rejects_non_integer_magnitude(params, magnitude):
     with pytest.raises(TypeError, match="magnitude"):
-        tdms_mac(Operand(magnitude), Operand(3), 0, params, 3)
+        mac("tdms", Operand(magnitude), Operand(3), 0, params, 3)
     assert Operand(np.int64(3)).value == 3
 
 
 def test_accumulator_overflow_raises(params):
     big = mm.ACC_MAX
     with pytest.raises(OverflowError):
-        tdms_mac(Operand(2), Operand(2), big, params, 3)
+        mac("tdms", Operand(2), Operand(2), big, params, 3)
     with pytest.raises(OverflowError):
-        digital_mac(Operand(2, -1), Operand(2), mm.ACC_MIN, params, 3)
+        mac("digital", Operand(2, -1), Operand(2), mm.ACC_MIN, params, 3)
 
 
-# ---------------------------------------------------------------------------
-# plans
-
-
-def test_plan_single_pass_below_6():
-    for b in (3, 4, 5):
-        plan = hdms_plan(b)
-        assert plan.kernel_passes == 1
-        assert plan.chunks == ((0, b),)
-
-
-def test_plan_8bit_shifts():
-    plan = hdms_plan(8)
-    assert plan.kernel_passes == 4
-    assert plan.partial_shifts == (0, 5, 5, 10)
-    assert plan.chunks == ((0, 5), (5, 3))
-
-
-def test_plan_roundtrip_all_8bit_values():
-    plan = hdms_plan(8)
-    for v in range(256):
-        chunks = mm.split_chunks(v, plan)
-        assert sum(c << shift for c, (shift, _w) in zip(chunks, plan.chunks)) == v
+@pytest.mark.parametrize("acc", [2.5, 2.0, np.float64(2.0), True, "2"])
+def test_mac_rejects_non_integer_accumulator(params, acc):
+    # a float accumulator returned a float value, and True counted as 1
+    for model in mm.MODELS:
+        with pytest.raises(TypeError, match="accumulator"):
+            mac(model, Operand(3), Operand(4), acc, params, 3)
+    r = mac("tdms", Operand(3), Operand(4), np.int64(2), params, 3)
+    assert r.value == 14 and type(r.value) is int
 
 
 # ---------------------------------------------------------------------------
@@ -234,8 +246,8 @@ def test_plan_roundtrip_all_8bit_values():
 
 
 def test_digital_energy_operand_invariant(params):
-    e1 = digital_mac(Operand(1), Operand(1), 0, params, 8).energy_pj
-    e2 = digital_mac(Operand(255), Operand(255), 0, params, 8).energy_pj
+    e1 = mac("digital", Operand(1), Operand(1), 0, params, 8).energy_pj
+    e2 = mac("digital", Operand(255), Operand(255), 0, params, 8).energy_pj
     assert e1 == e2
 
 
@@ -293,7 +305,17 @@ def test_params_hash_follows_fields(params):
 def test_surface_is_full_grid(params):
     table = mm.energy_table(4, "hdms", params)
     assert table.shape == (16, 16)
-    assert table[3, 12] == hdms_mac(Operand(3), Operand(12), 0, params, 4).energy_pj
+    assert table[3, 12] == mm.tdms_energy(3 * 12, 4, params)
+    # every model's table is its energy primitive over the whole magnitude grid
+    for bits in range(mm.MIN_BITS, mm.MAX_BITS + 1):
+        mags = np.arange(1 << bits)
+        expected = {
+            "digital": np.full((mags.size, mags.size), mm.digital_energy(bits, params)),
+            "tdms": mm.tdms_energy(np.multiply.outer(mags, mags), bits, params),
+            "hdms": mm.hdms_energy(mags[:, None], mags, bits, params),
+        }
+        for model in mm.MODELS:
+            assert np.array_equal(mm.energy_table(bits, model, params), expected[model]), (model, bits)
 
 
 # ---------------------------------------------------------------------------

@@ -422,6 +422,24 @@ def test_swarm_config_accepts_numpy_integer_agents():
         sl.make_scenario("explore", 3, seed=1), budget=5).row()
 
 
+
+@pytest.mark.parametrize("name", ["extent", "goal_tolerance", "slot_tolerance", "collision_radius"])
+@pytest.mark.parametrize("value", [np.inf, np.nan, 0.0, -1.0])
+def test_swarm_config_floats_must_be_positive_and_finite(name, value):
+    # an infinite extent constructed, then make_scenario failed inside numpy
+    with pytest.raises(ValueError, match=name):
+        sl.SwarmConfig(workload="path", n_agents=3, **{name: value})
+    with pytest.raises(ValueError, match=name):
+        sl.make_scenario("path", 3, **{name: value})
+
+
+@pytest.mark.parametrize("name", ["k_att", "k_rep", "d0", "v_max"])
+@pytest.mark.parametrize("value", [np.inf, np.nan, 0.0, -1.0])
+def test_potential_params_must_be_positive_and_finite(name, value):
+    # an infinite gain constructed and failed only inside LpuMeter.mul
+    with pytest.raises(ValueError, match=name):
+        sl.PotentialParams(**{name: value})
+
 def test_meter_rejects_unknown_model():
     with pytest.raises(ValueError, match="model"):
         sl.LpuMeter(5, default_params(), "analog")

@@ -36,6 +36,7 @@ COPIED = ("src", "tests", "bench", "pyproject.toml")
 SWARM = "src/edgesim/swarmlab.py"
 QNAV = "src/edgesim/qnav.py"
 STOCHSYN = "src/edgesim/stochsyn.py"
+MACMODEL = "src/edgesim/macmodel.py"
 
 
 @dataclass(frozen=True)
@@ -153,6 +154,39 @@ MUTANTS = (
            'elif mm.check_int(budget, "budget") < 0:',
            "elif budget < -1:",
            "a budget of -1, 2.5 or True ran 0, 3 or 1 steps"),
+    Mutant("hdms-split-threshold", MACMODEL,
+           'elif model == "hdms" and bits > TDMS_KERNEL_BITS:',
+           'elif model == "hdms" and bits >= TDMS_KERNEL_BITS:',
+           "a 5-bit HD-MS MAC runs in one pass on the kernel; the cycle count agrees, "
+           "so only its kernel passes tell the split apart"),
+    Mutant("hdms-kernel-passes", MACMODEL,
+           "cycles, passes = _chunk_cycles(x.magnitude, w.magnitude), 4",
+           "cycles, passes = _chunk_cycles(x.magnitude, w.magnitude), 1",
+           "an HD-MS MAC above 5 bits runs its four chunk partial products in 4 passes"),
+    Mutant("chunk-high-shift", MACMODEL,
+           "(x_mag >> TDMS_KERNEL_BITS)",
+           "(x_mag >> (TDMS_KERNEL_BITS - 1))",
+           "the high chunk starts above the 5-bit kernel's low chunk"),
+    Mutant("mac-acc-int-check", MACMODEL,
+           '    acc = check_int(acc, "accumulator")\n',
+           "",
+           "a float accumulator returned a float value, and True counted as 1"),
+    Mutant("quantize-range-finite", MACMODEL,
+           "    if not 0 < value_range < np.inf:\n        raise ValueError(f\"quantize",
+           "    if not 0 < value_range:\n        raise ValueError(f\"quantize",
+           "an infinite range quantized every real to magnitude 0"),
+    Mutant("dequantize-range-finite", MACMODEL,
+           "    if not 0 < value_range < np.inf:\n        raise ValueError(f\"dequantize",
+           "    if not 0 < value_range:\n        raise ValueError(f\"dequantize",
+           "an infinite range dequantized a magnitude to inf"),
+    Mutant("swarm-config-finite", SWARM,
+           "            if not 0 < getattr(self, name) < np.inf:",
+           "            if not 0 < getattr(self, name):",
+           "SwarmConfig(extent=inf) constructed, and make_scenario failed inside numpy"),
+    Mutant("potential-finite", SWARM,
+           "            if not 0 < getattr(self, f.name) < np.inf:",
+           "            if not 0 < getattr(self, f.name):",
+           "PotentialParams(k_att=inf) constructed, and failed only inside LpuMeter.mul"),
     Mutant("predprey-eps-boundary", SWARM,
            "            if u < PRED_EPS:",
            "            if u <= PRED_EPS:",
