@@ -188,6 +188,29 @@ def test_hdms_chunks_exhaustive_high_bits(params):
                 assert r.kernel_passes == 4
 
 
+def test_plan_8bit_shifts(params):
+    # at 8 bits the four partial products run in 4 passes, shifted by 0, 5, 5, 10:
+    # one unit in each chunk pair lands at 1, 32, 32 and 1024
+    for (x, w), value in {(1, 1): 1, (1, 32): 32, (32, 1): 32, (32, 32): 1024}.items():
+        r = mac("hdms", Operand(x), Operand(w), 0, params, 8)
+        assert r.value == value
+        assert r.dco_cycles == 1
+        assert r.kernel_passes == 4
+    # the low chunk is 5 bits wide and the high chunk the remaining 3
+    top = mac("hdms", Operand(255), Operand(255), 0, params, 8)
+    assert top.dco_cycles == (31 + 7) * (31 + 7)
+
+
+def test_plan_roundtrip_all_8bit_values(params):
+    # every 8-bit magnitude splits into chunks that re-add to itself: against
+    # w = 1 the value is the magnitude and the cycles are the chunk sum
+    one = Operand(1)
+    for v in range(256):
+        r = mac("hdms", Operand(v), one, 0, params, 8)
+        assert r.value == (v & 31) + ((v >> 5) << 5) == v
+        assert r.dco_cycles == (v & 31) + (v >> 5)
+
+
 def test_hdms_worked_decomposition(params):
     # 171 = (5 << 5) + 11, 200 = (6 << 5) + 8
     r = mac("hdms", Operand(171), Operand(200), 0, params, 8)
