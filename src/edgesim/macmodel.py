@@ -19,7 +19,7 @@ reference.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from pathlib import Path
 
@@ -69,7 +69,7 @@ class Operand:
     sign: int = 1
 
     def __post_init__(self):
-        if self.sign not in (1, -1):
+        if check_int(self.sign, "sign") not in (1, -1):
             raise ValueError(f"sign must be +1 or -1, got {self.sign}")
         if not isinstance(self.magnitude, (int, np.integer)) or isinstance(self.magnitude, bool):
             raise TypeError(f"magnitude must be an integer, got {self.magnitude!r}")
@@ -119,18 +119,12 @@ class EnergyParams:
 
     def __post_init__(self):
         for name in ("c_d2", "c_d1", "c_d0", "e_0", "e_cyc", "e_tr", "e_sa"):
-            if not getattr(self, name) >= 0:  # NaN fails too
-                raise ValueError(f"{name} must be non-negative")
+            if not 0 <= getattr(self, name) < np.inf:  # NaN fails too
+                raise ValueError(f"{name} must be in [0, inf), got {getattr(self, name)}")
         for name in ("v_supply", "v_ref"):
             v = getattr(self, name)
             if not 0.4 <= v <= 1.0:
                 raise ValueError(f"{name} must be in [0.4, 1.0] V, got {v}")
-        # the fields are frozen, so hash them once: energy_table's cache hashes
-        # its key on every lookup, twice per quantized forward pass
-        object.__setattr__(self, "_hash", hash(tuple(getattr(self, f.name) for f in fields(self))))
-
-    def __hash__(self):
-        return self._hash
 
     @property
     def voltage_scale(self) -> float:
@@ -172,6 +166,7 @@ def quantize(x: float, bits: int, value_range: float) -> Operand:
 
 def dequantize(op: Operand, bits: int, value_range: float) -> float:
     bits = check_bits(bits)
+    op.check_fits(bits)
     if not 0 < value_range < np.inf:
         raise ValueError(f"dequantize range must be in (0, inf), got {value_range}")
     return op.sign * op.magnitude / ((1 << bits) - 1) * value_range

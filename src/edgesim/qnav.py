@@ -7,12 +7,11 @@ shadow weights and re-quantizes after every semi-gradient step. All
 randomness (weight init, exploration, replay sampling, drop-connect)
 comes from one LFSR stream, so runs are bit-reproducible from the seed.
 
-The network never sees raw depths: every pose's proximity operands (the
-integer inputs of the quantized forward pass) and their float scaling (the
-shadow network's inputs) are tabulated once per (arena, horizon) by
-``_input_table``. Nor does a run move the robot through ``apply_action``:
-``_pose_table`` tabulates every (pose, action) transition once per arena,
-and a run tracks its pose as one flat index into these tables.
+The network never sees raw depths, and a run never moves the robot through
+``apply_action``: ``_pose_tables`` tabulates, once per (arena, horizon),
+every pose's proximity operands (the integer inputs of the quantized forward
+pass), their float scaling (the shadow network's inputs) and its (pose,
+action) transitions, and a run tracks its pose as one flat row index.
 
 A training step reads its randomness as one block of the LFSR stream,
 ``lfsr.words(k)``, and steps past the words it used with one
@@ -72,6 +71,9 @@ class Arena:
     start: tuple
 
     def __post_init__(self):
+        if not (0 <= self.start[0] < self.width and 0 <= self.start[1] < self.height):
+            raise ArenaError(
+                f"start cell {self.start} is outside the {self.width}x{self.height} grid")
         if self.start in self.obstacles:
             raise ArenaError(f"start cell {self.start} is an obstacle")
         for x in range(self.width):
@@ -198,6 +200,10 @@ class QNetwork:
     horizon: int = PROX_HORIZON
 
     def __post_init__(self):
+        if self.w1.ndim != 2 or self.w1.shape[1] != len(RAY_OFFSETS):
+            raise ValueError(f"w1 must be (hidden, {len(RAY_OFFSETS)}), got {self.w1.shape}")
+        if self.w2.shape != (N_ACTIONS, self.w1.shape[0]):
+            raise ValueError(f"w2 must be ({N_ACTIONS}, {self.w1.shape[0]}), got {self.w2.shape}")
         self.w1.setflags(write=False)
         self.w2.setflags(write=False)
 
@@ -250,8 +256,8 @@ def arena_horizon(arena: "Arena") -> int:
 def q_forward(net: QNetwork, x: np.ndarray, keep=None, model: str = "tdms",
               params: mm.EnergyParams | None = None):
     """Quantized layer-by-layer forward pass on the integer operand row ``x``
-    (``proximity`` of a depth reading, or a row of ``_input_table``), whose
-    entries must lie in [0, DEPTH_MAX].
+    (``proximity`` of a depth reading, or a row of the ``operands`` table of
+    ``_pose_tables``), whose entries must lie in [0, DEPTH_MAX].
 
     Returns (action values as floats on the real-valued scale, energy_pj).
     Hidden integer activations are rectified and right-shifted back into
@@ -319,7 +325,7 @@ class Scratchpad:
     """Bounded experience ring of preallocated arrays, oldest-first eviction.
 
     ``s`` and ``s_next`` hold the float network inputs of the two states (a
-    row of ``_input_table``'s float table), the rows ``train_step`` reads.
+    row of the ``scaled`` table of ``_pose_tables``), the rows ``train_step`` reads.
     """
 
     def __init__(self, capacity: int):
@@ -402,7 +408,7 @@ def train_step(net: QNetwork, batch, cfg: TrainConfig, keep=None) -> QNetwork:
 
     ``batch`` is the (s, a, r, s_next, terminal) arrays of
     ``Scratchpad.sample``, with float network inputs as the states (rows of
-    ``_input_table``'s float table). Gradients are taken through the float shadow
+    the ``scaled`` table of ``_pose_tables``). Gradients are taken through the float shadow
     network (straight-through with respect to quantization); the batch-mean
     nudge is computed against the entry weights and applied once, then
     weights re-enter [-1, 1].
@@ -471,45 +477,22 @@ class TrainingTrace:
             yield (int(row[0]), int(row[1]), int(row[2]), float(row[3]), float(row[4]))
 
 
-def _sense_table(arena: Arena) -> np.ndarray:
-    """Depth readings of every free pose, read as ``depths[x, y, heading]``."""
-    depths = np.zeros((arena.width, arena.height, N_HEADINGS, len(RAY_OFFSETS)), dtype=np.int64)
-    for x in range(arena.width):
-        for y in range(arena.height):
-            if arena.is_free((x, y)):
-                for h in range(N_HEADINGS):
-                    depths[x, y, h] = sense(arena, RobotState((x, y), h))
-    return depths
-
-
-@lru_cache(maxsize=8)
-def _input_table(arena: Arena, horizon: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only network inputs of every pose, read as ``table[x, y, heading]``:
-    the integer proximity operands that ``q_forward`` takes and the same
-    values over DEPTH_MAX, the float inputs of ``train_step``. The operand
-    range that ``q_forward`` checks per call is checked here once."""
-    operands = proximity(_sense_table(arena), horizon)
-    if not ((operands >= 0) & (operands <= DEPTH_MAX)).all():
-        raise ValueError(f"input operands must be in [0, {DEPTH_MAX}]")
-    scaled = operands.astype(float) / DEPTH_MAX
-    for table in (operands, scaled):
-        table.flags.writeable = False
-    return operands, scaled
-
-
 def _flat_pose(arena: Arena, position, heading: int) -> int:
-    """Row of a pose in the flattened pose tables: ``_input_table`` reshaped
-    to ``(-1, 3)``, and ``_pose_table``. Its cell is ``pose // N_HEADINGS``."""
+    """Row of a pose in ``_pose_tables``. Its cell is ``pose // N_HEADINGS``."""
     x, y = position
     return (x * arena.height + y) * N_HEADINGS + heading
 
 
 @lru_cache(maxsize=8)
-def _pose_table(arena: Arena) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only transitions of every free pose, read as ``table[pose, action]``
-    at a ``_flat_pose``: the next flat pose and whether the move collided, as
-    ``apply_action`` gives them. Poses on obstacle cells are never reached."""
+def _pose_tables(arena: Arena, horizon: int) -> tuple[np.ndarray, ...]:
+    """Read-only tables of every pose, one row per ``_flat_pose``: the integer
+    proximity operands that ``q_forward`` takes, the same values over
+    DEPTH_MAX (the float inputs of ``train_step``), and, per action, the next
+    flat pose and whether the move collided, as ``apply_action`` gives them.
+    Poses on obstacle cells are never reached. The operand range that
+    ``q_forward`` checks per call is checked here once."""
     n_poses = arena.width * arena.height * N_HEADINGS
+    depths = np.zeros((n_poses, len(RAY_OFFSETS)), dtype=np.int64)
     next_pose = np.zeros((n_poses, N_ACTIONS), dtype=np.int32)
     collided = np.zeros((n_poses, N_ACTIONS), dtype=bool)
     for x in range(arena.width):
@@ -517,18 +500,19 @@ def _pose_table(arena: Arena) -> tuple[np.ndarray, np.ndarray]:
             if not arena.is_free((x, y)):
                 continue
             for h in range(N_HEADINGS):
+                state = RobotState((x, y), h)
                 pose = _flat_pose(arena, (x, y), h)
+                depths[pose] = sense(arena, state)
                 for action in range(N_ACTIONS):
-                    new, collided[pose, action] = apply_action(arena, RobotState((x, y), h), action)
+                    new, collided[pose, action] = apply_action(arena, state, action)
                     next_pose[pose, action] = _flat_pose(arena, new.position, new.heading)
-    for table in (next_pose, collided):
+    operands = proximity(depths, horizon)
+    if not ((operands >= 0) & (operands <= DEPTH_MAX)).all():
+        raise ValueError(f"input operands must be in [0, {DEPTH_MAX}]")
+    tables = operands, operands.astype(float) / DEPTH_MAX, next_pose, collided
+    for table in tables:
         table.flags.writeable = False
-    return next_pose, collided
-
-
-def _flat_inputs(arena: Arena, horizon: int) -> tuple[np.ndarray, np.ndarray]:
-    """``_input_table`` with one row per ``_flat_pose``."""
-    return tuple(table.reshape(-1, len(RAY_OFFSETS)) for table in _input_table(arena, horizon))
+    return tables
 
 
 def run_training(arena: Arena, cfg: TrainConfig, seed: int, model: str = "tdms",
@@ -547,8 +531,7 @@ def run_training(arena: Arena, cfg: TrainConfig, seed: int, model: str = "tdms",
     lfsr = Lfsr(seed)
     net, lfsr = init_network(lfsr, horizon=arena_horizon(arena))
     pad = Scratchpad(cfg.capacity)
-    operands, scaled = _flat_inputs(arena, net.horizon)
-    next_pose, collided = _pose_table(arena)
+    operands, scaled, next_pose, collided = _pose_tables(arena, net.horizon)
     start = _flat_pose(arena, arena.start, 0)
 
     # stochastic synapses sit on the sensor fan-in (first layer), refreshed
@@ -557,7 +540,7 @@ def run_training(arena: Arena, cfg: TrainConfig, seed: int, model: str = "tdms",
     mask_words = net.w1.size if cfg.stochastic else 0
     # the most a step draws: two masks, two epsilon-greedy words and a batch
     block = 2 * mask_words + 2 + cfg.batch_size
-    it_rows, ep_rows, cov_rows, rew_rows, en_rows = [], [], [], [], []
+    ep_rows, cov_rows, rew_rows, en_rows = [], [], [], []
     episode_coverage = []
     converged = False
     convergence_episode = -1
@@ -599,7 +582,6 @@ def run_training(arena: Arena, cfg: TrainConfig, seed: int, model: str = "tdms",
                 net = train_step(net, batch, cfg, keep)
             lfsr = lfsr.advance(used)
 
-            it_rows.append(iteration)
             ep_rows.append(ep)
             cov_rows.append(covered)
             rew_rows.append(reward)
@@ -624,7 +606,7 @@ def run_training(arena: Arena, cfg: TrainConfig, seed: int, model: str = "tdms",
                     break
 
     return TrainingTrace(
-        iteration=np.array(it_rows), episode=np.array(ep_rows),
+        iteration=np.arange(iteration), episode=np.array(ep_rows),
         covered_cells=np.array(cov_rows), reward=np.array(rew_rows),
         energy_pj=np.array(en_rows),
         episode_coverage=np.array(episode_coverage),
@@ -643,12 +625,15 @@ def run_policy(arena: Arena, net: QNetwork, eps: float, steps: int, seed: int,
     """
     if mm.check_int(steps, "steps") < 0:
         raise ValueError(f"steps must be non-negative, got {steps}")
+    if not 0 <= eps <= 1:
+        raise ValueError(f"exploration rate must be in [0, 1], got {eps}")
+    if not 0 <= drop_p < 1:
+        raise ValueError(f"drop probability must be in [0, 1), got {drop_p}")
     if params is None:
         params = mm.default_params()
     price = mm.array_pricer(DEPTH_BITS, model, params)
     lfsr = Lfsr(seed)
-    operands, _ = _flat_inputs(arena, net.horizon)
-    next_pose, _ = _pose_table(arena)
+    operands, _, next_pose, _ = _pose_tables(arena, net.horizon)
     pose = _flat_pose(arena, arena.start, 0)
     visited = bytearray(arena.width * arena.height)
     visited[pose // N_HEADINGS] = 1

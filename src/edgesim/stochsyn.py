@@ -91,26 +91,17 @@ class Lfsr:
         states, index_of, _stream = _cycle_tables()
         return Lfsr(int(states[(int(index_of[self.state]) + BITS_PER_SAMPLE * count) % LFSR_PERIOD]))
 
-    def _next_word(self) -> tuple[int, "Lfsr"]:
-        """The next 16-bit sample, as ``words(1)`` and ``advance(1)`` without the arrays."""
-        states, index_of, stream = _cycle_tables()
-        start = int(index_of[self.state])
-        return (int(stream[start * _SLOT_PER_INDEX % LFSR_PERIOD]),
-                Lfsr(int(states[(start + BITS_PER_SAMPLE) % LFSR_PERIOD])))
-
     def uniforms(self, n: int) -> tuple[np.ndarray, "Lfsr"]:
         """Draw n floats in [0, 1): 16 bits each, MSB-first, over 2^16."""
         return to_uniform(self.words(n)), self.advance(n)
 
     def uniform(self) -> tuple[float, "Lfsr"]:
-        word, nxt = self._next_word()
-        return to_uniform(word), nxt
+        return to_uniform(int(self.words(1)[0])), self.advance(1)
 
     def randint(self, n: int) -> tuple[int, "Lfsr"]:
         """Draw an integer in [0, n) from one 16-bit sample (n must divide 2^16
         for exact uniformity; callers here use powers of two)."""
-        word, nxt = self._next_word()
-        return to_randint(word, n), nxt
+        return to_randint(int(self.words(1)[0]), n), self.advance(1)
 
     def randints(self, count: int, n: int) -> tuple[np.ndarray, "Lfsr"]:
         """Batched randint; consumes the same bit stream as repeated calls."""

@@ -246,6 +246,23 @@ def test_operand_rejects_non_integer_magnitude(params, magnitude):
     assert Operand(np.int64(3)).value == 3
 
 
+@pytest.mark.parametrize("sign", [1.0, -1.0, np.float64(-1.0), True, "1"])
+def test_operand_rejects_non_integer_sign(params, sign):
+    # a float sign would make mac return a float value
+    with pytest.raises(TypeError, match="sign"):
+        mac("tdms", Operand(3, sign), Operand(2), 0, params, 4)
+    assert Operand(3, np.int64(-1)).value == -3
+
+
+def test_dequantize_rejects_operand_wider_than_bits():
+    # a magnitude past the bit width would dequantize outside the range
+    with pytest.raises(ValueError, match="does not fit in 4 bits"):
+        dequantize(Operand(300), 4, 1.0)
+    with pytest.raises(ValueError, match="does not fit in 4 bits"):
+        dequantize(Operand(16, -1), 4, 1.0)
+    assert dequantize(Operand(15, -1), 4, 1.0) == -1.0
+
+
 def test_accumulator_overflow_raises(params):
     big = mm.ACC_MAX
     with pytest.raises(OverflowError):
@@ -315,8 +332,8 @@ def test_voltage_out_of_range():
 
 
 def test_params_hash_follows_fields(params):
-    # the hash is computed once per instance; equal fields must still share
-    # energy_table's cache entry, and a changed field must not
+    # energy_table's cache keys on the params: equal fields must share a
+    # cache entry, and a changed field must not
     twin = replace(params)
     assert twin is not params and hash(twin) == hash(params)
     assert mm.energy_table(6, "tdms", twin) is mm.energy_table(6, "tdms", params)
@@ -423,6 +440,15 @@ def test_params_reject_nan_coefficients(tmp_path, params):
     path.write_text(path.read_text().replace(f"e_cyc = {params.e_cyc!r}", "e_cyc = nan"))
     with pytest.raises(ValueError, match="e_cyc"):
         mm.load_energy_params(path)
+
+
+@pytest.mark.parametrize("value", [np.inf, -np.inf, -1e-9])
+def test_params_coefficients_must_be_finite_and_non_negative(params, value):
+    # an infinite coefficient would price every MAC at inf
+    for name in ("c_d2", "c_d1", "c_d0", "e_0", "e_cyc", "e_tr", "e_sa"):
+        with pytest.raises(ValueError, match=rf"{name} must be in \[0, inf\)"):
+            replace(params, **{name: value})
+    assert replace(params, e_0=0.0).e_0 == 0.0
 
 
 def test_params_file_rejects_garbage(tmp_path):

@@ -71,6 +71,10 @@ def test_arena_rejects_bad_grids():
         Arena.from_text("####\n#S?#\n####")
     with pytest.raises(ArenaError):
         Arena.from_text("#.##\n#S.#\n####")  # open boundary
+    boundary = frozenset((x, y) for x in range(4) for y in range(4) if {x, y} & {0, 3})
+    for start in ((9, 9), (4, 1), (1, 4), (-1, 1), (1, -1)):
+        with pytest.raises(ArenaError, match="outside the 4x4 grid"):
+            Arena(4, 4, boundary, start)
 
 
 def test_default_arena_sane():
@@ -121,6 +125,19 @@ def test_q_forward_zero_weights(params):
     net = QNetwork(w1=np.zeros((16, 3)), w2=np.zeros((4, 16)))
     q, _ = q_forward(net, proximity(np.array([3, 5, 7])), None, "tdms", params)
     assert np.all(q == 0)
+
+
+@pytest.mark.parametrize("w1, w2, field", [
+    ((16, 2), (4, 16), "w1"), ((16, 4), (4, 16), "w1"), ((48,), (4, 16), "w1"),
+    ((16, 3, 1), (4, 16), "w1"), ((16, 3), (4, 15), "w2"), ((16, 3), (3, 16), "w2"),
+    ((16, 3), (64,), "w2"),
+])
+def test_qnetwork_rejects_bad_layer_shapes(w1, w2, field):
+    # the forward reads 3 rays into the first layer and one hidden unit per
+    # column of the output layer
+    with pytest.raises(ValueError, match=field):
+        QNetwork(w1=np.zeros(w1), w2=np.zeros(w2))
+    assert QNetwork(w1=np.zeros((5, 3)), w2=np.zeros((4, 5))).w2.shape == (4, 5)
 
 
 def test_qnetwork_layers_cannot_change_under_its_cache(params):
@@ -174,7 +191,13 @@ def test_q_forward_accumulator_overflow(params, wide, message):
     # ACC_MAX of 8,388,607; a 3-input first layer saturates its hidden units
     n = 2200
     shapes = {"input": ((16, n), (4, 16)), "hidden": ((n, 3), (4, n))}[wide]
-    net = QNetwork(w1=np.ones(shapes[0]), w2=np.ones(shapes[1]))
+    if wide == "input":
+        # QNetwork only builds 3-input first layers, which cannot overflow:
+        # widen a built network's layer to reach the hidden-layer guard
+        net = QNetwork(w1=np.ones((16, 3)), w2=np.ones(shapes[1]))
+        object.__setattr__(net, "w1", np.ones(shapes[0]))
+    else:
+        net = QNetwork(w1=np.ones(shapes[0]), w2=np.ones(shapes[1]))
     x = np.full(shapes[0][1], qnav.DEPTH_MAX)
     with pytest.raises(OverflowError, match=message):
         q_forward(net, x, None, "tdms", params)
@@ -291,11 +314,13 @@ def test_train_step_rejects_bad_batch(a, r):
 
 
 def test_train_step_matches_finite_difference():
-    # scalar 1-1-1 net against a frozen terminal target
+    # scalar 1-1-1 net against a frozen terminal target, embedded in a 3-1-4
+    # net: the other two rays read depth 8 (proximity 0) through zero weights
+    # and the other three actions' outputs are zero
     cfg = TrainConfig(alpha=1.0, gamma=0.9)
-    w1 = np.array([[0.4]])
-    w2 = np.array([[0.7]])
-    x = proximity(np.array([[3], [5]])) / qnav.DEPTH_MAX
+    w1 = np.array([[0.4, 0.0, 0.0]])
+    w2 = np.array([[0.7], [0.0], [0.0], [0.0]])
+    x = proximity(np.array([[3, 8, 8], [5, 8, 8]])) / qnav.DEPTH_MAX
     batch = (x[:1], np.array([0]), np.array([0.5]), x[1:], np.array([True]))
 
     def loss(w1v, w2v):
@@ -463,17 +488,18 @@ def test_trace_rows_schema(small_run):
 
 
 def test_input_table_matches_sensing():
-    operands, scaled = qnav._input_table(SMALL_ARENA, 4)
-    assert qnav._input_table(SMALL_ARENA, 4)[0] is operands
+    operands, scaled, _, _ = qnav._pose_tables(SMALL_ARENA, 4)
+    assert qnav._pose_tables(SMALL_ARENA, 4)[0] is operands
     for x in range(1, 5):
         for y in range(1, 5):
             for h in range(qnav.N_HEADINGS):
+                pose = qnav._flat_pose(SMALL_ARENA, (x, y), h)
                 want = proximity(sense(SMALL_ARENA, RobotState((x, y), h)), 4)
-                assert np.array_equal(operands[x, y, h], want)
-                assert np.array_equal(scaled[x, y, h], want.astype(float) / qnav.DEPTH_MAX)
+                assert np.array_equal(operands[pose], want)
+                assert np.array_equal(scaled[pose], want.astype(float) / qnav.DEPTH_MAX)
     for table in (operands, scaled):
         with pytest.raises(ValueError):
-            table[1, 1, 0, 0] = 0
+            table[0, 0] = 0
 
 
 def test_run_policy_deterministic(small_run):
@@ -488,6 +514,18 @@ def test_run_policy_deterministic(small_run):
 def test_run_policy_rejects_bad_step_counts(small_run, steps, error):
     with pytest.raises(error, match="steps"):
         run_policy(SMALL_ARENA, small_run.net, 0.1, steps, seed=7)
+
+
+@pytest.mark.parametrize("eps, drop_p, match", [
+    (2.0, 0.25, "exploration rate"), (-0.1, 0.25, "exploration rate"),
+    (float("nan"), 0.25, "exploration rate"), (0.1, 1.0, "drop probability"),
+    (0.1, -0.1, "drop probability"), (0.1, float("nan"), "drop probability"),
+])
+def test_run_policy_rejects_bad_rates(small_run, eps, drop_p, match):
+    # both are checked before the loop, so a run of 0 steps or without masks
+    # rejects them too
+    with pytest.raises(ValueError, match=match):
+        run_policy(SMALL_ARENA, small_run.net, eps, 0, seed=7, drop_p=drop_p)
 
 
 def test_run_policy_step_counts(small_run):
@@ -614,12 +652,10 @@ def test_training_step_shape_golden(case):
 
 
 def _check_pose_table(arena):
-    """The pose table against apply_action, and the flat pose against the
-    input table, at every free pose and action."""
-    next_pose, collided = qnav._pose_table(arena)
-    assert qnav._pose_table(arena)[0] is next_pose
-    operands, _ = qnav._input_table(arena, 4)
-    flat, _ = qnav._flat_inputs(arena, 4)
+    """The pose tables against apply_action and sensing, at every free pose
+    and action."""
+    operands, _, next_pose, collided = qnav._pose_tables(arena, 4)
+    assert qnav._pose_tables(arena, 4)[2] is next_pose
     for x in range(arena.width):
         for y in range(arena.height):
             if not arena.is_free((x, y)):
@@ -627,13 +663,14 @@ def _check_pose_table(arena):
             for h in range(qnav.N_HEADINGS):
                 pose = qnav._flat_pose(arena, (x, y), h)
                 assert pose // qnav.N_HEADINGS == x * arena.height + y
-                assert np.array_equal(flat[pose], operands[x, y, h])
+                assert np.array_equal(operands[pose],
+                                      proximity(sense(arena, RobotState((x, y), h)), 4))
                 for action in range(qnav.N_ACTIONS):
                     new, hit = apply_action(arena, RobotState((x, y), h), action)
                     assert next_pose[pose, action] == qnav._flat_pose(arena, new.position,
                                                                       new.heading)
                     assert collided[pose, action] == hit
-    for table in (next_pose, collided):
+    for table in qnav._pose_tables(arena, 4):
         with pytest.raises(ValueError):
             table[0, 0] = 0
 
@@ -674,17 +711,16 @@ def _per_call_training(arena, cfg, seed, ends):
     lfsr = Lfsr(seed)
     net, lfsr = init_network(lfsr, horizon=qnav.arena_horizon(arena))
     pad = Scratchpad(cfg.capacity)
-    operands, scaled = qnav._input_table(arena, net.horizon)
     rows, coverage = [], []
     for ep in range(cfg.episodes):
         state = RobotState(arena.start, 0)
         visited = {state.position}
         for _ in range(cfg.max_steps):
-            pose = (*state.position, state.heading)
+            x = proximity(sense(arena, state), net.horizon)
             keep = None
             if cfg.stochastic:
                 keep, lfsr = drop_mask(net.w1.shape, cfg.drop_p, lfsr)
-            qvals, energy = q_forward(net, operands[pose], keep, "tdms", params)
+            qvals, energy = q_forward(net, x, keep, "tdms", params)
             action, lfsr = select_action(qvals, cfg.epsilon(ep), lfsr)
             new_state, collided = apply_action(arena, state, action)
             reward = 0.0
@@ -694,8 +730,8 @@ def _per_call_training(arena, cfg, seed, ends):
                 visited.add(new_state.position)
                 reward = qnav.NEW_CELL_REWARD
             terminal = len(visited) == arena.free_cells
-            pad.push(scaled[pose], action, reward,
-                     scaled[(*new_state.position, new_state.heading)], terminal)
+            x_next = proximity(sense(arena, new_state), net.horizon)
+            pad.push(x / qnav.DEPTH_MAX, action, reward, x_next / qnav.DEPTH_MAX, terminal)
             if len(pad) >= cfg.batch_size:
                 batch = pad.sample(lfsr.words(cfg.batch_size))
                 lfsr = lfsr.advance(cfg.batch_size)

@@ -187,6 +187,45 @@ MUTANTS = (
            "            if not 0 < getattr(self, f.name) < np.inf:",
            "            if not 0 < getattr(self, f.name):",
            "PotentialParams(k_att=inf) constructed, and failed only inside LpuMeter.mul"),
+    Mutant("operand-sign-int", MACMODEL,
+           'if check_int(self.sign, "sign") not in (1, -1):',
+           "if self.sign not in (1, -1):",
+           "a float or bool sign constructed, and mac returned a float value"),
+    Mutant("dequantize-fits", MACMODEL,
+           "    op.check_fits(bits)\n",
+           "",
+           "Operand(300) dequantized at 4 bits to 20 times the range"),
+    Mutant("params-finite", MACMODEL,
+           "            if not 0 <= getattr(self, name) < np.inf:",
+           "            if not 0 <= getattr(self, name):",
+           "EnergyParams(e_0=inf) constructed and priced every MAC at inf"),
+    Mutant("qnetwork-w1-shape", QNAV,
+           "        if self.w1.ndim != 2 or self.w1.shape[1] != len(RAY_OFFSETS):",
+           "        if self.w1.ndim != 2:",
+           "a (16, 2) first layer constructed and failed inside the forward's matmul"),
+    Mutant("qnetwork-w2-shape", QNAV,
+           "        if self.w2.shape != (N_ACTIONS, self.w1.shape[0]):",
+           "        if self.w2.shape[0] != N_ACTIONS:",
+           "an output layer must take one input per hidden unit"),
+    Mutant("run-policy-eps", QNAV,
+           '        raise ValueError(f"steps must be non-negative, got {steps}")\n'
+           "    if not 0 <= eps <= 1:",
+           '        raise ValueError(f"steps must be non-negative, got {steps}")\n'
+           "    if False:",
+           "run_policy(eps=2.0, steps=0) returned 1 without checking eps"),
+    Mutant("run-policy-drop-p", QNAV,
+           "    if not 0 <= drop_p < 1:",
+           "    if False:",
+           "run_policy checked drop_p only when stochastic=True, inside drop_mask"),
+    Mutant("arena-start-in-grid", QNAV,
+           "        if not (0 <= self.start[0] < self.width"
+           " and 0 <= self.start[1] < self.height):",
+           "        if False:",
+           "a 4x4 arena took (9, 9) as its start cell"),
+    Mutant("pose-tables-writable", QNAV,
+           "    for table in tables:\n        table.flags.writeable = False\n    return tables",
+           "    return tables",
+           "every run shares the cached pose tables, so a write would leak into later runs"),
     Mutant("predprey-eps-boundary", SWARM,
            "            if u < PRED_EPS:",
            "            if u <= PRED_EPS:",
