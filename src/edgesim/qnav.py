@@ -38,7 +38,7 @@ from edgesim.stochsyn import Lfsr, drop_mask, keep_mask, masked_weights, to_rand
 HEADING_VECS = ((1, 0), (1, 1), (0, 1), (-1, 1), (-1, 0), (-1, -1), (0, -1), (1, -1))
 N_HEADINGS = 8
 
-ACTIONS = ("forward", "turn_left", "turn_right", "reverse")
+# actions: forward, turn left, turn right, reverse
 N_ACTIONS = 4
 
 DEPTH_BITS = 6
@@ -71,6 +71,12 @@ class Arena:
     start: tuple
 
     def __post_init__(self):
+        mm.check_int(self.width, "width")
+        mm.check_int(self.height, "height")
+        if not isinstance(self.start, tuple) or len(self.start) != 2:
+            raise ArenaError(f"start must be an (x, y) pair, got {self.start!r}")
+        for coord in self.start:
+            mm.check_int(coord, "start")
         if not (0 <= self.start[0] < self.width and 0 <= self.start[1] < self.height):
             raise ArenaError(
                 f"start cell {self.start} is outside the {self.width}x{self.height} grid")
@@ -272,7 +278,8 @@ def q_forward(net: QNetwork, x: np.ndarray, keep=None, model: str = "tdms",
 
 
 # a layer's accumulator sums one product of two 6-bit magnitudes per input,
-# so only a layer with more inputs than this can pass ACC_MAX
+# so only a layer with more inputs than this can pass ACC_MAX (the 3-input
+# first layer never can)
 _SAFE_FAN_IN = mm.ACC_MAX // (DEPTH_MAX * DEPTH_MAX)
 
 
@@ -285,10 +292,7 @@ def _forward(net: QNetwork, x: np.ndarray, keep, price):
         q1 = masked_weights(q1, keep)
         m1 = np.abs(q1)
 
-    acc1 = q1 @ x
-    if x.size > _SAFE_FAN_IN and (np.abs(acc1) > mm.ACC_MAX).any():
-        raise OverflowError("hidden-layer accumulator overflow")
-    hidden = np.minimum(np.maximum(acc1, 0) >> ACT_SHIFT, DEPTH_MAX)
+    hidden = np.minimum(np.maximum(q1 @ x, 0) >> ACT_SHIFT, DEPTH_MAX)
     acc2 = q2 @ hidden
     if hidden.size > _SAFE_FAN_IN and (np.abs(acc2) > mm.ACC_MAX).any():
         raise OverflowError("output-layer accumulator overflow")
@@ -374,7 +378,6 @@ class TrainConfig:
     stochastic: bool = True
     convergence_window: int = 10
     convergence_frac: float = 0.7
-    stop_at_convergence: bool = True
 
     def __post_init__(self):
         if not 0 < self.alpha <= 1:
@@ -395,9 +398,8 @@ class TrainConfig:
                 raise ValueError(f"{name} must be in [0, 1]")
         if not 0 < self.eps_decay <= 1:
             raise ValueError("eps_decay must be in (0, 1]")
-        for name in ("stochastic", "stop_at_convergence"):
-            if not isinstance(getattr(self, name), (bool, np.bool_)):
-                raise TypeError(f"{name} must be a bool, got {getattr(self, name)!r}")
+        if not isinstance(self.stochastic, (bool, np.bool_)):
+            raise TypeError(f"stochastic must be a bool, got {self.stochastic!r}")
 
     def epsilon(self, episode: int) -> float:
         return max(self.eps_end, self.eps_start * self.eps_decay**episode)
@@ -599,11 +601,10 @@ def run_training(arena: Arena, cfg: TrainConfig, seed: int, model: str = "tdms",
                 # can drift after the replay buffer fills with stale zeros
                 best_window = avg
                 best_net = net
-            if not converged and avg >= target_cells:
+            if avg >= target_cells:
                 converged = True
                 convergence_episode = ep
-                if cfg.stop_at_convergence:
-                    break
+                break
 
     return TrainingTrace(
         iteration=np.arange(iteration), episode=np.array(ep_rows),

@@ -26,6 +26,7 @@ mask, its epsilon-greedy words, its replay sample and its update mask.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -121,11 +122,6 @@ def to_randint(word, n: int):
     return word % n
 
 
-# Full output cycle, computed once. Walking the cycle is bit-identical to
-# stepping: the output stream from state s is the cycle starting at s's index.
-_cycle_cache = None
-
-
 def _cycle_bits() -> np.ndarray:
     """Output bits of the walk from state 1, one period plus 16 more (uint8).
 
@@ -152,7 +148,13 @@ def _cycle_bits() -> np.ndarray:
     return out
 
 
-def _build_cycle():
+@lru_cache(maxsize=None)
+def _cycle_tables():
+    """(states, index_of, stream) of the full output cycle, built on first use.
+
+    Walking the cycle is bit-identical to stepping: the output stream from
+    state s is the cycle starting at s's index.
+    """
     out = _cycle_bits()
     # states[i] = sum_j out[i+j] << j; words[i]: the 16 output bits from cycle
     # index i on, read MSB first; stream: the words in draw order (module docstring)
@@ -179,14 +181,6 @@ def _build_cycle():
     for table in tables:
         table.flags.writeable = False
     return tables
-
-
-def _cycle_tables():
-    """(states, index_of, stream) of the cycle, built on first use."""
-    global _cycle_cache
-    if _cycle_cache is None:
-        _cycle_cache = _build_cycle()
-    return _cycle_cache
 
 
 def drop_mask(shape: tuple[int, int], p: float, lfsr: Lfsr) -> tuple[np.ndarray, Lfsr]:

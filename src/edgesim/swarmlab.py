@@ -1,11 +1,11 @@
 """Unified swarm compute paradigm on the HD-MS MAC substrate.
 
-Nonlinear terms go through piecewise-linear function tables (NFE); multiplies
-go through the quantized LPU at a bit width set by the swarm size. Four
-template workloads run on top: APF path planning, circle-slot pattern
-formation, predator-prey pursuit, and cooperative map exploration. Agent
-state (positions, maps) lives in wide registers; only the MAC operands are
-quantized.
+The nonlinear function evaluator (NFE) is one piecewise-linear table, the
+APF repulsion's 1/d; multiplies go through the quantized LPU at a bit width
+set by the swarm size. Four template workloads run on top: APF path
+planning, circle-slot pattern formation, predator-prey pursuit, and
+cooperative map exploration. Agent state (positions, maps) lives in wide
+registers; only the MAC operands are quantized.
 """
 
 from __future__ import annotations
@@ -39,66 +39,26 @@ def bitwidth_for_swarm(n: int) -> int:
 # nonlinear function evaluator
 
 
-_NFE_FUNCS = {
-    "exp_neg": lambda x: np.exp(-x),
-    "sigmoid": lambda x: 1.0 / (1.0 + np.exp(-x)),
-    "sine": np.sin,
-    "recip": lambda x: 1.0 / x,
-}
+# repulsion distances saturate at the table's domain ends
+D_FLOOR = 0.1
+D_CEIL = 2.0
+RECIP_SEGMENTS = 32
+# the one 1/d table every metered APF call reads: a chord (endpoint-
+# interpolating) table on a uniform grid, so adjoining segments agree
+# exactly at breakpoints; it is shared by every run, so it must not change
+RECIP_BREAKS = np.linspace(D_FLOOR, D_CEIL, RECIP_SEGMENTS + 1)
+RECIP_VALUES = 1.0 / RECIP_BREAKS
+RECIP_BREAKS.flags.writeable = RECIP_VALUES.flags.writeable = False
 
 
-@dataclass(frozen=True)
-class NfeTable:
-    """Chord (endpoint-interpolating) piecewise-linear table on a uniform grid.
-
-    Evaluation lerps between stored endpoint values, so adjoining segments
-    agree exactly at breakpoints.
-    """
-
-    fid: str
-    breakpoints: np.ndarray
-    values: np.ndarray
-
-    @property
-    def lo(self) -> float:
-        return float(self.breakpoints[0])
-
-    @property
-    def hi(self) -> float:
-        return float(self.breakpoints[-1])
-
-    @property
-    def n_segments(self) -> int:
-        return len(self.breakpoints) - 1
-
-
-def nfe_build(fid: str, domain: tuple, n_segments: int = 32) -> NfeTable:
-    if fid not in _NFE_FUNCS:
-        raise ValueError(f"unknown NFE function {fid!r}; expected one of {sorted(_NFE_FUNCS)}")
-    lo, hi = float(domain[0]), float(domain[1])
-    if not lo < hi:
-        raise ValueError(f"domain must satisfy lo < hi, got {domain}")
-    if n_segments < 2:
-        raise ValueError("need at least 2 segments")
-    if fid == "recip" and lo <= 0 <= hi:
-        raise ValueError("recip domain must exclude 0")
-    breaks = np.linspace(lo, hi, n_segments + 1)
-    values = _NFE_FUNCS[fid](breaks)
-    for arr in (breaks, values):
-        arr.flags.writeable = False  # tables are shared, so they must not change
-    return NfeTable(fid=fid, breakpoints=breaks, values=values)
-
-
-def nfe_eval(table: NfeTable, x):
-    """Piecewise-linear evaluation; inputs saturate at the domain ends."""
-    x = np.asarray(x, dtype=float)
-    xc = np.clip(x, table.lo, table.hi)
-    seg = np.clip(np.searchsorted(table.breakpoints, xc, side="right") - 1,
-                  0, table.n_segments - 1)
-    t0 = table.breakpoints[seg]
-    t1 = table.breakpoints[seg + 1]
+def nfe_recip(x):
+    """Piecewise-linear 1/x, a float for 0-d input; inputs saturate at [D_FLOOR, D_CEIL]."""
+    xc = np.clip(np.asarray(x, dtype=float), D_FLOOR, D_CEIL)
+    seg = np.clip(np.searchsorted(RECIP_BREAKS, xc, side="right") - 1, 0, RECIP_SEGMENTS - 1)
+    t0 = RECIP_BREAKS[seg]
+    t1 = RECIP_BREAKS[seg + 1]
     u = (xc - t0) / (t1 - t0)
-    out = table.values[seg] * (1.0 - u) + table.values[seg + 1] * u
+    out = RECIP_VALUES[seg] * (1.0 - u) + RECIP_VALUES[seg + 1] * u
     return out if out.ndim else float(out)
 
 
@@ -202,9 +162,9 @@ class LpuMeter:
         self.macs += len(out)
         return out
 
-    def nfe(self, table: NfeTable, x, ledger: list | None = None):
-        """Metered table lookup: one interpolation MAC per evaluated element."""
-        out = nfe_eval(table, x)
+    def nfe(self, x, ledger: list | None = None):
+        """Metered ``nfe_recip`` lookup: one interpolation MAC per evaluated element."""
+        out = nfe_recip(x)
         mid = self._full // 2
         self._charge(np.full(np.asarray(x).size, self.energy(mid, mid)), ledger)
         return out
@@ -227,20 +187,15 @@ class PotentialParams:
                 raise ValueError(f"{f.name} must be in (0, inf), got {getattr(self, f.name)}")
 
 
-# repulsion distances below this floor saturate (the 1/d table domain end)
-D_FLOOR = 0.1
-# the one 1/d table every metered APF call reads
-RECIP_TABLE = nfe_build("recip", (D_FLOOR, 2.0), 32)
-
-
 def apf_force(pos, goal, obstacles, params: PotentialParams, meter: LpuMeter | None = None):
     """Attractive-plus-repulsive potential field forces of n agents, each clamped to v_max.
 
     ``pos`` and ``goal`` are (n, 2); ``obstacles`` is (n, K, 2), row i
     listing the points that repel agent i, and only points closer than d0
-    push. With a meter attached, multiplies run on the quantized LPU and the
-    1/d terms go through the NFE table ``RECIP_TABLE``. Forces, energy and MACs
-    are exactly those of n single-agent calls made in agent order.
+    push. With a meter attached, multiplies run on the quantized LPU and each
+    1/d term is one ``LpuMeter.nfe`` lookup in the 1/d table (``nfe_recip``),
+    saturating at D_FLOOR and D_CEIL. Forces, energy and MACs are exactly
+    those of n single-agent calls made in agent order.
     """
     pos = np.asarray(pos, dtype=float)
     goal = np.asarray(goal, dtype=float)
@@ -274,7 +229,7 @@ def apf_force(pos, goal, obstacles, params: PotentialParams, meter: LpuMeter | N
         # metered pushes saturate at the f_cap quantizer range; the exact
         # formula is unbounded and relies on the final v_max clamp alone
         f_cap = 4.0 * params.v_max
-        u = meter.nfe(RECIP_TABLE, dc, ledger)
+        u = meter.nfe(dc, ledger)
         uu = meter.mul(u, u, 1.0 / D_FLOOR, 1.0 / D_FLOOR, ledger)
         mag = meter.mul(params.k_rep * (u - u0), uu, 10.0, (1.0 / D_FLOOR) ** 2, ledger)
         push = meter.mul(mag[:, None], direction, f_cap, 1.0, ledger)

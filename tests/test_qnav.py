@@ -60,6 +60,10 @@ def test_arena_from_text_roundtrip():
     assert a.free_cells == 16
 
 
+# the boundary walls of a 4x4 grid
+WALLS_4X4 = frozenset((x, y) for x in range(4) for y in range(4) if {x, y} & {0, 3})
+
+
 def test_arena_rejects_bad_grids():
     with pytest.raises(ArenaError):
         Arena.from_text("###\n#.#\n###")  # no start
@@ -71,10 +75,36 @@ def test_arena_rejects_bad_grids():
         Arena.from_text("####\n#S?#\n####")
     with pytest.raises(ArenaError):
         Arena.from_text("#.##\n#S.#\n####")  # open boundary
-    boundary = frozenset((x, y) for x in range(4) for y in range(4) if {x, y} & {0, 3})
     for start in ((9, 9), (4, 1), (1, 4), (-1, 1), (1, -1)):
         with pytest.raises(ArenaError, match="outside the 4x4 grid"):
-            Arena(4, 4, boundary, start)
+            Arena(4, 4, WALLS_4X4, start)
+
+
+@pytest.mark.parametrize("width, height, start, error, field", [
+    (4.0, 4, (1, 1), TypeError, "width"),
+    (4, True, (1, 1), TypeError, "height"),
+    (4, 4, (1.5, 1), TypeError, "start"),
+    (4, 4, (1, np.float64(1.0)), TypeError, "start"),
+    (4, 4, (1, 1, 0), ArenaError, "start"),
+    (4, 4, (1,), ArenaError, "start"),
+    (4, 4, [1, 1], ArenaError, "start"),
+])
+def test_arena_rejects_bad_fields(width, height, start, error, field):
+    # the error names the field; a float or 3-tuple start would otherwise
+    # construct and fail only inside run_policy, naming no field
+    with pytest.raises(error, match=field):
+        Arena(width, height, WALLS_4X4, start)
+
+
+def test_arena_accepts_numpy_int_fields():
+    arena = Arena(np.int64(4), 4, WALLS_4X4, (np.int64(1), 2))
+    assert arena == Arena(4, 4, WALLS_4X4, (1, 2))
+
+
+def test_arena_from_file(tmp_path):
+    path = tmp_path / "arena.txt"
+    path.write_text(qnav.DEFAULT_ARENA_TEXT)
+    assert Arena.from_file(path) == default_arena()
 
 
 def test_default_arena_sane():
@@ -185,20 +215,14 @@ def test_q_forward_rejects_out_of_range_operands(params, x):
         q_forward(net, np.array(x), None, "tdms", params)
 
 
-@pytest.mark.parametrize("wide, message", [("input", "hidden-layer"), ("hidden", "output-layer")])
+@pytest.mark.parametrize("wide, message", [("hidden", "output-layer")])
 def test_q_forward_accumulator_overflow(params, wide, message):
     # 2,200 full-scale products of 63 * 63 sum to 8,731,800, past the 24-bit
     # ACC_MAX of 8,388,607; a 3-input first layer saturates its hidden units
+    # and cannot overflow itself
     n = 2200
-    shapes = {"input": ((16, n), (4, 16)), "hidden": ((n, 3), (4, n))}[wide]
-    if wide == "input":
-        # QNetwork only builds 3-input first layers, which cannot overflow:
-        # widen a built network's layer to reach the hidden-layer guard
-        net = QNetwork(w1=np.ones((16, 3)), w2=np.ones(shapes[1]))
-        object.__setattr__(net, "w1", np.ones(shapes[0]))
-    else:
-        net = QNetwork(w1=np.ones(shapes[0]), w2=np.ones(shapes[1]))
-    x = np.full(shapes[0][1], qnav.DEPTH_MAX)
+    net = QNetwork(w1=np.ones((n, 3)), w2=np.ones((4, n)))
+    x = np.full(3, qnav.DEPTH_MAX)
     with pytest.raises(OverflowError, match=message):
         q_forward(net, x, None, "tdms", params)
 
@@ -384,7 +408,7 @@ def test_config_accepts_boundary_values():
                 convergence_frac=1.0, drop_p=0.0, eps_start=1.0, eps_end=0.0, eps_decay=1.0)
 
 
-@pytest.mark.parametrize("field", ["stochastic", "stop_at_convergence"])
+@pytest.mark.parametrize("field", ["stochastic"])
 @pytest.mark.parametrize("value", [2, 0, 1.0, "yes", None])
 def test_config_rejects_non_bool_flags(field, value):
     # a training step sizes its LFSR block from `stochastic`
@@ -393,7 +417,7 @@ def test_config_rejects_non_bool_flags(field, value):
 
 
 def test_config_accepts_numpy_bool_flags():
-    flags = dict(episodes=1, max_steps=20, stochastic=False, stop_at_convergence=True)
+    flags = dict(episodes=1, max_steps=20, stochastic=False)
     a = run_training(SMALL_ARENA, TrainConfig(**{k: np.bool_(v) if isinstance(v, bool) else v
                                                  for k, v in flags.items()}), seed=0x0BAD)
     b = run_training(SMALL_ARENA, TrainConfig(**flags), seed=0x0BAD)

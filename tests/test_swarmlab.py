@@ -194,7 +194,7 @@ def _apf_force_reference(pos, goal, obstacles, params, meter):
             u = 1.0 / dc
             force = force + params.k_rep * (u - u0) * u * u * direction
         else:
-            u = meter.nfe(sl.RECIP_TABLE, dc)
+            u = meter.nfe(dc)
             uu = meter.mul(u, u, 1.0 / sl.D_FLOOR, 1.0 / sl.D_FLOOR)
             push = meter.mul(params.k_rep * (u - u0), uu, 10.0, (1.0 / sl.D_FLOOR) ** 2)
             force = force + meter.mul(np.full(2, push), direction, f_cap, 1.0)
@@ -256,13 +256,24 @@ def test_apf_agent_on_obstacle_raises():
 
 
 def test_recip_table_is_the_built_table_and_read_only():
-    built = sl.nfe_build("recip", (sl.D_FLOOR, 2.0), 32)
-    for name in ("breakpoints", "values"):
-        shared = getattr(sl.RECIP_TABLE, name)
-        assert shared.tobytes() == getattr(built, name).tobytes()
-        for table in (shared, getattr(built, name)):
-            with pytest.raises(ValueError, match="read-only"):
-                table[0] = 1.0
+    breaks = np.linspace(sl.D_FLOOR, sl.D_CEIL, sl.RECIP_SEGMENTS + 1)
+    assert sl.RECIP_BREAKS.tobytes() == breaks.tobytes()
+    assert sl.RECIP_VALUES.tobytes() == (1.0 / breaks).tobytes()
+    for table in (sl.RECIP_BREAKS, sl.RECIP_VALUES):
+        with pytest.raises(ValueError, match="read-only"):
+            table[0] = 1.0
+
+
+def test_nfe_recip_reads_the_chord_table_and_saturates():
+    # exact at every breakpoint, including the clipped last segment's end
+    assert [sl.nfe_recip(b) for b in sl.RECIP_BREAKS] == sl.RECIP_VALUES.tolist()
+    assert sl.nfe_recip(0.01) == sl.nfe_recip(sl.D_FLOOR) == 10.0
+    assert sl.nfe_recip(5.0) == sl.nfe_recip(sl.D_CEIL) == 0.5
+    assert isinstance(sl.nfe_recip(np.float64(1.0)), float)
+    mid = (sl.RECIP_BREAKS[:-1] + sl.RECIP_BREAKS[1:]) / 2
+    chord = (sl.RECIP_VALUES[:-1] + sl.RECIP_VALUES[1:]) / 2
+    assert sl.nfe_recip(mid).shape == mid.shape
+    assert np.allclose(sl.nfe_recip(mid), chord, rtol=1e-12, atol=0)
 
 
 def test_check_collisions():

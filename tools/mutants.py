@@ -98,9 +98,9 @@ MUTANTS = (
            "@dataclass\nclass SwarmConfig:",
            "a config changed after construction skips its validation"),
     Mutant("nfe-writable", SWARM,
-           "        arr.flags.writeable = False",
-           "        arr.flags.writeable = True",
-           "RECIP_TABLE is shared by every run, so a write would leak into later runs"),
+           "RECIP_BREAKS.flags.writeable = RECIP_VALUES.flags.writeable = False",
+           "RECIP_BREAKS.flags.writeable = RECIP_VALUES.flags.writeable = True",
+           "the 1/d table is shared by every run, so a write would leak into later runs"),
     Mutant("predprey-score-budget", SWARM,
            "score = float(steps)",
            "score = float(budget)",
@@ -131,16 +131,16 @@ MUTANTS = (
     Mutant("forward-safe-fan-in", QNAV,
            "_SAFE_FAN_IN = mm.ACC_MAX // (DEPTH_MAX * DEPTH_MAX)",
            "_SAFE_FAN_IN = 2 * mm.ACC_MAX // (DEPTH_MAX * DEPTH_MAX)",
-           "the forward skips its accumulator checks only for layers too narrow to "
-           "overflow"),
+           "the forward skips its output-layer accumulator check only for hidden layers "
+           "too narrow to overflow"),
     Mutant("qnetwork-finite", QNAV,
            "            if not np.isfinite(w).all():",
            "            if False:",
            "a NaN weight quantizes past DEPTH_MAX, and the forward's accumulator bound "
            "no longer holds"),
     Mutant("train-config-bool", QNAV,
-           "            if not isinstance(getattr(self, name), (bool, np.bool_)):",
-           "            if False:",
+           "        if not isinstance(self.stochastic, (bool, np.bool_)):",
+           "        if False:",
            "TrainConfig(stochastic=2) would size a step's LFSR block from a non-bool"),
     Mutant("run-policy-steps", QNAV,
            'if mm.check_int(steps, "steps") < 0:',
@@ -222,6 +222,11 @@ MUTANTS = (
            " and 0 <= self.start[1] < self.height):",
            "        if False:",
            "a 4x4 arena took (9, 9) as its start cell"),
+    Mutant("arena-start-int", QNAV,
+           '            mm.check_int(coord, "start")\n',
+           "            pass\n",
+           "Arena(4, 4, walls, (1.5, 1)) constructed, and run_policy failed indexing a "
+           "bytearray with a float"),
     Mutant("pose-tables-writable", QNAV,
            "    for table in tables:\n        table.flags.writeable = False\n    return tables",
            "    return tables",
