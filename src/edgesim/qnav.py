@@ -13,6 +13,13 @@ every pose's proximity operands (the integer inputs of the quantized forward
 pass), their float scaling (the shadow network's inputs) and its (pose,
 action) transitions, and a run tracks its pose as one flat row index.
 
+A training run keeps its network in place rather than as a ``QNetwork``:
+one flat float buffer of both layers, updated by ``_update`` (the body of
+``train_step``), and the signed and magnitude integer buffers that
+``_quantize`` refills from it after each update and ``_forward`` reads. Each
+buffer has fixed per-layer views, so nothing is rebuilt per step; a
+``QNetwork`` is made only for the trace, from a copy of the float buffer.
+
 A training step reads its randomness as one block of the LFSR stream,
 ``lfsr.words(k)``, and steps past the words it used with one
 ``lfsr.advance(used)``. It takes them in the order of the per-call draws
@@ -40,6 +47,7 @@ N_HEADINGS = 8
 
 # actions: forward, turn left, turn right, reverse
 N_ACTIONS = 4
+_ACTIONS = frozenset(range(N_ACTIONS))
 
 DEPTH_BITS = 6
 DEPTH_MAX = (1 << DEPTH_BITS) - 1
@@ -210,25 +218,53 @@ class QNetwork:
             raise ValueError(f"w1 must be (hidden, {len(RAY_OFFSETS)}), got {self.w1.shape}")
         if self.w2.shape != (N_ACTIONS, self.w1.shape[0]):
             raise ValueError(f"w2 must be ({N_ACTIONS}, {self.w1.shape[0]}), got {self.w2.shape}")
+        # a depth is at least 1, so at a horizon of 1 every proximity reads 0
+        if mm.check_int(self.horizon, "horizon") < 2:
+            raise ValueError(f"horizon must be at least 2, got {self.horizon}")
         self.w1.setflags(write=False)
         self.w2.setflags(write=False)
 
     def quantized(self):
         """Signed integer weights ``(q1, q2)`` and their magnitudes
-        ``(m1, m2)`` of both layers, quantized in one pass (cached). Every
-        magnitude is at most DEPTH_MAX, so the weights must be finite."""
+        ``(m1, m2)`` of both layers, quantized in one pass by ``_quantize``
+        (cached)."""
         cached = getattr(self, "_quant", None)
         if cached is None:
-            w = np.concatenate((self.w1, self.w2), axis=None)
-            if not np.isfinite(w).all():
-                raise ValueError("network weights must be finite")
-            mags = mm.quantize_mags(w, DEPTH_BITS, 1.0)
-            signed = np.where(w < 0, -mags, mags)
-            n1 = self.w1.size
-            cached = ((signed[:n1].reshape(self.w1.shape), signed[n1:].reshape(self.w2.shape)),
-                      (mags[:n1].reshape(self.w1.shape), mags[n1:].reshape(self.w2.shape)))
+            cached = _quantized(np.concatenate((self.w1, self.w2), axis=None), self.w1.shape)[2]
             object.__setattr__(self, "_quant", cached)
         return cached
+
+
+def _layers(flat: np.ndarray, shape1) -> tuple[np.ndarray, np.ndarray]:
+    """Views of a flat buffer of both layers: the first layer of ``shape1``
+    (hidden, 3), then the (N_ACTIONS, hidden) output layer."""
+    n1 = shape1[0] * shape1[1]
+    return flat[:n1].reshape(shape1), flat[n1:].reshape(N_ACTIONS, shape1[0])
+
+
+def _all_finite(a: np.ndarray) -> bool:
+    """``np.isfinite(a).all()``, without a reduction's per-call cost."""
+    return np.count_nonzero(np.isfinite(a)) == a.size
+
+
+def _quantize(w: np.ndarray, q: np.ndarray, m: np.ndarray) -> None:
+    """Quantize the flat float weights ``w`` in place into the signed integer
+    weights ``q`` and their magnitudes ``m``. Every magnitude is at most
+    DEPTH_MAX, so the weights must be finite."""
+    if not _all_finite(w):
+        raise ValueError("network weights must be finite")
+    m[:] = mm.quantize_mags(w, DEPTH_BITS, 1.0)
+    # -m where w < 0; a -0.0 weight has magnitude 0, so its sign is lost
+    q[:] = np.copysign(m, w)
+
+
+def _quantized(w: np.ndarray, shape1):
+    """New signed and magnitude buffers ``q`` and ``m`` of the flat float
+    weights ``w``, filled by ``_quantize``, and their layer views
+    ``((q1, q2), (m1, m2))``."""
+    q, m = np.empty(w.size, dtype=np.int64), np.empty(w.size, dtype=np.int64)
+    _quantize(w, q, m)
+    return q, m, (_layers(q, shape1), _layers(m, shape1))
 
 
 def init_network(lfsr: Lfsr, hidden: int = 16, scale: float = 0.3,
@@ -274,7 +310,7 @@ def q_forward(net: QNetwork, x: np.ndarray, keep=None, model: str = "tdms",
         params = mm.default_params()
     if not ((x >= 0) & (x <= DEPTH_MAX)).all():
         raise ValueError(f"input operands must be in [0, {DEPTH_MAX}]")
-    return _forward(net, x, keep, mm.array_pricer(DEPTH_BITS, model, params))
+    return _forward(net.quantized(), x, keep, mm.array_pricer(DEPTH_BITS, model, params))
 
 
 # a layer's accumulator sums one product of two 6-bit magnitudes per input,
@@ -283,11 +319,12 @@ def q_forward(net: QNetwork, x: np.ndarray, keep=None, model: str = "tdms",
 _SAFE_FAN_IN = mm.ACC_MAX // (DEPTH_MAX * DEPTH_MAX)
 
 
-def _forward(net: QNetwork, x: np.ndarray, keep, price):
-    """``q_forward`` on an operand row already known to lie in [0, DEPTH_MAX],
-    with the layers priced by ``price``, an ``mm.array_pricer``. A run
-    checks its operand table and looks up its pricer once."""
-    (q1, q2), (m1, m2) = net.quantized()
+def _forward(quant, x: np.ndarray, keep, price):
+    """``q_forward`` of the network quantized as ``quant`` (``QNetwork.quantized``)
+    on an operand row already known to lie in [0, DEPTH_MAX], with the layers
+    priced by ``price``, an ``mm.array_pricer``. A run checks its operand
+    table and looks up its pricer once."""
+    (q1, q2), (m1, m2) = quant
     if keep is not None:
         q1 = masked_weights(q1, keep)
         m1 = np.abs(q1)
@@ -298,7 +335,7 @@ def _forward(net: QNetwork, x: np.ndarray, keep, price):
         raise OverflowError("output-layer accumulator overflow")
 
     energy = price(x, m1) + price(hidden, m2)
-    return acc2.astype(float) / float(DEPTH_MAX * DEPTH_MAX), energy
+    return acc2 / float(DEPTH_MAX * DEPTH_MAX), energy
 
 
 def bellman_target(r, q_next_max, gamma: float, terminal):
@@ -320,9 +357,9 @@ def _epsilon_greedy(qvals, eps: float, words):
     """The action that 16-bit samples ``words`` pick, and how many it used:
     the first explores when it draws below ``eps``, and the second then draws
     the random action."""
-    if to_uniform(words[0]) < eps:
-        return int(to_randint(words[1], N_ACTIONS)), 2
-    return int(np.argmax(qvals)), 1
+    if to_uniform(int(words[0])) < eps:
+        return to_randint(int(words[1]), N_ACTIONS), 2
+    return int(qvals.argmax()), 1
 
 
 class Scratchpad:
@@ -358,7 +395,8 @@ class Scratchpad:
         ``to_randint(w, len(self))``-th oldest stored row (0 is the oldest)."""
         if not self.pushed:
             raise ValueError("cannot sample an empty scratchpad")
-        rows = (self.pushed - len(self) + to_randint(draws, len(self))) % self.capacity
+        n = len(self)
+        rows = (self.pushed - n + to_randint(draws, n)) % self.capacity
         return (self.s[rows], self.a[rows], self.r[rows], self.s_next[rows],
                 self.terminal[rows])
 
@@ -380,6 +418,11 @@ class TrainConfig:
     convergence_frac: float = 0.7
 
     def __post_init__(self):
+        # a bool passes every range check below as 0 or 1
+        for name in ("alpha", "gamma", "eps_start", "eps_end", "eps_decay", "drop_p",
+                     "convergence_frac"):
+            if isinstance(getattr(self, name), (bool, np.bool_)):
+                raise TypeError(f"{name} must be a real number, got {getattr(self, name)!r}")
         if not 0 < self.alpha <= 1:
             raise ValueError("alpha must be in (0, 1]")
         if not 0 <= self.gamma < 1:
@@ -419,39 +462,51 @@ def train_step(net: QNetwork, batch, cfg: TrainConfig, keep=None) -> QNetwork:
     the masked weights and first-layer gradients flow only through kept
     connections; targets stay clean.
     """
+    w = np.concatenate((net.w1, net.w2), axis=None)
+    layers = _layers(w, net.w1.shape)
+    _update(w, layers, batch, cfg, keep)
+    return QNetwork(*layers, horizon=net.horizon)
+
+
+def _update(w: np.ndarray, layers, batch, cfg: TrainConfig, keep) -> None:
+    """``train_step`` in place: ``w`` is the flat float buffer of both
+    layers and ``layers`` its ``_layers`` views."""
     xs, actions, rewards, xn, terminal = batch
-    if len(actions) == 0:
+    n = len(actions)
+    if n == 0:
         raise ValueError("batch must be non-empty")
-    if not ((actions >= 0) & (actions < N_ACTIONS)).all():
+    if not _ACTIONS.issuperset(actions.tolist()):
         raise ValueError(f"action indices must be in [0, {N_ACTIONS})")
-    if not np.isfinite(rewards).all():
+    if not _all_finite(rewards):
         raise ValueError("rewards must be finite")
 
-    w1 = net.w1 if keep is None else masked_weights(net.w1, keep)
+    w1, w2 = layers
+    w1_used = w1 if keep is None else masked_weights(w1, keep)
 
-    a1 = xs @ w1.T                               # (B, hidden) pre-activations
-    h = np.minimum(np.maximum(a1, 0.0) * ACT_GAIN, 1.0)
-    q = h @ net.w2.T                             # (B, actions)
-    a1n = xn @ net.w1.T
-    h_next = np.minimum(np.maximum(a1n, 0.0) * ACT_GAIN, 1.0)
-    q_next_max = (h_next @ net.w2.T).max(axis=1)
+    # (B, hidden) pre-activations of the states over those of the next
+    # states, through one rectifier
+    a1 = np.concatenate((xs @ w1_used.T, xn @ w1.T))
+    h_both = np.minimum(np.maximum(a1, 0.0) * ACT_GAIN, 1.0)
+    h, h_next = h_both[:n], h_both[n:]
+    q = h @ w2.T                                 # (B, actions)
+    q_next_max = np.maximum.reduce(h_next @ w2.T, axis=1)
     targets = bellman_target(rewards, q_next_max, cfg.gamma, terminal)
-    delta = targets - q[np.arange(len(actions)), actions]
+    delta = targets - q[np.arange(n), actions]
 
-    nudge = cfg.alpha / len(actions) * delta[:, None]
-    d_w2 = np.zeros(net.w2.shape)
+    nudge = cfg.alpha / n * delta[:, None]
+    d_w2 = np.zeros(w2.shape)
     np.add.at(d_w2, actions, nudge * h)
     # rectifier and saturation gate: 0 < a1 and a1 * ACT_GAIN < 1, read off h
     active = (h > 0.0) & (h < 1.0)
-    d_w1 = (nudge * net.w2[actions] * active * ACT_GAIN).T @ xs
+    d_w1 = (nudge * w2[actions] * active * ACT_GAIN).T @ xs
     if keep is not None:
-        d_w1 = d_w1 * keep
+        d_w1 *= keep
 
-    # both layers re-enter [-1, 1] in one clip; the new layers are views of it
-    w = np.concatenate((net.w1 + d_w1, net.w2 + d_w2), axis=None).clip(-1.0, 1.0)
-    n1 = net.w1.size
-    return QNetwork(w1=w[:n1].reshape(net.w1.shape), w2=w[n1:].reshape(net.w2.shape),
-                    horizon=net.horizon)
+    # both deltas read the entry weights, so the layers move only now; then
+    # both re-enter [-1, 1] in one clip of the buffer they are views of
+    w1 += d_w1
+    w2 += d_w2
+    w.clip(-1.0, 1.0, out=w)
 
 
 # ---------------------------------------------------------------------------
@@ -526,6 +581,10 @@ def run_training(arena: Arena, cfg: TrainConfig, seed: int, model: str = "tdms",
     The run stops there, or at the episode budget with converged=False.
     ``trace.net`` is the network at the end of the strongest window, or the
     last network when the run ends before a full window.
+
+    The network trains in place (module docstring): each update moves the
+    float buffer ``w`` and re-quantizes it into the integer buffers that
+    ``quant`` views, and ``trace.net`` is built from a copy of ``w``.
     """
     if params is None:
         params = mm.default_params()
@@ -535,10 +594,13 @@ def run_training(arena: Arena, cfg: TrainConfig, seed: int, model: str = "tdms",
     pad = Scratchpad(cfg.capacity)
     operands, scaled, next_pose, collided = _pose_tables(arena, net.horizon)
     start = _flat_pose(arena, arena.start, 0)
+    shape = net.w1.shape
+    w = np.concatenate((net.w1, net.w2), axis=None)
+    layers = _layers(w, shape)
+    q, m, quant = _quantized(w, shape)
 
     # stochastic synapses sit on the sensor fan-in (first layer), refreshed
     # every forward pass and every training step
-    shape = net.w1.shape
     mask_words = net.w1.size if cfg.stochastic else 0
     # the most a step draws: two masks, two epsilon-greedy words and a batch
     block = 2 * mask_words + 2 + cfg.batch_size
@@ -547,9 +609,10 @@ def run_training(arena: Arena, cfg: TrainConfig, seed: int, model: str = "tdms",
     converged = False
     convergence_episode = -1
     iteration = 0
-    target_cells = cfg.convergence_frac * arena.free_cells
+    free_cells = arena.free_cells
+    target_cells = cfg.convergence_frac * free_cells
     best_window = -1.0
-    best_net = None
+    best_w = None
 
     for ep in range(cfg.episodes):
         pose = start
@@ -560,7 +623,7 @@ def run_training(arena: Arena, cfg: TrainConfig, seed: int, model: str = "tdms",
         for _ in range(cfg.max_steps):
             words = lfsr.words(block)
             keep = keep_mask(words[:mask_words], cfg.drop_p, shape) if mask_words else None
-            qvals, energy = _forward(net, operands[pose], keep, price)
+            qvals, energy = _forward(quant, operands[pose], keep, price)
             action, used = _epsilon_greedy(qvals, eps, words[mask_words:])
             used += mask_words
             new_pose = int(next_pose[pose, action])
@@ -571,7 +634,7 @@ def run_training(arena: Arena, cfg: TrainConfig, seed: int, model: str = "tdms",
                 visited[new_pose // N_HEADINGS] = 1
                 covered += 1
                 reward = NEW_CELL_REWARD
-            terminal = covered == arena.free_cells
+            terminal = covered == free_cells
             pad.push(scaled[pose], action, reward, scaled[new_pose], terminal)
 
             if len(pad) >= cfg.batch_size:
@@ -581,7 +644,8 @@ def run_training(arena: Arena, cfg: TrainConfig, seed: int, model: str = "tdms",
                 if mask_words:
                     keep = keep_mask(words[used:used + mask_words], cfg.drop_p, shape)
                     used += mask_words
-                net = train_step(net, batch, cfg, keep)
+                _update(w, layers, batch, cfg, keep)
+                _quantize(w, q, m)
             lfsr = lfsr.advance(used)
 
             ep_rows.append(ep)
@@ -600,7 +664,7 @@ def run_training(arena: Arena, cfg: TrainConfig, seed: int, model: str = "tdms",
                 # keep the policy from the strongest window; late training
                 # can drift after the replay buffer fills with stale zeros
                 best_window = avg
-                best_net = net
+                best_w = w.copy()
             if avg >= target_cells:
                 converged = True
                 convergence_episode = ep
@@ -612,7 +676,9 @@ def run_training(arena: Arena, cfg: TrainConfig, seed: int, model: str = "tdms",
         energy_pj=np.array(en_rows),
         episode_coverage=np.array(episode_coverage),
         converged=converged, convergence_episode=convergence_episode,
-        free_cells=arena.free_cells, net=net if best_net is None else best_net,
+        free_cells=free_cells,
+        net=QNetwork(*_layers(w.copy() if best_w is None else best_w, shape),
+                     horizon=net.horizon),
     )
 
 
@@ -635,6 +701,7 @@ def run_policy(arena: Arena, net: QNetwork, eps: float, steps: int, seed: int,
     price = mm.array_pricer(DEPTH_BITS, model, params)
     lfsr = Lfsr(seed)
     operands, _, next_pose, _ = _pose_tables(arena, net.horizon)
+    quant = net.quantized()
     pose = _flat_pose(arena, arena.start, 0)
     visited = bytearray(arena.width * arena.height)
     visited[pose // N_HEADINGS] = 1
@@ -642,7 +709,7 @@ def run_policy(arena: Arena, net: QNetwork, eps: float, steps: int, seed: int,
         keep = None
         if stochastic:
             keep, lfsr = drop_mask(net.w1.shape, drop_p, lfsr)
-        qvals, _ = _forward(net, operands[pose], keep, price)
+        qvals, _ = _forward(quant, operands[pose], keep, price)
         action, lfsr = select_action(qvals, eps, lfsr)
         pose = int(next_pose[pose, action])
         visited[pose // N_HEADINGS] = 1

@@ -194,8 +194,10 @@ def drop_mask(shape: tuple[int, int], p: float, lfsr: Lfsr) -> tuple[np.ndarray,
 
 def keep_mask(words, p: float, shape: tuple[int, int]) -> np.ndarray:
     """The keep array that 16-bit samples ``words`` draw in ``drop_mask``'s
-    row-major order: an entry is dropped (False) when its sample is below p."""
-    return (to_uniform(words) >= p).reshape(shape)
+    row-major order: an entry is dropped (False) when its sample is below p.
+    The samples are compared with p scaled by 2^16, as exact as ``to_uniform``,
+    which scales them down by 2^16."""
+    return (words >= p * _WORD_SCALE).reshape(shape)
 
 
 def masked_weights(weights: np.ndarray, keep: np.ndarray) -> np.ndarray:

@@ -170,6 +170,22 @@ def test_qnetwork_rejects_bad_layer_shapes(w1, w2, field):
     assert QNetwork(w1=np.zeros((5, 3)), w2=np.zeros((4, 5))).w2.shape == (4, 5)
 
 
+@pytest.mark.parametrize("horizon, error", [(2.5, TypeError), (2.0, TypeError),
+                                            (True, TypeError), (1, ValueError),
+                                            (0, ValueError), (-3, ValueError)])
+def test_qnetwork_rejects_bad_horizon(horizon, error):
+    # a float horizon failed inside run_policy's right shift; at a horizon
+    # below 2 every proximity reads 0, since a depth is at least 1
+    with pytest.raises(error, match="horizon"):
+        QNetwork(w1=np.zeros((16, 3)), w2=np.zeros((4, 16)), horizon=horizon)
+
+
+def test_qnetwork_accepts_horizon_two():
+    net = QNetwork(w1=np.ones((16, 3)), w2=np.ones((4, 16)), horizon=np.int64(2))
+    assert qnav.proximity(np.array([1, 2, 3]), net.horizon).tolist() == [63, 0, 0]
+    assert 1 <= run_policy(SMALL_ARENA, net, 0.0, 5, seed=7) <= SMALL_ARENA.free_cells
+
+
 def test_qnetwork_layers_cannot_change_under_its_cache(params):
     # the quantized view is cached per network, so neither a reassigned
     # layer nor a write into one may leave it stale
@@ -408,6 +424,19 @@ def test_config_accepts_boundary_values():
                 convergence_frac=1.0, drop_p=0.0, eps_start=1.0, eps_end=0.0, eps_decay=1.0)
 
 
+REAL_FIELDS = ("alpha", "gamma", "eps_start", "eps_end", "eps_decay", "drop_p",
+               "convergence_frac")
+
+
+@pytest.mark.parametrize("field", REAL_FIELDS)
+@pytest.mark.parametrize("value", [True, False, np.bool_(True)])
+def test_config_rejects_bool_reals(field, value):
+    # a bool passes the range checks as 0 or 1: TrainConfig(alpha=True).alpha
+    # was True
+    with pytest.raises(TypeError, match=field):
+        TrainConfig(**{field: value})
+
+
 @pytest.mark.parametrize("field", ["stochastic"])
 @pytest.mark.parametrize("value", [2, 0, 1.0, "yes", None])
 def test_config_rejects_non_bool_flags(field, value):
@@ -610,6 +639,20 @@ def test_training_returns_last_net_before_full_window():
     assert digest == WEIGHTS_GOLDEN
 
 
+def test_training_net_is_strongest_window_snapshot():
+    # with a window of 2 the strongest window ends at episode 1, so trace.net
+    # is a copy of the weights there, which later updates must not reach
+    arena = default_arena()
+    trace = run_training(arena, TrainConfig(episodes=6, convergence_window=2), 1, "tdms")
+    assert trace.episode_coverage.tolist() == [44, 28, 20, 41, 18, 32]
+    at_window = run_training(arena, TrainConfig(episodes=2, convergence_window=2), 1, "tdms").net
+    # the default window of 10 never fills in 6 episodes: the last network
+    last = run_training(arena, TrainConfig(episodes=6), 1, "tdms").net
+    for layer in ("w1", "w2"):
+        assert getattr(trace.net, layer).tobytes() == getattr(at_window, layer).tobytes()
+        assert not np.array_equal(getattr(trace.net, layer), getattr(last, layer))
+
+
 # cells covered by run_policy(stochastic=True) from the small_run net on
 # SMALL_ARENA, eps 0.1, 100 steps, seeds 1-8, captured before the forward
 # pass took proximity operands; a policy that ignored its drop masks covers
@@ -803,21 +846,23 @@ def test_block_step_matches_per_call_draws(index, eps, stochastic, batch_size, s
     seed = int(_cycle_tables()[0][(index - BITS_PER_SAMPLE * _INIT_WORDS) % LFSR_PERIOD])
     cfg = TrainConfig(episodes=2, max_steps=steps, batch_size=batch_size, capacity=batch_size + 3,
                       stochastic=stochastic, eps_start=eps, eps_end=eps)
-    forward, update, advance = qnav._forward, qnav.train_step, Lfsr.advance
+    # the spies sit on the private forward and update, which run_training
+    # calls directly and q_forward and train_step wrap
+    forward, update, advance = qnav._forward, qnav._update, Lfsr.advance
 
     def run(per_call):
         log, ends = [], []
         with pytest.MonkeyPatch.context() as mp:
-            def spy_forward(net, x, keep, price):
+            def spy_forward(quant, x, keep, price):
                 log.append(("act", keep))
-                return forward(net, x, keep, price)
+                return forward(quant, x, keep, price)
 
-            def spy_update(net, batch, cfg, keep=None):
+            def spy_update(w, layers, batch, cfg, keep):
                 log.append(("update", batch, keep))
-                return update(net, batch, cfg, keep)
+                return update(w, layers, batch, cfg, keep)
 
             mp.setattr(qnav, "_forward", spy_forward)
-            mp.setattr(qnav, "train_step", spy_update)
+            mp.setattr(qnav, "_update", spy_update)
             if per_call:
                 return log, ends, _per_call_training(arena, cfg, seed, ends)
 

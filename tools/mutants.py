@@ -134,10 +134,28 @@ MUTANTS = (
            "the forward skips its output-layer accumulator check only for hidden layers "
            "too narrow to overflow"),
     Mutant("qnetwork-finite", QNAV,
-           "            if not np.isfinite(w).all():",
-           "            if False:",
+           "    if not _all_finite(w):",
+           "    if False:",
            "a NaN weight quantizes past DEPTH_MAX, and the forward's accumulator bound "
            "no longer holds"),
+    Mutant("train-best-net-alias", QNAV,
+           "                best_w = w.copy()\n",
+           "                best_w = w\n",
+           "trace.net at the strongest window is a snapshot; the loop keeps updating "
+           "its weight buffer in place"),
+    Mutant("train-stale-quant", QNAV,
+           "                _update(w, layers, batch, cfg, keep)\n"
+           "                _quantize(w, q, m)\n",
+           "                _update(w, layers, batch, cfg, keep)\n",
+           "the forward reads the integer buffers, so every update must re-quantize them"),
+    Mutant("qnetwork-horizon", QNAV,
+           'if mm.check_int(self.horizon, "horizon") < 2:',
+           'if mm.check_int(self.horizon, "horizon") < 1:',
+           "at a horizon of 1 every proximity reads 0, since a depth is at least 1"),
+    Mutant("train-config-real-bool", QNAV,
+           "            if isinstance(getattr(self, name), (bool, np.bool_)):",
+           "            if False:",
+           "TrainConfig(alpha=True) kept True, which passes every range check as 1"),
     Mutant("train-config-bool", QNAV,
            "        if not isinstance(self.stochastic, (bool, np.bool_)):",
            "        if False:",
