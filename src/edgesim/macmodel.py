@@ -48,6 +48,19 @@ def check_int(value, name: str) -> int:
     return int(value)
 
 
+def check_real(value, name: str) -> None:
+    """Raise ``TypeError`` if ``value`` is a bool, which would pass every range
+    check as 0 or 1. The caller checks the range."""
+    if isinstance(value, (bool, np.bool_)):
+        raise TypeError(f"{name} must be a real number, got {value!r}")
+
+
+def check_bool(value, name: str) -> None:
+    """Raise ``TypeError`` unless ``value`` is a Python or numpy bool."""
+    if not isinstance(value, (bool, np.bool_)):
+        raise TypeError(f"{name} must be a bool, got {value!r}")
+
+
 def check_bits(bits: int) -> int:
     bits = check_int(bits, "bit width")
     if not MIN_BITS <= bits <= MAX_BITS:
@@ -71,9 +84,7 @@ class Operand:
     def __post_init__(self):
         if check_int(self.sign, "sign") not in (1, -1):
             raise ValueError(f"sign must be +1 or -1, got {self.sign}")
-        if not isinstance(self.magnitude, (int, np.integer)) or isinstance(self.magnitude, bool):
-            raise TypeError(f"magnitude must be an integer, got {self.magnitude!r}")
-        if self.magnitude < 0:
+        if check_int(self.magnitude, "magnitude") < 0:
             raise ValueError(f"magnitude must be non-negative, got {self.magnitude}")
 
     @property
@@ -251,7 +262,11 @@ def mac(model: str, x: Operand, w: Operand, acc: int, params: EnergyParams, bits
 @lru_cache(maxsize=32)
 def energy_table(bits: int, model: str, params: EnergyParams) -> np.ndarray:
     """Read-only per-MAC energy (pJ) over the full magnitude grid, indexed
-    ``[x_mag, w_mag]``; built once per (bits, model, params)."""
+    ``[x_mag, w_mag]``; built once per (bits, model, params). Every entry
+    point that prices a MAC looks its table up here, so this is where a
+    ``params`` that is not an ``EnergyParams`` raises ``TypeError``."""
+    if not isinstance(params, EnergyParams):
+        raise TypeError(f"params must be EnergyParams, got {params!r}")
     bits = check_bits(bits)
     mags = np.arange(1 << bits)
     if check_model(model) == "digital":

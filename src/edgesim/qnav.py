@@ -39,7 +39,7 @@ from pathlib import Path
 import numpy as np
 
 from edgesim import macmodel as mm
-from edgesim.stochsyn import Lfsr, drop_mask, keep_mask, masked_weights, to_randint, to_uniform
+from edgesim.stochsyn import Lfsr, drop_mask, epsilon_greedy, keep_mask, masked_weights, to_randint
 
 # headings are 45-degree steps counterclockwise from +x
 HEADING_VECS = ((1, 0), (1, 1), (0, 1), (-1, 1), (-1, 0), (-1, -1), (0, -1), (1, -1))
@@ -63,6 +63,8 @@ ACT_SHIFT = 5
 ACT_GAIN = (DEPTH_MAX * DEPTH_MAX) / float((1 << ACT_SHIFT) * DEPTH_MAX)
 # default sensor-conditioning horizon (cells); see proximity()
 PROX_HORIZON = 8
+HIDDEN_UNITS = 16  # init_network's hidden width
+INIT_SCALE = 0.3  # init_network's initial weight range
 
 
 class ArenaError(ValueError):
@@ -204,9 +206,8 @@ class QNetwork:
     """3-16-4 rectifier network; float shadow weights in [-1, 1], executed on
     the MAC models as 6-bit sign-magnitude operands.
 
-    Immutable: training returns a new network, so the quantized view is
-    cached per instance. The layer arrays passed in are marked read-only
-    (not copied), so no write can leave that cache stale.
+    Immutable: training returns a new network, and the layer arrays passed
+    in are marked read-only (not copied).
     """
 
     w1: np.ndarray  # (hidden, 3)
@@ -226,13 +227,8 @@ class QNetwork:
 
     def quantized(self):
         """Signed integer weights ``(q1, q2)`` and their magnitudes
-        ``(m1, m2)`` of both layers, quantized in one pass by ``_quantize``
-        (cached)."""
-        cached = getattr(self, "_quant", None)
-        if cached is None:
-            cached = _quantized(np.concatenate((self.w1, self.w2), axis=None), self.w1.shape)[2]
-            object.__setattr__(self, "_quant", cached)
-        return cached
+        ``(m1, m2)`` of both layers, quantized in one pass by ``_quantize``."""
+        return _quantized(np.concatenate((self.w1, self.w2), axis=None), self.w1.shape)[2]
 
 
 def _layers(flat: np.ndarray, shape1) -> tuple[np.ndarray, np.ndarray]:
@@ -267,16 +263,15 @@ def _quantized(w: np.ndarray, shape1):
     return q, m, (_layers(q, shape1), _layers(m, shape1))
 
 
-def init_network(lfsr: Lfsr, hidden: int = 16, scale: float = 0.3,
-                 horizon: int = PROX_HORIZON):
-    """LFSR-drawn init: first layer uniform in [-scale, scale], output layer
-    uniform in [0, scale] (optimistic, so untried actions look worth taking)."""
-    n1 = hidden * 3
-    n2 = N_ACTIONS * hidden
+def init_network(lfsr: Lfsr, horizon: int = PROX_HORIZON):
+    """LFSR-drawn init: first layer uniform in [-INIT_SCALE, INIT_SCALE], output
+    layer uniform in [0, INIT_SCALE] (optimistic: untried actions look worth taking)."""
+    n1 = HIDDEN_UNITS * 3
+    n2 = N_ACTIONS * HIDDEN_UNITS
     u, lfsr = lfsr.uniforms(n1 + n2)
-    w1 = (u[:n1] * 2.0 - 1.0) * scale
-    w2 = u[n1:] * scale
-    return QNetwork(w1=w1.reshape(hidden, 3), w2=w2.reshape(N_ACTIONS, hidden),
+    w1 = (u[:n1] * 2.0 - 1.0) * INIT_SCALE
+    w2 = u[n1:] * INIT_SCALE
+    return QNetwork(w1=w1.reshape(HIDDEN_UNITS, 3), w2=w2.reshape(N_ACTIONS, HIDDEN_UNITS),
                     horizon=horizon), lfsr
 
 
@@ -349,17 +344,8 @@ def select_action(qvals, eps: float, lfsr: Lfsr):
     """Epsilon-greedy over the action values; ties go to the lowest index."""
     if not 0 <= eps <= 1:
         raise ValueError(f"exploration rate must be in [0, 1], got {eps}")
-    action, used = _epsilon_greedy(qvals, eps, lfsr.words(2))
+    action, used = epsilon_greedy(qvals, eps, lfsr.words(2))
     return action, lfsr.advance(used)
-
-
-def _epsilon_greedy(qvals, eps: float, words):
-    """The action that 16-bit samples ``words`` pick, and how many it used:
-    the first explores when it draws below ``eps``, and the second then draws
-    the random action."""
-    if to_uniform(int(words[0])) < eps:
-        return to_randint(int(words[1]), N_ACTIONS), 2
-    return int(qvals.argmax()), 1
 
 
 class Scratchpad:
@@ -418,11 +404,9 @@ class TrainConfig:
     convergence_frac: float = 0.7
 
     def __post_init__(self):
-        # a bool passes every range check below as 0 or 1
         for name in ("alpha", "gamma", "eps_start", "eps_end", "eps_decay", "drop_p",
                      "convergence_frac"):
-            if isinstance(getattr(self, name), (bool, np.bool_)):
-                raise TypeError(f"{name} must be a real number, got {getattr(self, name)!r}")
+            mm.check_real(getattr(self, name), name)
         if not 0 < self.alpha <= 1:
             raise ValueError("alpha must be in (0, 1]")
         if not 0 <= self.gamma < 1:
@@ -441,8 +425,7 @@ class TrainConfig:
                 raise ValueError(f"{name} must be in [0, 1]")
         if not 0 < self.eps_decay <= 1:
             raise ValueError("eps_decay must be in (0, 1]")
-        if not isinstance(self.stochastic, (bool, np.bool_)):
-            raise TypeError(f"stochastic must be a bool, got {self.stochastic!r}")
+        mm.check_bool(self.stochastic, "stochastic")
 
     def epsilon(self, episode: int) -> float:
         return max(self.eps_end, self.eps_start * self.eps_decay**episode)
@@ -624,7 +607,7 @@ def run_training(arena: Arena, cfg: TrainConfig, seed: int, model: str = "tdms",
             words = lfsr.words(block)
             keep = keep_mask(words[:mask_words], cfg.drop_p, shape) if mask_words else None
             qvals, energy = _forward(quant, operands[pose], keep, price)
-            action, used = _epsilon_greedy(qvals, eps, words[mask_words:])
+            action, used = epsilon_greedy(qvals, eps, words[mask_words:])
             used += mask_words
             new_pose = int(next_pose[pose, action])
             reward = 0.0
@@ -690,6 +673,9 @@ def run_policy(arena: Arena, net: QNetwork, eps: float, steps: int, seed: int,
     With stochastic=True the synapse masks stay active, matching how a
     stochastic-hardware policy actually executes.
     """
+    mm.check_real(eps, "eps")
+    mm.check_real(drop_p, "drop_p")
+    mm.check_bool(stochastic, "stochastic")
     if mm.check_int(steps, "steps") < 0:
         raise ValueError(f"steps must be non-negative, got {steps}")
     if not 0 <= eps <= 1:

@@ -186,8 +186,6 @@ def _cycle_tables():
 def drop_mask(shape: tuple[int, int], p: float, lfsr: Lfsr) -> tuple[np.ndarray, Lfsr]:
     """Generate a drop-connect keep array: entry (i, j) is dropped (False) when
     its 16-bit sample is below p. Row-major draw order, 16 LFSR steps per entry."""
-    if not 0 <= p < 1:
-        raise ValueError(f"drop probability must be in [0, 1), got {p}")
     rows, cols = shape
     return keep_mask(lfsr.words(rows * cols), p, shape), lfsr.advance(rows * cols)
 
@@ -196,8 +194,20 @@ def keep_mask(words, p: float, shape: tuple[int, int]) -> np.ndarray:
     """The keep array that 16-bit samples ``words`` draw in ``drop_mask``'s
     row-major order: an entry is dropped (False) when its sample is below p.
     The samples are compared with p scaled by 2^16, as exact as ``to_uniform``,
-    which scales them down by 2^16."""
+    which scales them down by 2^16. The drop probability must be in [0, 1)."""
+    if not 0 <= p < 1:
+        raise ValueError(f"drop probability must be in [0, 1), got {p}")
     return (words >= p * _WORD_SCALE).reshape(shape)
+
+
+def epsilon_greedy(qvals, eps: float, words):
+    """The index into ``qvals`` that 16-bit samples ``words`` pick, and how
+    many samples it used: the first explores when it draws below ``eps``, and
+    the second then draws a uniform index over ``len(qvals)``; otherwise the
+    pick is ``qvals.argmax()`` (ties go to the lowest index)."""
+    if to_uniform(int(words[0])) < eps:
+        return to_randint(int(words[1]), len(qvals)), 2
+    return int(qvals.argmax()), 1
 
 
 def masked_weights(weights: np.ndarray, keep: np.ndarray) -> np.ndarray:

@@ -19,7 +19,7 @@ import numpy as np
 
 from edgesim import macmodel as mm
 from edgesim.macmodel import EnergyParams
-from edgesim.stochsyn import Lfsr, to_randint, to_uniform
+from edgesim.stochsyn import Lfsr, epsilon_greedy, to_randint, to_uniform
 
 WORKLOADS = ("path", "formation", "predprey", "explore")
 PREDATOR_POLICIES = ("qlearn", "random")
@@ -43,7 +43,7 @@ def bitwidth_for_swarm(n: int) -> int:
 D_FLOOR = 0.1
 D_CEIL = 2.0
 RECIP_SEGMENTS = 32
-# the one 1/d table every metered APF call reads: a chord (endpoint-
+# the one 1/d table every APF call reads: a chord (endpoint-
 # interpolating) table on a uniform grid, so adjoining segments agree
 # exactly at breakpoints; it is shared by every run, so it must not change
 RECIP_BREAKS = np.linspace(D_FLOOR, D_CEIL, RECIP_SEGMENTS + 1)
@@ -121,8 +121,14 @@ class LpuMeter:
 
         Operands must be finite: out-of-range values saturate, NaN and
         infinities raise ``ValueError``, and so do lists of unequal length.
-        Ranges must be positive and finite.
+        Ranges must be positive and finite. A bool range, or a bool operand
+        on the numpy path, raises ``TypeError``; the Python path does not
+        check its lists for bools.
         """
+        # Python float ranges, the common case, skip the bool check
+        if type(a_range) is not float or type(b_range) is not float:
+            mm.check_real(a_range, "LPU range")
+            mm.check_real(b_range, "LPU range")
         if not (0 < a_range < np.inf and 0 < b_range < np.inf):
             raise ValueError(f"LPU ranges must be in (0, inf), got {a_range}, {b_range}")
         if ledger is None:
@@ -130,6 +136,9 @@ class LpuMeter:
                 return self._mul_python([a], [b], a_range, b_range)[0]
             if isinstance(a, list) and isinstance(b, list):
                 return self._mul_python(a, b, a_range, b_range)
+        a, b = np.asarray(a), np.asarray(b)
+        if a.dtype.kind == "b" or b.dtype.kind == "b":
+            raise TypeError("LPU operands must be real numbers, not bools")
         # one ufunc pass in the common case; a sum that overflows from huge
         # finite operands is told apart by testing them one by one
         if not np.isfinite(np.add(a, b)).all() and not (np.isfinite(a).all() and np.isfinite(b).all()):
@@ -187,15 +196,15 @@ class PotentialParams:
                 raise ValueError(f"{f.name} must be in (0, inf), got {getattr(self, f.name)}")
 
 
-def apf_force(pos, goal, obstacles, params: PotentialParams, meter: LpuMeter | None = None):
+def apf_force(pos, goal, obstacles, params: PotentialParams, meter: LpuMeter):
     """Attractive-plus-repulsive potential field forces of n agents, each clamped to v_max.
 
     ``pos`` and ``goal`` are (n, 2); ``obstacles`` is (n, K, 2), row i
     listing the points that repel agent i, and only points closer than d0
-    push. With a meter attached, multiplies run on the quantized LPU and each
-    1/d term is one ``LpuMeter.nfe`` lookup in the 1/d table (``nfe_recip``),
-    saturating at D_FLOOR and D_CEIL. Forces, energy and MACs are exactly
-    those of n single-agent calls made in agent order.
+    push. Multiplies run on the meter's quantized LPU and each 1/d term is
+    one ``LpuMeter.nfe`` lookup in the 1/d table (``nfe_recip``), saturating
+    at D_FLOOR and D_CEIL. Forces, energy and MACs are exactly those of n
+    single-agent calls made in agent order.
     """
     pos = np.asarray(pos, dtype=float)
     goal = np.asarray(goal, dtype=float)
@@ -203,11 +212,8 @@ def apf_force(pos, goal, obstacles, params: PotentialParams, meter: LpuMeter | N
     n = len(pos)
     sat = 2.0 * params.v_max
     err_c = np.clip(goal - pos, -sat, sat)
-    if meter is None:
-        att = params.k_att * err_c
-    else:
-        ledger = []
-        att = meter.mul(params.k_att, err_c, max(params.k_att, 1.0), sat, ledger)
+    ledger = []
+    att = meter.mul(params.k_att, err_c, max(params.k_att, 1.0), sat, ledger)
 
     delta = pos[:, None, :] - obstacles
     d = np.hypot(delta[..., 0], delta[..., 1])
@@ -222,23 +228,18 @@ def apf_force(pos, goal, obstacles, params: PotentialParams, meter: LpuMeter | N
     dc = np.maximum(d, D_FLOOR)
     u0 = 1.0 / params.d0
     direction = delta[rows, cols] / d[:, None]
-    if meter is None:
-        u = 1.0 / dc
-        push = (params.k_rep * (u - u0) * u * u)[:, None] * direction
-    else:
-        # metered pushes saturate at the f_cap quantizer range; the exact
-        # formula is unbounded and relies on the final v_max clamp alone
-        f_cap = 4.0 * params.v_max
-        u = meter.nfe(dc, ledger)
-        uu = meter.mul(u, u, 1.0 / D_FLOOR, 1.0 / D_FLOOR, ledger)
-        mag = meter.mul(params.k_rep * (u - u0), uu, 10.0, (1.0 / D_FLOOR) ** 2, ledger)
-        push = meter.mul(mag[:, None], direction, f_cap, 1.0, ledger)
-        # agent i's calls in order: attraction, then per pushing pair the
-        # lookup, u*u, the magnitude and the 2-element push
-        e_att, e_nfe, e_uu, e_mag, e_push = ledger
-        pair_pj = np.stack([e_nfe, e_uu, e_mag, e_push[:, 0] + e_push[:, 1]], axis=1)
-        meter.charge(np.insert(pair_pj.ravel(), 4 * first, e_att[:, 0] + e_att[:, 1]),
-                     sum(e.size for e in ledger))
+    # pushes saturate at the f_cap quantizer range before the v_max clamp
+    f_cap = 4.0 * params.v_max
+    u = meter.nfe(dc, ledger)
+    uu = meter.mul(u, u, 1.0 / D_FLOOR, 1.0 / D_FLOOR, ledger)
+    mag = meter.mul(params.k_rep * (u - u0), uu, 10.0, (1.0 / D_FLOOR) ** 2, ledger)
+    push = meter.mul(mag[:, None], direction, f_cap, 1.0, ledger)
+    # agent i's calls in order: attraction, then per pushing pair the
+    # lookup, u*u, the magnitude and the 2-element push
+    e_att, e_nfe, e_uu, e_mag, e_push = ledger
+    pair_pj = np.stack([e_nfe, e_uu, e_mag, e_push[:, 0] + e_push[:, 1]], axis=1)
+    meter.charge(np.insert(pair_pj.ravel(), 4 * first, e_att[:, 0] + e_att[:, 1]),
+                 sum(e.size for e in ledger))
 
     # sum each agent's terms left to right: attraction, then its pushes in list order
     terms = np.zeros((n, 1 + counts.max(initial=0), 2))
@@ -315,14 +316,13 @@ def circle_slots(n: int, extent: float) -> np.ndarray:
                      center + radius * np.sin(angles)], axis=1)
 
 
-def make_scenario(workload: str, n_agents: int, seed: int = 0xACE1,
-                  extent: float = 10.0, **cfg_kwargs) -> Scenario:
-    """Deterministic seeded scenario with sane separations: goals are
-    matched to the nearest free agent (keeps routes from swapping head-on)
-    and static obstacles stay clear of the straight agent-goal lines."""
-    config = SwarmConfig(workload=workload, n_agents=n_agents, extent=extent,
-                         seed=seed, **cfg_kwargs)
-    rng = np.random.default_rng(seed)
+def make_scenario(workload: str, n_agents: int, **cfg_kwargs) -> Scenario:
+    """Deterministic scenario, seeded by ``config.seed``, with sane separations:
+    goals are matched to the nearest free agent (keeps routes from swapping
+    head-on) and static obstacles stay clear of the straight agent-goal lines."""
+    config = SwarmConfig(workload=workload, n_agents=n_agents, **cfg_kwargs)
+    rng = np.random.default_rng(config.seed)
+    extent = config.extent
     if workload in ("path", "formation"):
         margin = 0.08 * extent
         agents = _scatter(rng, n_agents, margin, extent - margin, min_sep=1.2)
@@ -358,10 +358,10 @@ def _segment_distance(p, a, b):
     return float(np.hypot(*(a + t * ab - p)))
 
 
-def _scatter(rng, n, lo, hi, min_sep, max_tries=200, keep_clear=None):
+def _scatter(rng, n, lo, hi, min_sep, keep_clear=None):
     pts = []
     for _ in range(n):
-        for _ in range(max_tries):
+        for _ in range(200):  # tries before a point is placed unchecked
             p = rng.uniform(lo, hi, size=2)
             if any(np.hypot(*(p - q)) < min_sep for q in pts):
                 continue
@@ -392,8 +392,8 @@ def save_scenario(scn: Scenario, path) -> None:
              f"seed = 0x{cfg.seed:04X}"]
     lines += [f"{k} = {getattr(cfg, k)}" for k in _CONFIG_KEYS]
     lines += [f"{k} = {getattr(cfg.potential, k)}" for k in _POTENTIAL_KEYS]
-    for name, arr in (("agents", scn.agents), ("goals", scn.goals),
-                      ("obstacles", scn.obstacles), ("slots", scn.slots)):
+    for name in _COORD_SECTIONS:
+        arr = getattr(scn, name)
         if arr is None or len(arr) == 0:
             continue
         lines.append("")
@@ -441,16 +441,11 @@ def load_scenario(path) -> Scenario:
         potential=PotentialParams(**{k: float(keys[k]) for k in _POTENTIAL_KEYS if k in keys}),
         **{k: parse(keys[k]) for k, parse in _CONFIG_KEYS.items() if k in keys},
     )
-    agents = np.array(coords["agents"]) if coords["agents"] else None
-    if agents is None:
+    # sections the file leaves empty keep their Scenario defaults
+    arrays = {name: np.array(pts) for name, pts in coords.items() if pts}
+    if "agents" not in arrays:
         raise ValueError(f"{path}: scenario lists no agents")
-    return Scenario(
-        config=config,
-        agents=agents,
-        goals=np.array(coords["goals"]) if coords["goals"] else None,
-        obstacles=np.array(coords["obstacles"]) if coords["obstacles"] else np.zeros((0, 2)),
-        slots=np.array(coords["slots"]) if coords["slots"] else None,
-    )
+    return Scenario(config=config, **arrays)
 
 
 # ---------------------------------------------------------------------------
@@ -622,13 +617,8 @@ def _step_predprey(state, cfg, meter):
             a = to_randint(words[used], 4)
             used += 1
         else:
-            u = to_uniform(words[used])
-            used += 1
-            if u < PRED_EPS:
-                a = to_randint(words[used], 4)
-                used += 1
-            else:
-                a = int(np.argmax(state.qtable[s]))
+            a, drawn = epsilon_greedy(state.qtable[s], PRED_EPS, words[used:used + 2])
+            used += drawn
         nx, ny = divmod(nbrs.item(px, py, a), g)
         new_dist = abs(prey[0] - nx) + abs(prey[1] - ny)
         caught = (nx, ny) == prey

@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from edgesim import macmodel as mm
+from edgesim import qnav, swarmlab
 from edgesim.macmodel import (
     EnergyParams,
     Operand,
@@ -16,6 +17,7 @@ from edgesim.macmodel import (
     mean_energy,
     quantize,
 )
+from edgesim.stochsyn import Lfsr
 
 
 @pytest.fixture(scope="module")
@@ -340,6 +342,27 @@ def test_params_hash_follows_fields(params):
     other = params.at_voltage(0.7)
     assert other != params and hash(other) != hash(params)
     assert mm.energy_table(6, "tdms", other)[5, 5] != mm.energy_table(6, "tdms", params)[5, 5]
+
+
+ENTRY_POINTS = {
+    "mac": lambda p: mac("tdms", Operand(1), Operand(1), 0, p, 5),
+    "LpuMeter": lambda p: swarmlab.LpuMeter(5, p),
+    "run_workload": lambda p: swarmlab.run_workload(
+        swarmlab.make_scenario("explore", 3, seed=1), params=p, budget=1),
+    "run_training": lambda p: qnav.run_training(
+        qnav.default_arena(), qnav.TrainConfig(episodes=1, max_steps=1), 0xACE1, params=p),
+    "q_forward": lambda p: qnav.q_forward(qnav.init_network(Lfsr(0xACE1))[0],
+                                          np.zeros(3, dtype=np.int64), params=p),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+@pytest.mark.parametrize("bad", ["x", 0.4])
+def test_entry_points_reject_params_of_another_type(entry, bad):
+    # each failed inside the energy formulas with AttributeError: 'str'
+    # object has no attribute 'e_0'
+    with pytest.raises(TypeError, match="params"):
+        ENTRY_POINTS[entry](bad)
 
 
 def test_surface_is_full_grid(params):

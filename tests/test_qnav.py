@@ -186,9 +186,9 @@ def test_qnetwork_accepts_horizon_two():
     assert 1 <= run_policy(SMALL_ARENA, net, 0.0, 5, seed=7) <= SMALL_ARENA.free_cells
 
 
-def test_qnetwork_layers_cannot_change_under_its_cache(params):
-    # the quantized view is cached per network, so neither a reassigned
-    # layer nor a write into one may leave it stale
+def test_qnetwork_layers_are_read_only(params):
+    # a network is immutable: neither a reassigned layer nor a write into
+    # one may change what it computes
     net, _ = init_network(Lfsr(0xACE1))
     x = proximity(np.array([2, 3, 4]))
     q, _ = q_forward(net, x, None, "tdms", params)
@@ -579,6 +579,19 @@ def test_run_policy_rejects_bad_rates(small_run, eps, drop_p, match):
     # rejects them too
     with pytest.raises(ValueError, match=match):
         run_policy(SMALL_ARENA, small_run.net, eps, 0, seed=7, drop_p=drop_p)
+
+
+@pytest.mark.parametrize("kwargs, match", [
+    (dict(eps=True), "eps"), (dict(eps=np.bool_(False)), "eps"),
+    (dict(drop_p=False), "drop_p"), (dict(stochastic=2), "stochastic"),
+    (dict(stochastic="yes"), "stochastic"), (dict(stochastic=1.0), "stochastic"),
+    (dict(stochastic=None), "stochastic"),
+])
+def test_run_policy_rejects_bools_and_non_bools(small_run, kwargs, match):
+    # TrainConfig's rules: eps=True ran as 1.0, and stochastic=2 or "yes" ran
+    # with the masks on
+    with pytest.raises(TypeError, match=match):
+        run_policy(SMALL_ARENA, small_run.net, **(dict(eps=0.1, steps=5, seed=7) | kwargs))
 
 
 def test_run_policy_step_counts(small_run):

@@ -272,6 +272,24 @@ def test_drop_mask_rejects_bad_p():
         drop_mask((2, 2), -0.1, Lfsr(1))
 
 
+@pytest.mark.parametrize("p", [np.nan, 2.0, 1.0, -0.1, np.inf])
+def test_keep_mask_rejects_bad_p(p):
+    # a NaN or 2.0 drop probability gave an all-False mask: every synapse dropped
+    with pytest.raises(ValueError, match="drop probability"):
+        stochsyn.keep_mask(Lfsr(1).words(4), p, (2, 2))
+
+
+def test_epsilon_greedy_boundaries():
+    qvals = np.array([0.0, 3.0, 3.0, 1.0])
+    # a word of 0 draws 0.0, which is not below eps = 0: the greedy pick,
+    # the first maximum, from one word
+    assert stochsyn.epsilon_greedy(qvals, 0.0, [0, 0xFFFF]) == (1, 1)
+    # 0xFFFF draws 1 - 2^-16, below eps = 1: the second word picks the index
+    # over len(qvals)
+    assert stochsyn.epsilon_greedy(qvals, 1.0, [0xFFFF, 7]) == (3, 2)
+    assert stochsyn.epsilon_greedy(qvals[:3], 1.0, [0xFFFF, 7]) == (1, 2)
+
+
 def test_masked_weights_identity_and_zero():
     w = np.arange(12).reshape(3, 4)
     keep_all = np.ones((3, 4), dtype=bool)

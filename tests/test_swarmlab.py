@@ -177,10 +177,7 @@ def _apf_force_reference(pos, goal, obstacles, params, meter):
     """One agent, one scalar LPU call per term: the loop apf_force batches."""
     sat = 2.0 * params.v_max
     err_c = np.clip(goal - pos, -sat, sat)
-    if meter is None:
-        force = params.k_att * err_c
-    else:
-        force = meter.mul(np.full(2, params.k_att), err_c, max(params.k_att, 1.0), sat)
+    force = meter.mul(np.full(2, params.k_att), err_c, max(params.k_att, 1.0), sat)
     f_cap = 4.0 * params.v_max
     for obs in obstacles:
         delta = pos - obs
@@ -190,14 +187,10 @@ def _apf_force_reference(pos, goal, obstacles, params, meter):
         dc = max(d, sl.D_FLOOR)
         u0 = 1.0 / params.d0
         direction = delta / d
-        if meter is None:
-            u = 1.0 / dc
-            force = force + params.k_rep * (u - u0) * u * u * direction
-        else:
-            u = meter.nfe(dc)
-            uu = meter.mul(u, u, 1.0 / sl.D_FLOOR, 1.0 / sl.D_FLOOR)
-            push = meter.mul(params.k_rep * (u - u0), uu, 10.0, (1.0 / sl.D_FLOOR) ** 2)
-            force = force + meter.mul(np.full(2, push), direction, f_cap, 1.0)
+        u = meter.nfe(dc)
+        uu = meter.mul(u, u, 1.0 / sl.D_FLOOR, 1.0 / sl.D_FLOOR)
+        push = meter.mul(params.k_rep * (u - u0), uu, 10.0, (1.0 / sl.D_FLOOR) ** 2)
+        force = force + meter.mul(np.full(2, push), direction, f_cap, 1.0)
     norm = float(np.hypot(*force))
     if norm > params.v_max:
         force = force * (params.v_max / norm)
@@ -215,8 +208,7 @@ def _random_swarm(rng, n, m):
     return pos, goal, obstacles
 
 
-@pytest.mark.parametrize("model,bits", [(None, 5), ("digital", 4), ("tdms", 5),
-                                        ("hdms", 3), ("hdms", 8)])
+@pytest.mark.parametrize("model,bits", [("digital", 4), ("tdms", 5), ("hdms", 3), ("hdms", 8)])
 def test_batched_apf_matches_per_agent_calls(model, bits):
     params = default_params()
     pot = sl.PotentialParams()
@@ -228,7 +220,7 @@ def test_batched_apf_matches_per_agent_calls(model, bits):
         d = np.hypot(*(pos[:, None, :] - obstacles).transpose(2, 0, 1))
         near |= bool((d < sl.D_FLOOR).any())
         far |= bool((d >= pot.d0).any())
-        meters = [None if model is None else sl.LpuMeter(bits, params, model) for _ in range(3)]
+        meters = [sl.LpuMeter(bits, params, model) for _ in range(3)]
         batched = sl.apf_force(pos, goal, obstacles, pot, meters[0])
         one_by_one = np.concatenate([
             sl.apf_force(pos[i:i + 1], goal[i:i + 1], obstacles[i:i + 1], pot, meters[1])
@@ -238,9 +230,8 @@ def test_batched_apf_matches_per_agent_calls(model, bits):
             for i in range(n)])
         assert batched.shape == (n, 2)
         assert batched.tobytes() == one_by_one.tobytes() == reference.tobytes()
-        if model is not None:
-            assert meters[0].energy_pj == meters[1].energy_pj == meters[2].energy_pj
-            assert meters[0].macs == meters[1].macs == meters[2].macs > 0
+        assert meters[0].energy_pj == meters[1].energy_pj == meters[2].energy_pj
+        assert meters[0].macs == meters[1].macs == meters[2].macs > 0
     assert near and far
 
 
@@ -251,8 +242,6 @@ def test_apf_agent_on_obstacle_raises():
     obstacles = np.array([[[4.0, 4.0], [1.0, 1.0]], [[1.0, 1.0], [9.0, 9.0]]])
     with pytest.raises(ValueError, match="obstacle"):
         sl.apf_force(pos, pos + 1.0, obstacles, pot, meter)
-    with pytest.raises(ValueError, match="obstacle"):
-        sl.apf_force(pos, pos + 1.0, obstacles, pot)
 
 
 def test_recip_table_is_the_built_table_and_read_only():
@@ -330,6 +319,20 @@ def test_meter_rejects_bad_ranges(a_range, b_range):
         with pytest.raises(ValueError, match="range"):
             meter.mul(_operand([0.5, -0.5], kind), _operand([0.5, 0.5], kind), a_range, b_range)
         assert (meter.energy_pj, meter.macs) == (0.0, 0)
+
+
+@pytest.mark.parametrize("a,b,a_range,b_range", [
+    (True, 0.5, 1.0, 1.0), (0.5, np.bool_(False), 1.0, 1.0),
+    (np.array([True, False]), np.ones(2), 1.0, 1.0), ([0.5, 0.5], np.array([True, True]), 1.0, 1.0),
+    (0.5, 0.5, True, 1.0), (0.5, 0.5, 1.0, np.bool_(True)), ([0.5], [0.5], False, 1.0),
+    (np.ones(2), np.ones(2), 2.0, True)])
+def test_meter_rejects_bools(a, b, a_range, b_range):
+    # mul(True, 0.5, 1.0, 1.0) multiplied True as 1.0, and a True range
+    # scaled as 1.0
+    meter = sl.LpuMeter(5, default_params())
+    with pytest.raises(TypeError, match="LPU"):
+        meter.mul(a, b, a_range, b_range)
+    assert (meter.energy_pj, meter.macs) == (0.0, 0)
 
 
 @pytest.mark.parametrize("a,b", [([0.5, 0.5], [0.5]), ([], [0.5]), ([0.5], [])])

@@ -92,7 +92,7 @@ MUTANTS = (
     Mutant("qnetwork-writable", QNAV,
            "        self.w1.setflags(write=False)\n",
            "",
-           "a write into a layer would leave the cached quantized view stale"),
+           "a network is immutable: a write into a layer would change what it computes"),
     Mutant("swarm-config-unfrozen", SWARM,
            "@dataclass(frozen=True)\nclass SwarmConfig:",
            "@dataclass\nclass SwarmConfig:",
@@ -153,12 +153,12 @@ MUTANTS = (
            'if mm.check_int(self.horizon, "horizon") < 1:',
            "at a horizon of 1 every proximity reads 0, since a depth is at least 1"),
     Mutant("train-config-real-bool", QNAV,
-           "            if isinstance(getattr(self, name), (bool, np.bool_)):",
-           "            if False:",
+           "            mm.check_real(getattr(self, name), name)\n",
+           "            pass\n",
            "TrainConfig(alpha=True) kept True, which passes every range check as 1"),
     Mutant("train-config-bool", QNAV,
-           "        if not isinstance(self.stochastic, (bool, np.bool_)):",
-           "        if False:",
+           '        mm.check_bool(self.stochastic, "stochastic")\n',
+           "",
            "TrainConfig(stochastic=2) would size a step's LFSR block from a non-bool"),
     Mutant("run-policy-steps", QNAV,
            'if mm.check_int(steps, "steps") < 0:',
@@ -249,11 +249,42 @@ MUTANTS = (
            "    for table in tables:\n        table.flags.writeable = False\n    return tables",
            "    return tables",
            "every run shares the cached pose tables, so a write would leak into later runs"),
-    Mutant("predprey-eps-boundary", SWARM,
-           "            if u < PRED_EPS:",
-           "            if u <= PRED_EPS:",
-           "equivalent: u is a multiple of 2^-16 and PRED_EPS = 0.15 is not, so u never "
-           "equals it", equivalent=True),
+    Mutant("epsilon-greedy-boundary", STOCHSYN,
+           "    if to_uniform(int(words[0])) < eps:",
+           "    if to_uniform(int(words[0])) <= eps:",
+           "a draw explores only below eps: at eps = 0 a word of 0 must take the greedy pick"),
+    Mutant("run-policy-eps-bool", QNAV,
+           '    mm.check_real(eps, "eps")\n',
+           "",
+           "run_policy(eps=True) ran as eps = 1.0"),
+    Mutant("run-policy-drop-p-bool", QNAV,
+           '    mm.check_real(drop_p, "drop_p")\n',
+           "",
+           "run_policy(drop_p=False) ran as drop_p = 0.0"),
+    Mutant("run-policy-stochastic-bool", QNAV,
+           '    mm.check_bool(stochastic, "stochastic")\n',
+           "",
+           "run_policy(stochastic=2) or (stochastic=\"yes\") ran with the masks on"),
+    Mutant("keep-mask-p-range", STOCHSYN,
+           "    if not 0 <= p < 1:\n",
+           "    if False:\n",
+           "keep_mask at p = NaN or 2.0 dropped every synapse"),
+    Mutant("lpu-a-range-bool", SWARM,
+           '            mm.check_real(a_range, "LPU range")\n',
+           "",
+           "LpuMeter.mul took a True range as 1.0"),
+    Mutant("lpu-b-range-bool", SWARM,
+           '            mm.check_real(b_range, "LPU range")\n',
+           "",
+           "LpuMeter.mul took a True range as 1.0"),
+    Mutant("lpu-operand-bool", SWARM,
+           '        if a.dtype.kind == "b" or b.dtype.kind == "b":',
+           "        if False:",
+           "LpuMeter.mul(True, 0.5, 1.0, 1.0) multiplied True as 1.0"),
+    Mutant("energy-table-params-type", MACMODEL,
+           "    if not isinstance(params, EnergyParams):",
+           "    if False:",
+           "a params of another type failed inside the energy formulas with AttributeError"),
     Mutant("collision-self-distance", SWARM,
            "np.fill_diagonal(d, np.inf)",
            "np.fill_diagonal(d, 1e9)",
