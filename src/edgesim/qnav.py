@@ -81,8 +81,9 @@ class Arena:
     start: tuple
 
     def __post_init__(self):
-        mm.check_int(self.width, "width")
-        mm.check_int(self.height, "height")
+        # a free cell inside the boundary walls needs at least 3 cells a side
+        mm.check_int(self.width, "width", 3)
+        mm.check_int(self.height, "height", 3)
         if not isinstance(self.start, tuple) or len(self.start) != 2:
             raise ArenaError(f"start must be an (x, y) pair, got {self.start!r}")
         for coord in self.start:
@@ -220,8 +221,7 @@ class QNetwork:
         if self.w2.shape != (N_ACTIONS, self.w1.shape[0]):
             raise ValueError(f"w2 must be ({N_ACTIONS}, {self.w1.shape[0]}), got {self.w2.shape}")
         # a depth is at least 1, so at a horizon of 1 every proximity reads 0
-        if mm.check_int(self.horizon, "horizon") < 2:
-            raise ValueError(f"horizon must be at least 2, got {self.horizon}")
+        mm.check_int(self.horizon, "horizon", 2)
         self.w1.setflags(write=False)
         self.w2.setflags(write=False)
 
@@ -356,9 +356,7 @@ class Scratchpad:
     """
 
     def __init__(self, capacity: int):
-        if capacity < 1:
-            raise ValueError("capacity must be positive")
-        self.capacity = capacity
+        self.capacity = mm.check_int(capacity, "capacity", 1)
         self.s = np.zeros((capacity, len(RAY_OFFSETS)))
         self.a = np.zeros(capacity, dtype=np.int64)
         self.r = np.zeros(capacity)
@@ -404,27 +402,14 @@ class TrainConfig:
     convergence_frac: float = 0.7
 
     def __post_init__(self):
-        for name in ("alpha", "gamma", "eps_start", "eps_end", "eps_decay", "drop_p",
-                     "convergence_frac"):
-            mm.check_real(getattr(self, name), name)
-        if not 0 < self.alpha <= 1:
-            raise ValueError("alpha must be in (0, 1]")
-        if not 0 <= self.gamma < 1:
-            raise ValueError("gamma must be in [0, 1)")
+        for name, interval in (("alpha", "(0, 1]"), ("gamma", "[0, 1)"), ("eps_start", "[0, 1]"),
+                               ("eps_end", "[0, 1]"), ("eps_decay", "(0, 1]"), ("drop_p", "[0, 1)"),
+                               ("convergence_frac", "(0, 1]")):
+            mm.check_real(getattr(self, name), name, interval)
         for name in ("episodes", "max_steps", "batch_size", "capacity", "convergence_window"):
-            if not mm.check_int(getattr(self, name), name) >= 1:
-                raise ValueError(f"{name} must be at least 1")
+            mm.check_int(getattr(self, name), name, 1)
         if self.capacity < self.batch_size:
-            raise ValueError("scratchpad capacity must be >= batch size")
-        if not 0 < self.convergence_frac <= 1:
-            raise ValueError("convergence_frac must be in (0, 1]")
-        if not 0 <= self.drop_p < 1:
-            raise ValueError("drop_p must be in [0, 1)")
-        for name in ("eps_start", "eps_end"):
-            if not 0 <= getattr(self, name) <= 1:
-                raise ValueError(f"{name} must be in [0, 1]")
-        if not 0 < self.eps_decay <= 1:
-            raise ValueError("eps_decay must be in (0, 1]")
+            raise ValueError(f"capacity must be >= batch_size {self.batch_size}, got {self.capacity}")
         mm.check_bool(self.stochastic, "stochastic")
 
     def epsilon(self, episode: int) -> float:
@@ -572,7 +557,7 @@ def run_training(arena: Arena, cfg: TrainConfig, seed: int, model: str = "tdms",
     if params is None:
         params = mm.default_params()
     price = mm.array_pricer(DEPTH_BITS, model, params)
-    lfsr = Lfsr(seed)
+    lfsr = Lfsr(mm.check_int(seed, "seed", 1, 0xFFFF))
     net, lfsr = init_network(lfsr, horizon=arena_horizon(arena))
     pad = Scratchpad(cfg.capacity)
     operands, scaled, next_pose, collided = _pose_tables(arena, net.horizon)
@@ -673,19 +658,14 @@ def run_policy(arena: Arena, net: QNetwork, eps: float, steps: int, seed: int,
     With stochastic=True the synapse masks stay active, matching how a
     stochastic-hardware policy actually executes.
     """
-    mm.check_real(eps, "eps")
-    mm.check_real(drop_p, "drop_p")
+    mm.check_real(eps, "exploration rate eps", "[0, 1]")
+    mm.check_real(drop_p, "drop probability drop_p", "[0, 1)")
     mm.check_bool(stochastic, "stochastic")
-    if mm.check_int(steps, "steps") < 0:
-        raise ValueError(f"steps must be non-negative, got {steps}")
-    if not 0 <= eps <= 1:
-        raise ValueError(f"exploration rate must be in [0, 1], got {eps}")
-    if not 0 <= drop_p < 1:
-        raise ValueError(f"drop probability must be in [0, 1), got {drop_p}")
+    mm.check_int(steps, "steps", 0)
     if params is None:
         params = mm.default_params()
     price = mm.array_pricer(DEPTH_BITS, model, params)
-    lfsr = Lfsr(seed)
+    lfsr = Lfsr(mm.check_int(seed, "seed", 1, 0xFFFF))
     operands, _, next_pose, _ = _pose_tables(arena, net.horizon)
     quant = net.quantized()
     pose = _flat_pose(arena, arena.start, 0)

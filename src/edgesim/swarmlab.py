@@ -121,15 +121,15 @@ class LpuMeter:
 
         Operands must be finite: out-of-range values saturate, NaN and
         infinities raise ``ValueError``, and so do lists of unequal length.
-        Ranges must be positive and finite. A bool range, or a bool operand
-        on the numpy path, raises ``TypeError``; the Python path does not
-        check its lists for bools.
+        Ranges must be positive and finite. A range, or an operand on the
+        numpy path, that is not a real number (a bool included) raises
+        ``TypeError``; the Python path does not check its lists for bools.
         """
-        # Python float ranges, the common case, skip the bool check
+        # Python float ranges, the common case, skip the helper's type check
         if type(a_range) is not float or type(b_range) is not float:
-            mm.check_real(a_range, "LPU range")
-            mm.check_real(b_range, "LPU range")
-        if not (0 < a_range < np.inf and 0 < b_range < np.inf):
+            mm.check_real(a_range, "LPU range", "(0, inf)")
+            mm.check_real(b_range, "LPU range", "(0, inf)")
+        elif not (0 < a_range < np.inf and 0 < b_range < np.inf):
             raise ValueError(f"LPU ranges must be in (0, inf), got {a_range}, {b_range}")
         if ledger is None:
             if isinstance(a, float) and isinstance(b, float):
@@ -137,8 +137,8 @@ class LpuMeter:
             if isinstance(a, list) and isinstance(b, list):
                 return self._mul_python(a, b, a_range, b_range)
         a, b = np.asarray(a), np.asarray(b)
-        if a.dtype.kind == "b" or b.dtype.kind == "b":
-            raise TypeError("LPU operands must be real numbers, not bools")
+        if a.dtype.kind not in "iuf" or b.dtype.kind not in "iuf":
+            raise TypeError(f"LPU operands must be real numbers, got {a.dtype} and {b.dtype}")
         # one ufunc pass in the common case; a sum that overflows from huge
         # finite operands is told apart by testing them one by one
         if not np.isfinite(np.add(a, b)).all() and not (np.isfinite(a).all() and np.isfinite(b).all()):
@@ -192,8 +192,7 @@ class PotentialParams:
 
     def __post_init__(self):
         for f in fields(self):
-            if not 0 < getattr(self, f.name) < np.inf:
-                raise ValueError(f"{f.name} must be in (0, inf), got {getattr(self, f.name)}")
+            mm.check_real(getattr(self, f.name), f.name, "(0, inf)")
 
 
 def apf_force(pos, goal, obstacles, params: PotentialParams, meter: LpuMeter):
@@ -271,23 +270,19 @@ class SwarmConfig:
     predator_policy: str = "qlearn"
 
     def __post_init__(self):
-        if self.workload not in WORKLOADS:
-            raise ValueError(f"unknown workload {self.workload!r}; expected one of {WORKLOADS}")
-        if not MIN_AGENTS <= mm.check_int(self.n_agents, "n_agents") <= MAX_AGENTS:
-            raise ValueError(f"n_agents must be in [{MIN_AGENTS}, {MAX_AGENTS}]")
-        if mm.check_int(self.seed, "seed") < 0:
-            raise ValueError(f"seed must be non-negative, got {self.seed}")
+        mm.check_choice(self.workload, "workload", WORKLOADS)
+        mm.check_int(self.n_agents, "n_agents", MIN_AGENTS, MAX_AGENTS)
+        mm.check_int(self.seed, "seed", 0)
         # the grid workloads start their LFSR at the seed
-        if self.workload in ("predprey", "explore") and not 0 < self.seed <= 0xFFFF:
-            raise ValueError(f"seed of the {self.workload} workload must be a nonzero "
-                             f"16-bit LFSR state, got {self.seed:#x}")
+        if self.workload in ("predprey", "explore"):
+            mm.check_int(self.seed, f"seed of the {self.workload} workload (an LFSR state)",
+                         1, 0xFFFF)
         mm.check_model(self.model)
-        if self.predator_policy not in PREDATOR_POLICIES:
-            raise ValueError(f"unknown predator policy {self.predator_policy!r}; "
-                             f"expected one of {PREDATOR_POLICIES}")
+        mm.check_choice(self.predator_policy, "predator_policy", PREDATOR_POLICIES)
+        if not isinstance(self.potential, PotentialParams):
+            raise TypeError(f"potential must be PotentialParams, got {self.potential!r}")
         for name in ("extent", "goal_tolerance", "slot_tolerance", "collision_radius"):
-            if not 0 < getattr(self, name) < np.inf:
-                raise ValueError(f"{name} must be in (0, inf), got {getattr(self, name)}")
+            mm.check_real(getattr(self, name), name, "(0, inf)")
 
     @property
     def bits(self) -> int:
@@ -436,15 +431,20 @@ def load_scenario(path) -> Scenario:
             raise ValueError(f"{path}: missing required key {req!r}")
     config = SwarmConfig(
         workload=keys["workload"],
-        n_agents=int(keys["n_agents"]),
-        seed=int(keys.get("seed", "0xACE1"), 0),
-        potential=PotentialParams(**{k: float(keys[k]) for k in _POTENTIAL_KEYS if k in keys}),
-        **{k: parse(keys[k]) for k, parse in _CONFIG_KEYS.items() if k in keys},
+        n_agents=mm.parse_field(keys["n_agents"], int, "n_agents"),
+        seed=mm.parse_field(keys.get("seed", "0xACE1"), lambda text: int(text, 0), "seed"),
+        potential=PotentialParams(
+            **{k: mm.parse_field(keys[k], float, k) for k in _POTENTIAL_KEYS if k in keys}),
+        **{k: mm.parse_field(keys[k], parse, k) for k, parse in _CONFIG_KEYS.items() if k in keys},
     )
     # sections the file leaves empty keep their Scenario defaults
     arrays = {name: np.array(pts) for name, pts in coords.items() if pts}
     if "agents" not in arrays:
         raise ValueError(f"{path}: scenario lists no agents")
+    for name in ("agents", "goals", "slots"):
+        if name in arrays and len(arrays[name]) != config.n_agents:
+            raise ValueError(f"{path}: [{name}] lists {len(arrays[name])} points, "
+                             f"not n_agents = {config.n_agents}")
     return Scenario(config=config, **arrays)
 
 
@@ -746,10 +746,7 @@ def run_workload(scn: Scenario, params: EnergyParams | None = None,
     cfg = scn.config
     if params is None:
         params = mm.default_params()
-    if budget is None:
-        budget = DEFAULT_BUDGETS[cfg.workload]
-    elif mm.check_int(budget, "budget") < 0:
-        raise ValueError(f"budget must be non-negative, got {budget}")
+    budget = DEFAULT_BUDGETS[cfg.workload] if budget is None else mm.check_int(budget, "budget", 0)
     meter = LpuMeter(cfg.bits, params, cfg.model)
     state = init_state(scn)
     actions = 0

@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -357,10 +358,11 @@ ENTRY_POINTS = {
 
 
 @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
-@pytest.mark.parametrize("bad", ["x", 0.4])
+@pytest.mark.parametrize("bad", ["x", 0.4, {"e_0": 1}])
 def test_entry_points_reject_params_of_another_type(entry, bad):
     # each failed inside the energy formulas with AttributeError: 'str'
-    # object has no attribute 'e_0'
+    # object has no attribute 'e_0', and a dict inside energy_table's cache
+    # with "unhashable type: 'dict'"
     with pytest.raises(TypeError, match="params"):
         ENTRY_POINTS[entry](bad)
 
@@ -479,3 +481,101 @@ def test_params_file_rejects_garbage(tmp_path):
     path.write_text("c_d2 = 0.1\nwat = 3\n")
     with pytest.raises(ValueError):
         mm.load_energy_params(path)
+
+
+@pytest.mark.parametrize("text", ["True", "x", "None", ""])
+def test_params_file_names_unreadable_values(tmp_path, params, text):
+    # float("True") raised "could not convert string to float", naming no field
+    path = tmp_path / "params.txt"
+    mm.save_energy_params(params, path)
+    path.write_text(path.read_text().replace(f"e_cyc = {params.e_cyc!r}", f"e_cyc = {text}"))
+    with pytest.raises(ValueError, match="e_cyc"):
+        mm.load_energy_params(path)
+
+
+# ---------------------------------------------------------------------------
+# the boundary rule: check_real and check_int
+
+
+@pytest.mark.parametrize("value, interval, inside", [
+    (0.0, "(0, 1]", False), (1.0, "(0, 1]", True), (0.0, "[0, 1)", True), (1.0, "[0, 1)", False),
+    (np.inf, "[0, inf)", False), (-np.inf, "(-inf, inf)", False), (np.nan, "(-inf, inf)", False),
+    (np.nan, "[-inf, inf]", False), (np.inf, "[-inf, inf]", True), (np.float32(0.5), "(0, 1)", True),
+    (np.int64(3), "[0, inf)", True), (3, "[0.4, 1.0]", False), (-1e-300, "[0, inf)", False),
+])
+def test_check_real_intervals(value, interval, inside):
+    if inside:
+        assert mm.check_real(value, "alpha", interval) is value
+    else:
+        with pytest.raises(ValueError,
+                           match=re.escape(f"alpha must be in {interval}, got {value!r}")):
+            mm.check_real(value, "alpha", interval)
+
+
+@pytest.mark.parametrize("value", [True, False, np.bool_(True), "0.5", None, [0.5],
+                                   np.array(0.5), 1j])
+def test_check_real_rejects_bools_and_non_numbers(value):
+    with pytest.raises(TypeError, match="alpha must be a real number"):
+        mm.check_real(value, "alpha", "[-inf, inf]")
+
+
+@pytest.mark.parametrize("value, lo, hi, interval", [
+    (0, 1, None, "[1, inf)"), (21, 2, 20, "[2, 20]"), (1, 2, 20, "[2, 20]"),
+    (np.int64(-1), 0, None, "[0, inf)"),
+])
+def test_check_int_ranges(value, lo, hi, interval):
+    with pytest.raises(ValueError, match=re.escape(f"n must be in {interval}, got {int(value)}")):
+        mm.check_int(value, "n", lo, hi)
+    assert mm.check_int(np.int64(20), "n", 2, 20) == 20
+    assert type(mm.check_int(np.int64(2), "n", 2, 20)) is int
+    assert mm.check_int(-5, "n") == -5
+
+
+@pytest.mark.parametrize("field", ["c_d2", "c_d1", "c_d0", "e_0", "e_cyc", "e_tr", "e_sa",
+                                   "v_supply", "v_ref"])
+@pytest.mark.parametrize("value", [True, np.bool_(False), "1", None])
+def test_params_reject_bools_and_non_numbers(params, field, value):
+    # EnergyParams(True, 0, 0, 0, 0, 0, 0) and v_supply=True constructed, and
+    # e_0="1" failed comparing a str with an int, naming no field
+    with pytest.raises(TypeError, match=field):
+        replace(params, **{field: value})
+    with pytest.raises(TypeError, match="c_d2"):
+        EnergyParams(True, 0, 0, 0, 0, 0, 0)
+
+
+QUANTIZE_PROBES = {
+    "quantize-bool-range": (lambda: quantize(0.5, 3, True), "quantize range"),
+    "quantize-str-range": (lambda: quantize(0.5, 3, "1"), "quantize range"),
+    "quantize-bool-input": (lambda: quantize(True, 3, 1.0), "quantize input"),
+    "quantize-str-input": (lambda: quantize("0.5", 3, 1.0), "quantize input"),
+    "dequantize-bool-range": (lambda: dequantize(Operand(3), 3, True), "dequantize range"),
+    "dequantize-none-range": (lambda: dequantize(Operand(3), 3, None), "dequantize range"),
+    "calibrate-bool-ratio": (lambda: calibrate_energy(((3, 0.22, True), (8, 1.76, 0.69))),
+                             "anchor ratio"),
+    "calibrate-str-energy": (lambda: calibrate_energy(((3, "0.22", 0.19), (8, 1.76, 0.69))),
+                             "anchor energy"),
+}
+
+
+@pytest.mark.parametrize("probe", sorted(QUANTIZE_PROBES))
+def test_quantize_and_calibration_reject_bools_and_non_numbers(probe):
+    # quantize(0.5, 3, True) ran on a range of 1, and calibrate_energy called
+    # float() on its targets first, so a True ratio ran as 1.0
+    call, field = QUANTIZE_PROBES[probe]
+    with pytest.raises(TypeError, match=field):
+        call()
+
+
+@pytest.mark.parametrize("ratio", [1e-300, 5e-324])
+def test_calibration_reports_an_overflowing_fit(ratio):
+    # a tiny ratio puts the digital target near float max: the fit overflowed
+    # with RuntimeWarnings, and at 5e-324 ended in a NaN c_d2, naming no anchor
+    with pytest.raises(mm.CalibrationError, match="overflows"):
+        calibrate_energy(((3, 0.22, ratio), (8, 1.76, 0.69)))
+
+
+@pytest.mark.parametrize("anchor", [(3, np.nan, 0.19), (3, np.inf, 0.19), (3, 0.22, 0.0),
+                                    (3, 0.22, -np.inf)])
+def test_calibration_rejects_non_finite_and_non_positive_targets(anchor):
+    with pytest.raises(ValueError, match="anchor"):
+        calibrate_energy((anchor, (8, 1.76, 0.69)))

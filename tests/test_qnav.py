@@ -101,6 +101,15 @@ def test_arena_accepts_numpy_int_fields():
     assert arena == Arena(4, 4, WALLS_4X4, (1, 2))
 
 
+@pytest.mark.parametrize("width, height, field", [(2, 4, "width"), (-1, 4, "width"),
+                                                  (4, 0, "height"), (4, 2, "height")])
+def test_arena_rejects_sizes_below_three(width, height, field):
+    # a side of fewer than 3 cells leaves no free cell inside the walls; the
+    # error named only the start or a boundary cell
+    with pytest.raises(ValueError, match=field):
+        Arena(width, height, WALLS_4X4, (1, 1))
+
+
 def test_arena_from_file(tmp_path):
     path = tmp_path / "arena.txt"
     path.write_text(qnav.DEFAULT_ARENA_TEXT)
@@ -437,6 +446,29 @@ def test_config_rejects_bool_reals(field, value):
         TrainConfig(**{field: value})
 
 
+@pytest.mark.parametrize("field", REAL_FIELDS)
+@pytest.mark.parametrize("value", ["0.1", None])
+def test_config_rejects_non_number_reals(field, value):
+    # TrainConfig(alpha="0.1") failed comparing a str with an int, naming no field
+    with pytest.raises(TypeError, match=field):
+        TrainConfig(**{field: value})
+
+
+def test_config_names_both_fields_of_a_short_scratchpad():
+    with pytest.raises(ValueError, match="capacity must be >= batch_size"):
+        TrainConfig(capacity=4, batch_size=8)
+
+
+@pytest.mark.parametrize("capacity, error", [(True, TypeError), (2.5, TypeError),
+                                             (np.float64(4.0), TypeError), (0, ValueError),
+                                             (-1, ValueError)])
+def test_scratchpad_rejects_bad_capacity(capacity, error):
+    # Scratchpad(True) and Scratchpad(2.5) failed inside numpy
+    with pytest.raises(error, match="capacity"):
+        Scratchpad(capacity)
+    assert Scratchpad(np.int64(2)).capacity == 2
+
+
 @pytest.mark.parametrize("field", ["stochastic"])
 @pytest.mark.parametrize("value", [2, 0, 1.0, "yes", None])
 def test_config_rejects_non_bool_flags(field, value):
@@ -592,6 +624,27 @@ def test_run_policy_rejects_bools_and_non_bools(small_run, kwargs, match):
     # with the masks on
     with pytest.raises(TypeError, match=match):
         run_policy(SMALL_ARENA, small_run.net, **(dict(eps=0.1, steps=5, seed=7) | kwargs))
+
+
+@pytest.mark.parametrize("kwargs, match", [
+    (dict(eps="0.1"), "eps"), (dict(eps=None), "eps"), (dict(drop_p="0.25"), "drop_p"),
+    (dict(drop_p=None), "drop_p"),
+])
+def test_run_policy_rejects_non_numbers(small_run, kwargs, match):
+    # eps="0.1" failed comparing a str with an int, naming no field
+    with pytest.raises(TypeError, match=match):
+        run_policy(SMALL_ARENA, small_run.net, **(dict(eps=0.1, steps=5, seed=7) | kwargs))
+
+
+@pytest.mark.parametrize("seed, error", [(0, ValueError), (0x10000, ValueError),
+                                         (True, TypeError), (2.0, TypeError)])
+def test_runs_name_a_bad_seed(small_run, seed, error):
+    # the seed went to Lfsr unchecked: run_training(arena, cfg, 0) raised
+    # "LFSR state must be a nonzero 16-bit value", naming no seed
+    with pytest.raises(error, match="seed"):
+        run_training(SMALL_ARENA, TrainConfig(episodes=1, max_steps=2), seed)
+    with pytest.raises(error, match="seed"):
+        run_policy(SMALL_ARENA, small_run.net, 0.1, 3, seed)
 
 
 def test_run_policy_step_counts(small_run):

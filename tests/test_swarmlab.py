@@ -335,6 +335,18 @@ def test_meter_rejects_bools(a, b, a_range, b_range):
     assert (meter.energy_pj, meter.macs) == (0.0, 0)
 
 
+@pytest.mark.parametrize("a,b,a_range,b_range", [
+    ("x", 0.5, 1.0, 1.0), (0.5, None, 1.0, 1.0), (np.array(["1"]), np.ones(1), 1.0, 1.0),
+    (0.5, 0.5, None, 1.0), (0.5, 0.5, 1.0, "1"), (np.ones(2), np.ones(2), "2", 1.0)])
+def test_meter_rejects_non_numbers(a, b, a_range, b_range):
+    # a str operand failed inside numpy's add, and a None range comparing
+    # None with an int, each naming nothing
+    meter = sl.LpuMeter(5, default_params())
+    with pytest.raises(TypeError, match="LPU"):
+        meter.mul(a, b, a_range, b_range)
+    assert (meter.energy_pj, meter.macs) == (0.0, 0)
+
+
 @pytest.mark.parametrize("a,b", [([0.5, 0.5], [0.5]), ([], [0.5]), ([0.5], [])])
 def test_meter_rejects_unequal_length_lists(a, b):
     # zip would silently drop the longer list's tail
@@ -454,6 +466,31 @@ def test_potential_params_must_be_positive_and_finite(name, value):
     with pytest.raises(ValueError, match=name):
         sl.PotentialParams(**{name: value})
 
+
+@pytest.mark.parametrize("name", ["extent", "goal_tolerance", "slot_tolerance", "collision_radius"])
+@pytest.mark.parametrize("value", [True, np.bool_(True), "10", None])
+def test_swarm_config_floats_reject_bools_and_non_numbers(name, value):
+    # SwarmConfig("path", 5, extent=True) made a 4-cell grid, and extent="10"
+    # failed comparing a str with an int, naming no field
+    with pytest.raises(TypeError, match=name):
+        sl.SwarmConfig(workload="path", n_agents=5, **{name: value})
+
+
+@pytest.mark.parametrize("name", ["k_att", "k_rep", "d0", "v_max"])
+@pytest.mark.parametrize("value", [True, "x", None])
+def test_potential_params_reject_bools_and_non_numbers(name, value):
+    with pytest.raises(TypeError, match=name):
+        sl.PotentialParams(**{name: value})
+
+
+@pytest.mark.parametrize("potential", [{}, None, 1.0, sl.PotentialParams])
+def test_swarm_config_potential_must_be_potential_params(potential):
+    # make_scenario("path", 2, potential={}) constructed, and run_workload then
+    # raised AttributeError: 'dict' object has no attribute 'v_max'
+    with pytest.raises(TypeError, match="potential"):
+        sl.make_scenario("path", 2, potential=potential)
+
+
 def test_meter_rejects_unknown_model():
     with pytest.raises(ValueError, match="model"):
         sl.LpuMeter(5, default_params(), "analog")
@@ -485,6 +522,39 @@ def test_scenario_file_defaults_and_unknown_keys(tmp_path):
                     "\n[agents]\n1.0 2.0\n3.0 4.0\n")
     with pytest.raises(ValueError, match="model"):
         sl.load_scenario(path)
+
+
+def _scenario_file(path, keys, points=((1.0, 2.0), (3.0, 4.0)), section="agents"):
+    lines = ["[scenario]", "workload = formation", "n_agents = 2"]
+    lines += [f"{key} = {text}" for key, text in keys.items()]
+    lines += ["", f"[{section}]"] + [f"{x} {y}" for x, y in points]
+    if section != "agents":
+        lines += ["[agents]", "1.0 2.0", "3.0 4.0"]
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+@pytest.mark.parametrize("key, text", [("n_agents", "2.5"), ("n_agents", "True"), ("seed", "x"),
+                                       ("seed", "2.0"), ("extent", "None"), ("k_att", "ten"),
+                                       ("goal_tolerance", "")])
+def test_scenario_file_names_unreadable_values(tmp_path, key, text):
+    # int("2.5") raised "invalid literal for int()", naming no field
+    with pytest.raises(ValueError, match=key):
+        sl.load_scenario(_scenario_file(tmp_path / "scn.txt", {key: text}))
+
+
+@pytest.mark.parametrize("section, points", [("agents", ((1.0, 2.0),)),
+                                             ("agents", ((1.0, 2.0), (3.0, 4.0), (5.0, 1.0))),
+                                             ("slots", ((5.0, 5.0),))])
+def test_scenario_file_counts_points_per_agent(tmp_path, section, points):
+    # two formation agents with one slot, or n_agents = 3 with two agent rows,
+    # loaded, and the run failed broadcasting the arrays against each other
+    path = _scenario_file(tmp_path / "scn.txt", {}, points, section)
+    with pytest.raises(ValueError, match="n_agents"):
+        sl.load_scenario(path)
+    path.write_text(path.read_text().replace("n_agents = 2", "n_agents = 3"))
+    if section == "agents" and len(points) == 3:
+        assert sl.run_workload(sl.load_scenario(path), budget=2).steps == 2
 
 
 @pytest.mark.parametrize("workload", ["explore", "predprey"])

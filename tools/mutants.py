@@ -149,28 +149,28 @@ MUTANTS = (
            "                _update(w, layers, batch, cfg, keep)\n",
            "the forward reads the integer buffers, so every update must re-quantize them"),
     Mutant("qnetwork-horizon", QNAV,
-           'if mm.check_int(self.horizon, "horizon") < 2:',
-           'if mm.check_int(self.horizon, "horizon") < 1:',
+           'mm.check_int(self.horizon, "horizon", 2)',
+           'mm.check_int(self.horizon, "horizon", 1)',
            "at a horizon of 1 every proximity reads 0, since a depth is at least 1"),
     Mutant("train-config-real-bool", QNAV,
-           "            mm.check_real(getattr(self, name), name)\n",
-           "            pass\n",
+           "            mm.check_real(getattr(self, name), name, interval)\n",
+           "            mm.check_real(float(getattr(self, name)), name, interval)\n",
            "TrainConfig(alpha=True) kept True, which passes every range check as 1"),
     Mutant("train-config-bool", QNAV,
            '        mm.check_bool(self.stochastic, "stochastic")\n',
            "",
            "TrainConfig(stochastic=2) would size a step's LFSR block from a non-bool"),
     Mutant("run-policy-steps", QNAV,
-           'if mm.check_int(steps, "steps") < 0:',
-           "if steps < -1:",
+           '    mm.check_int(steps, "steps", 0)\n',
+           "",
            "run_policy(steps=-1) silently covered the start cell only"),
     Mutant("swarm-seed-range", SWARM,
-           'self.workload in ("predprey", "explore") and not 0 < self.seed <= 0xFFFF',
-           'self.workload in ("predprey",) and not 0 < self.seed <= 0xFFFF',
+           '        if self.workload in ("predprey", "explore"):\n',
+           '        if self.workload in ("predprey",):\n',
            "an explore seed outside the LFSR's range failed only at run time"),
     Mutant("run-workload-budget", SWARM,
-           'elif mm.check_int(budget, "budget") < 0:',
-           "elif budget < -1:",
+           'else mm.check_int(budget, "budget", 0)',
+           "else budget",
            "a budget of -1, 2.5 or True ran 0, 3 or 1 steps"),
     Mutant("hdms-split-threshold", MACMODEL,
            'elif model == "hdms" and bits > TDMS_KERNEL_BITS:',
@@ -190,20 +190,20 @@ MUTANTS = (
            "",
            "a float accumulator returned a float value, and True counted as 1"),
     Mutant("quantize-range-finite", MACMODEL,
-           "    if not 0 < value_range < np.inf:\n        raise ValueError(f\"quantize",
-           "    if not 0 < value_range:\n        raise ValueError(f\"quantize",
+           'check_real(value_range, "quantize range", "(0, inf)")',
+           'check_real(value_range, "quantize range", "(0, inf]")',
            "an infinite range quantized every real to magnitude 0"),
     Mutant("dequantize-range-finite", MACMODEL,
-           "    if not 0 < value_range < np.inf:\n        raise ValueError(f\"dequantize",
-           "    if not 0 < value_range:\n        raise ValueError(f\"dequantize",
+           'check_real(value_range, "dequantize range", "(0, inf)")',
+           'check_real(value_range, "dequantize range", "(0, inf]")',
            "an infinite range dequantized a magnitude to inf"),
     Mutant("swarm-config-finite", SWARM,
-           "            if not 0 < getattr(self, name) < np.inf:",
-           "            if not 0 < getattr(self, name):",
+           'mm.check_real(getattr(self, name), name, "(0, inf)")',
+           'mm.check_real(getattr(self, name), name, "(0, inf]")',
            "SwarmConfig(extent=inf) constructed, and make_scenario failed inside numpy"),
     Mutant("potential-finite", SWARM,
-           "            if not 0 < getattr(self, f.name) < np.inf:",
-           "            if not 0 < getattr(self, f.name):",
+           'mm.check_real(getattr(self, f.name), f.name, "(0, inf)")',
+           'mm.check_real(getattr(self, f.name), f.name, "(0, inf]")',
            "PotentialParams(k_att=inf) constructed, and failed only inside LpuMeter.mul"),
     Mutant("operand-sign-int", MACMODEL,
            'if check_int(self.sign, "sign") not in (1, -1):',
@@ -214,8 +214,8 @@ MUTANTS = (
            "",
            "Operand(300) dequantized at 4 bits to 20 times the range"),
     Mutant("params-finite", MACMODEL,
-           "            if not 0 <= getattr(self, name) < np.inf:",
-           "            if not 0 <= getattr(self, name):",
+           'if name.startswith("v_") else "[0, inf)")',
+           'if name.startswith("v_") else "[0, inf]")',
            "EnergyParams(e_0=inf) constructed and priced every MAC at inf"),
     Mutant("qnetwork-w1-shape", QNAV,
            "        if self.w1.ndim != 2 or self.w1.shape[1] != len(RAY_OFFSETS):",
@@ -226,14 +226,12 @@ MUTANTS = (
            "        if self.w2.shape[0] != N_ACTIONS:",
            "an output layer must take one input per hidden unit"),
     Mutant("run-policy-eps", QNAV,
-           '        raise ValueError(f"steps must be non-negative, got {steps}")\n'
-           "    if not 0 <= eps <= 1:",
-           '        raise ValueError(f"steps must be non-negative, got {steps}")\n'
-           "    if False:",
+           '"exploration rate eps", "[0, 1]")',
+           '"exploration rate eps", "[-inf, inf]")',
            "run_policy(eps=2.0, steps=0) returned 1 without checking eps"),
     Mutant("run-policy-drop-p", QNAV,
-           "    if not 0 <= drop_p < 1:",
-           "    if False:",
+           '"drop probability drop_p", "[0, 1)")',
+           '"drop probability drop_p", "[-inf, inf]")',
            "run_policy checked drop_p only when stochastic=True, inside drop_mask"),
     Mutant("arena-start-in-grid", QNAV,
            "        if not (0 <= self.start[0] < self.width"
@@ -254,12 +252,12 @@ MUTANTS = (
            "    if to_uniform(int(words[0])) <= eps:",
            "a draw explores only below eps: at eps = 0 a word of 0 must take the greedy pick"),
     Mutant("run-policy-eps-bool", QNAV,
-           '    mm.check_real(eps, "eps")\n',
-           "",
+           'mm.check_real(eps, "exploration rate eps"',
+           'mm.check_real(float(eps), "exploration rate eps"',
            "run_policy(eps=True) ran as eps = 1.0"),
     Mutant("run-policy-drop-p-bool", QNAV,
-           '    mm.check_real(drop_p, "drop_p")\n',
-           "",
+           'mm.check_real(drop_p, "drop probability drop_p"',
+           'mm.check_real(float(drop_p), "drop probability drop_p"',
            "run_policy(drop_p=False) ran as drop_p = 0.0"),
     Mutant("run-policy-stochastic-bool", QNAV,
            '    mm.check_bool(stochastic, "stochastic")\n',
@@ -270,21 +268,93 @@ MUTANTS = (
            "    if False:\n",
            "keep_mask at p = NaN or 2.0 dropped every synapse"),
     Mutant("lpu-a-range-bool", SWARM,
-           '            mm.check_real(a_range, "LPU range")\n',
-           "",
+           'mm.check_real(a_range, "LPU range", "(0, inf)")',
+           'mm.check_real(float(a_range), "LPU range", "(0, inf)")',
            "LpuMeter.mul took a True range as 1.0"),
     Mutant("lpu-b-range-bool", SWARM,
-           '            mm.check_real(b_range, "LPU range")\n',
-           "",
+           'mm.check_real(b_range, "LPU range", "(0, inf)")',
+           'mm.check_real(float(b_range), "LPU range", "(0, inf)")',
            "LpuMeter.mul took a True range as 1.0"),
     Mutant("lpu-operand-bool", SWARM,
-           '        if a.dtype.kind == "b" or b.dtype.kind == "b":',
+           '        if a.dtype.kind not in "iuf" or b.dtype.kind not in "iuf":',
            "        if False:",
            "LpuMeter.mul(True, 0.5, 1.0, 1.0) multiplied True as 1.0"),
     Mutant("energy-table-params-type", MACMODEL,
            "    if not isinstance(params, EnergyParams):",
            "    if False:",
            "a params of another type failed inside the energy formulas with AttributeError"),
+    Mutant("check-real-open-low", MACMODEL,
+           '(lo <= value if interval[0] == "[" else lo < value)',
+           "(lo <= value)",
+           'an open low end, as in "(0, 1]", rejects the end itself: TrainConfig(alpha=0.0)'),
+    Mutant("check-real-open-high", MACMODEL,
+           '(value <= hi if interval[-1] == "]" else value < hi)',
+           "(value <= hi)",
+           'an open high end, as in "[0, 1)", rejects the end itself: TrainConfig(gamma=1.0)'),
+    Mutant("check-real-bool", MACMODEL,
+           "if isinstance(value, (bool, np.bool_)) or not isinstance(value, numbers.Real):",
+           "if not isinstance(value, numbers.Real):",
+           "a bool is a numbers.Real, so True would pass every range check as 1"),
+    Mutant("check-real-non-number", MACMODEL,
+           "if isinstance(value, (bool, np.bool_)) or not isinstance(value, numbers.Real):",
+           "if isinstance(value, (bool, np.bool_)):",
+           "a str failed comparing itself with a float, naming no field"),
+    Mutant("check-int-low", MACMODEL,
+           "(lo is not None and value < lo)",
+           "(lo is not None and value < lo - 1)",
+           "the low bound of check_int is inclusive: run_workload(budget=-1) ran 0 steps"),
+    Mutant("check-int-high", MACMODEL,
+           "(hi is not None and value > hi)",
+           "(hi is not None and value > hi + 1)",
+           "the high bound of check_int is inclusive: SwarmConfig(n_agents=21) has no bit width"),
+    Mutant("energy-table-cache-first", MACMODEL,
+           "\n\ndef energy_table(bits",
+           "\n\n@lru_cache(maxsize=32)\ndef energy_table(bits",
+           "an unhashable params failed inside the cache with \"unhashable type\", "
+           "naming no field"),
+    Mutant("swarm-config-potential-type", SWARM,
+           "        if not isinstance(self.potential, PotentialParams):",
+           "        if False:",
+           "make_scenario(\"path\", 2, potential={}) constructed, and run_workload raised "
+           "AttributeError"),
+    Mutant("calibrate-float-first", MACMODEL,
+           'float(check_real(r, "anchor ratio", "(0, inf)"))',
+           'check_real(float(r), "anchor ratio", "(0, inf)")',
+           "calibrate_energy called float() first, so a True ratio ran as 1.0"),
+    Mutant("parse-field-names", MACMODEL,
+           "    except ValueError:\n        raise ValueError(f\"cannot read",
+           "    except KeyError:\n        raise ValueError(f\"cannot read",
+           "a file value that does not parse raised int()'s or float()'s error, naming "
+           "no field"),
+    Mutant("scenario-points-per-agent", SWARM,
+           "        if name in arrays and len(arrays[name]) != config.n_agents:",
+           "        if False:",
+           "a scenario file with fewer slots than agents loaded and failed broadcasting "
+           "inside the run"),
+    Mutant("arena-size-three", QNAV,
+           'mm.check_int(self.width, "width", 3)',
+           'mm.check_int(self.width, "width")',
+           "a 2-wide arena raised an error naming a boundary cell, not the width"),
+    Mutant("scratchpad-capacity-int", QNAV,
+           'self.capacity = mm.check_int(capacity, "capacity", 1)',
+           "self.capacity = capacity",
+           "Scratchpad(True) and Scratchpad(2.5) failed inside numpy"),
+    Mutant("lpu-operand-number", SWARM,
+           '        if a.dtype.kind not in "iuf" or b.dtype.kind not in "iuf":',
+           '        if a.dtype.kind == "b" or b.dtype.kind == "b":',
+           "a str operand failed inside numpy's add, naming no field"),
+    Mutant("run-training-seed", QNAV,
+           '    lfsr = Lfsr(mm.check_int(seed, "seed", 1, 0xFFFF))\n    net, lfsr = init_network',
+           "    lfsr = Lfsr(seed)\n    net, lfsr = init_network",
+           "run_training(arena, cfg, 0) raised an error naming the LFSR state, not the seed"),
+    Mutant("run-policy-seed", QNAV,
+           '    lfsr = Lfsr(mm.check_int(seed, "seed", 1, 0xFFFF))\n    operands, _, next_pose',
+           "    lfsr = Lfsr(seed)\n    operands, _, next_pose",
+           "run_policy(..., seed=2.0) raised an error naming the LFSR state, not the seed"),
+    Mutant("calibrate-fit-overflow", MACMODEL,
+           'with np.errstate(over="raise", invalid="raise"):',
+           "with np.errstate():",
+           "a tiny anchor ratio overflowed inside the fit, and at 5e-324 gave a NaN c_d2"),
     Mutant("collision-self-distance", SWARM,
            "np.fill_diagonal(d, np.inf)",
            "np.fill_diagonal(d, 1e9)",
