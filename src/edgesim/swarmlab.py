@@ -11,8 +11,10 @@ registers; only the MAC operands are quantized.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field, fields
 from functools import lru_cache
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -77,12 +79,15 @@ class LpuMeter:
 
     ``mul`` has two paths with the same rounding, pricing and signs, chosen
     by the operands' kind. Two Python floats, or two equal-length lists of
-    them, run in Python arithmetic and return a float or a list; anything
-    else (ndarrays, mixed kinds, or a call with a ``ledger``) runs in numpy
-    and returns an ndarray, or a float for 0-d operands. The Python path
-    charges its energies summed left to right, which is the ``ndarray.sum``
-    the numpy path charges for fewer than 8 elements (numpy sums pairwise in
-    blocks of 8 beyond that).
+    real numbers, run in Python arithmetic and return a float or a list;
+    anything else (ndarrays, mixed kinds, or a call with a ``ledger``) runs
+    in numpy and returns an ndarray, or a float for 0-d operands. The Python
+    path checks and quantizes its operands, then hands the magnitudes to
+    ``mul_mags``, the one multiply-and-charge body of Python arithmetic. A
+    caller that keeps its operands quantized (the explore step) calls
+    ``mul_mags`` directly. It charges its energies summed left to right,
+    which is the ``ndarray.sum`` the numpy path charges for fewer than 8
+    elements (numpy sums pairwise in blocks of 8 beyond that).
 
     Each ``mul``/``nfe`` call adds its summed energy to ``energy_pj``; given a
     ``ledger`` list it appends its per-element energies there instead, for a
@@ -121,9 +126,8 @@ class LpuMeter:
 
         Operands must be finite: out-of-range values saturate, NaN and
         infinities raise ``ValueError``, and so do lists of unequal length.
-        Ranges must be positive and finite. A range, or an operand on the
-        numpy path, that is not a real number (a bool included) raises
-        ``TypeError``; the Python path does not check its lists for bools.
+        Ranges must be positive and finite. A range or operand that is not a
+        real number (a bool included) raises ``TypeError``.
         """
         # Python float ranges, the common case, skip the helper's type check
         if type(a_range) is not float or type(b_range) is not float:
@@ -135,6 +139,11 @@ class LpuMeter:
             if isinstance(a, float) and isinstance(b, float):
                 return self._mul_python([a], [b], a_range, b_range)[0]
             if isinstance(a, list) and isinstance(b, list):
+                # the numpy path's dtype rule, element by element
+                for v in chain(a, b):
+                    if type(v) is not float and (isinstance(v, (bool, np.bool_))
+                                                 or not isinstance(v, numbers.Real)):
+                        raise TypeError(f"LPU operands must be real numbers, got {v!r}")
                 return self._mul_python(a, b, a_range, b_range)
         a, b = np.asarray(a), np.asarray(b)
         if a.dtype.kind not in "iuf" or b.dtype.kind not in "iuf":
@@ -152,21 +161,35 @@ class LpuMeter:
         return out if out.ndim else float(out)
 
     def _mul_python(self, xs: list, ys: list, x_range: float, y_range: float) -> list:
-        """``mul`` of two equal-length lists of reals, element by element."""
+        """``mul`` of two lists of reals: check lengths and finiteness, quantize,
+        then ``mul_mags``."""
         if len(xs) != len(ys):
             raise ValueError(f"LPU operand lists differ in length: {len(xs)} != {len(ys)}")
         if not (all(map(math.isfinite, xs)) and all(map(math.isfinite, ys))):
             raise ValueError("LPU operands must be finite")
-        bits, table = self.bits, self._table
+        bits = self.bits
+        return self.mul_mags([mm.quantize_mag(x, bits, x_range) for x in xs],
+                             [mm.quantize_mag(y, bits, y_range) for y in ys],
+                             [(x < 0) != (y < 0) for x, y in zip(xs, ys)], x_range, y_range)
+
+    def mul_mags(self, x_mags: list, y_mags: list, negative: list,
+                 x_range: float, y_range: float) -> list:
+        """Multiply and charge operands already quantized at the meter's width.
+
+        ``x_mags``/``y_mags`` are ``quantize_mag`` magnitudes of equal-length
+        operand lists, ``negative[i]`` is product i's sign (``(x < 0) != (y <
+        0)``) and the ranges are the ones the magnitudes were quantized
+        against. Returns ``mul``'s dequantized floats and charges ``mul``'s
+        energy and MACs; nothing is checked here.
+        """
+        table = self._table
         scale = (x_range * y_range) / float(self._full * self._full)
         out = []
         energy = 0.0
-        for x, y in zip(xs, ys):
-            mx = mm.quantize_mag(x, bits, x_range)
-            my = mm.quantize_mag(y, bits, y_range)
+        for mx, my, neg in zip(x_mags, y_mags, negative):
             energy += table.item(mx, my)
-            product = mx * my
-            out.append((-product if (x < 0) != (y < 0) else product) * scale)
+            product = mx * my  # exact integer product, scaled once
+            out.append((-product if neg else product) * scale)
         self.energy_pj += energy
         self.macs += len(out)
         return out
@@ -652,6 +675,16 @@ def _step_predprey(state, cfg, meter):
 EXPLORE_EPS = 0.15
 EXPLORE_ALPHA = 0.05
 EXPLORE_WINDOW = 2  # half-width of the frontier-count window
+EXPLORE_AREA = (2 * EXPLORE_WINDOW + 1) ** 2  # cells in a window
+EXPLORE_W_RANGE = 2.0  # LPU range of the direction weights; features use 1.0
+
+
+@lru_cache(maxsize=16)
+def _feature_mags(bits: int) -> tuple:
+    """LPU magnitude of each explore feature: entry f is ``quantize_mag(f /
+    EXPLORE_AREA, bits, 1.0)``, the feature of a window with f unvisited
+    cells, for f = 0..EXPLORE_AREA."""
+    return tuple(mm.quantize_mag(f / EXPLORE_AREA, bits, 1.0) for f in range(EXPLORE_AREA + 1))
 
 
 def _visit(state, x, y):
@@ -665,12 +698,21 @@ def _visit(state, x, y):
 
 def _step_explore(state, cfg, meter):
     g = cfg.grid_size
-    area = (2 * EXPLORE_WINDOW + 1) ** 2
     nbrs = _grid_neighbours(g)
     frontier = state.frontier.reshape(-1)  # flat views, indexed by nbrs
     visited = state.visited.reshape(-1)
     positions = state.positions.tolist()
     weights = state.explore_w.tolist()
+    # the LPU keeps its operands quantized: the 4 weights here, once a step,
+    # and weights[a] again after each update; features read their magnitudes
+    # from a table. A feature is >= 0 (never -0.0), so a product's sign is
+    # its weight's.
+    bits = meter.bits
+    if not all(map(math.isfinite, weights)):
+        raise ValueError("LPU operands must be finite")
+    w_mags = [mm.quantize_mag(w, bits, EXPLORE_W_RANGE) for w in weights]
+    w_neg = [w < 0 for w in weights]
+    feat_mags = _feature_mags(bits)
     # each agent draws one LFSR word, or two for an epsilon-greedy random move
     words = state.lfsr.words(2 * len(positions)).tolist()
     used = 0
@@ -696,11 +738,17 @@ def _step_explore(state, cfg, meter):
                 else:
                     a = 1 if ty > py else 3
         else:
-            qvals = meter.mul(weights, [f / area for f in feats], 2.0, 1.0)
+            qvals = meter.mul_mags(w_mags, [feat_mags[f] for f in feats], w_neg,
+                                   EXPLORE_W_RANGE, 1.0)
             a = qvals.index(max(qvals))  # the first maximum, as argmax
             # linear value update on the chosen direction's weight
             reward = 0.0 if visited.item(cells[a]) else 1.0
-            weights[a] += EXPLORE_ALPHA * (reward - qvals[a]) * feats[a] / area
+            weights[a] += EXPLORE_ALPHA * (reward - qvals[a]) * feats[a] / EXPLORE_AREA
+            w = weights[a]
+            if not math.isfinite(w):
+                raise ValueError("LPU operands must be finite")
+            w_mags[a] = mm.quantize_mag(w, bits, EXPLORE_W_RANGE)
+            w_neg[a] = w < 0
         nx, ny = divmod(cells[a], g)
         positions[i] = [nx, ny]
         _visit(state, nx, ny)

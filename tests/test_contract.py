@@ -128,6 +128,8 @@ CASES = {
     **_fields("LpuMeter", ("params", "model"), lambda f, v: _meter(**{f: v})),
     **{("LpuMeter.mul", f): ("LPU", lambda v, f=f: _meter(**{f: v}))
        for f in ("a", "b", "a_range", "b_range")},
+    # list operands run the meter's Python path
+    ("LpuMeter.mul", "list a"): ("LPU", lambda v: _meter(a=[0.5, v], b=[0.25, -0.5])),
     **{("load_energy_params", f): (f, lambda v, path, f=f: _params_file(path, f, v))
        for f in ("e_tr", "v_supply")},
     **{("load_scenario", f): (f, lambda v, path, f=f: _scenario_file(path, f, v))

@@ -27,3 +27,12 @@ def test_every_mutant_applies_exactly_once(mutants):
     names = [m.name for m in mutants.MUTANTS]
     assert len(set(names)) == len(names)
     mutants._check_unique(mutants.ROOT, mutants.MUTANTS)
+
+
+def test_kill_map_names_mutants_and_test_files(mutants):
+    # a stale entry only costs the audit a whole-suite run, but a map that
+    # names no mutant or no test file has drifted from the list
+    kills = mutants._read_kills()
+    assert set(kills) <= {m.name for m in mutants.MUTANTS}
+    for node in kills.values():
+        assert (mutants.ROOT / node.split("::")[0]).is_file(), node

@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import math
 
 import numpy as np
 import pytest
@@ -157,6 +158,58 @@ def test_grid_neighbours_are_clipped_moves():
             for a, (dx, dy) in enumerate(sl.GRID_MOVES):
                 clipped = (min(max(x + dx, 0), g - 1), min(max(y + dy, 0), g - 1))
                 assert divmod(int(table[x, y, a]), g) == clipped
+
+
+@pytest.mark.parametrize("bits", range(mm.MIN_BITS, mm.MAX_BITS + 1))
+def test_feature_mags_quantize_every_frontier_count(bits):
+    area = sl.EXPLORE_AREA
+    table = sl._feature_mags(bits)
+    assert table == tuple(mm.quantize_mag(f / area, bits, 1.0) for f in range(area + 1))
+    assert list(table) == mm.quantize_mags(np.arange(area + 1) / area, bits, 1.0).tolist()
+    # every feature is >= 0 and none is -0.0, so a product's sign is its weight's
+    assert all(math.copysign(1.0, f / area) == 1.0 for f in range(area + 1))
+
+
+# sha256 over every step of (positions, weights, LFSR state, step energy,
+# MACs) of an explore run at seed 1 from signed start weights, captured when
+# the step still re-quantized every operand through LpuMeter.mul: runs from
+# the default weights of 1.0 never reach a negative weight, so the goldens
+# above do not pin the sign of a product. In the first case weight 1 crosses
+# from negative to positive; the second saturates two weights.
+SIGNED_EXPLORE_GOLDEN = {
+    (5, "hdms", (-0.5, -0.05, -0.0, -1.9)):
+        "3c13077ebbb568cb539a93abd338e90cd8472838f4ade52244b53473b4157465",
+    (20, "tdms", (-3.0, 2.5, -0.0, -0.2)):
+        "6178caa7da14645f37a8fa82965e33775f2185709545dd52ac1bd0484456c299",
+}
+
+
+@pytest.mark.parametrize("case", sorted(SIGNED_EXPLORE_GOLDEN))
+def test_explore_from_signed_weights_digest(case):
+    n, model, weights = case
+    scn = sl.make_scenario("explore", n, seed=1, model=model)
+    cfg = scn.config
+    meter = sl.LpuMeter(cfg.bits, default_params(), cfg.model)
+    state = sl.init_state(scn)
+    state.explore_w[:] = weights
+    h = hashlib.sha256()
+    for _ in range(60):
+        sm = sl.workload_step(state, cfg, meter)
+        h.update(repr((state.positions.tolist(), state.explore_w.tolist(), state.lfsr.state,
+                       sm.energy_pj, sm.macs)).encode())
+    assert h.hexdigest() == SIGNED_EXPLORE_GOLDEN[case]
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_explore_rejects_a_non_finite_weight(bad):
+    scn = sl.make_scenario("explore", 3, seed=1)
+    cfg = scn.config
+    meter = sl.LpuMeter(cfg.bits, default_params(), cfg.model)
+    state = sl.init_state(scn)
+    state.explore_w[2] = bad
+    with pytest.raises(ValueError, match="LPU operands must be finite"):
+        sl.workload_step(state, cfg, meter)
+    assert (meter.energy_pj, meter.macs) == (0.0, 0)
 
 
 def test_golden_outcomes(golden_runs):
@@ -325,10 +378,11 @@ def test_meter_rejects_bad_ranges(a_range, b_range):
     (True, 0.5, 1.0, 1.0), (0.5, np.bool_(False), 1.0, 1.0),
     (np.array([True, False]), np.ones(2), 1.0, 1.0), ([0.5, 0.5], np.array([True, True]), 1.0, 1.0),
     (0.5, 0.5, True, 1.0), (0.5, 0.5, 1.0, np.bool_(True)), ([0.5], [0.5], False, 1.0),
-    (np.ones(2), np.ones(2), 2.0, True)])
+    (np.ones(2), np.ones(2), 2.0, True), ([True, 0.5], [0.5, 0.5], 1.0, 1.0),
+    ([0.5, 0.5], [0.5, np.bool_(False)], 1.0, 1.0)])
 def test_meter_rejects_bools(a, b, a_range, b_range):
-    # mul(True, 0.5, 1.0, 1.0) multiplied True as 1.0, and a True range
-    # scaled as 1.0
+    # mul(True, 0.5, 1.0, 1.0) multiplied True as 1.0, a True range scaled
+    # as 1.0, and mul([True, 0.5], [0.5, 0.5], 1.0, 1.0) charged 2 MACs
     meter = sl.LpuMeter(5, default_params())
     with pytest.raises(TypeError, match="LPU"):
         meter.mul(a, b, a_range, b_range)
@@ -337,10 +391,12 @@ def test_meter_rejects_bools(a, b, a_range, b_range):
 
 @pytest.mark.parametrize("a,b,a_range,b_range", [
     ("x", 0.5, 1.0, 1.0), (0.5, None, 1.0, 1.0), (np.array(["1"]), np.ones(1), 1.0, 1.0),
-    (0.5, 0.5, None, 1.0), (0.5, 0.5, 1.0, "1"), (np.ones(2), np.ones(2), "2", 1.0)])
+    (0.5, 0.5, None, 1.0), (0.5, 0.5, 1.0, "1"), (np.ones(2), np.ones(2), "2", 1.0),
+    (["x", 0.5], [0.5, 0.5], 1.0, 1.0), ([0.5], [[0.5]], 1.0, 1.0), ([None], [0.5], 1.0, 1.0)])
 def test_meter_rejects_non_numbers(a, b, a_range, b_range):
-    # a str operand failed inside numpy's add, and a None range comparing
-    # None with an int, each naming nothing
+    # a str operand failed inside numpy's add, a None range comparing None
+    # with an int, and a str or list element in a list operand inside
+    # math.isfinite, each naming nothing
     meter = sl.LpuMeter(5, default_params())
     with pytest.raises(TypeError, match="LPU"):
         meter.mul(a, b, a_range, b_range)
@@ -354,6 +410,13 @@ def test_meter_rejects_unequal_length_lists(a, b):
     with pytest.raises(ValueError, match="length"):
         meter.mul(a, b, 1.0, 1.0)
     assert (meter.energy_pj, meter.macs) == (0.0, 0)
+
+
+def test_meter_python_path_takes_int_elements():
+    ints, floats = (sl.LpuMeter(5, default_params()) for _ in range(2))
+    got = ints.mul([1, -2, np.int64(0)], [0.5, 0.25, np.float64(-0.5)], 2.0, 1.0)
+    assert got == floats.mul([1.0, -2.0, 0.0], [0.5, 0.25, -0.5], 2.0, 1.0)
+    assert (ints.energy_pj, ints.macs) == (floats.energy_pj, floats.macs)
 
 
 def test_meter_saturates_huge_finite_operands():
@@ -396,6 +459,36 @@ def test_meter_python_path_matches_numpy_path(bits, model, pairs, ranges):
             want = by_0d.mul(np.array(x), np.array(y), *ranges)
             assert type(got) is float and np.array(got).tobytes() == np.array(want).tobytes()
             assert (by_float.energy_pj, by_float.macs) == (by_0d.energy_pj, by_0d.macs)
+
+
+# the explore step's second operand is a frontier feature f / area
+_features = st.integers(0, sl.EXPLORE_AREA).map(lambda f: f / sl.EXPLORE_AREA)
+
+
+@settings(max_examples=300, deadline=None)
+@given(bits=st.integers(mm.MIN_BITS, mm.MAX_BITS), model=st.sampled_from(mm.MODELS),
+       pairs=st.lists(st.tuples(_lpu_operands, st.one_of(_features, _lpu_operands)),
+                      min_size=1, max_size=7),
+       ranges=st.tuples(st.sampled_from([1.0, 2.0, 8.0]), st.floats(1e-3, 1e3)))
+@example(bits=3, model="hdms", pairs=[(-0.0, 0.2), (-1.5, 1.0), (2.5, 0.04), (-1.7e308, 0.0),
+                                      (0.3, -0.0), (-0.0, -0.7)], ranges=(2.0, 1.0))
+@example(bits=8, model="tdms", pairs=[(1e308, 0.48), (-3.0, 1.0), (-0.0, 0.0)],
+         ranges=(2.0, 1.0))
+def test_meter_mul_mags_matches_mul(bits, model, pairs, ranges):
+    # fed quantize_mag magnitudes and the < 0 sign rule, the magnitude entry
+    # point returns and charges what mul does on the floats, on both paths
+    xs, ys = [x for x, _ in pairs], [y for _, y in pairs]
+    by_mags, by_list, by_array = (sl.LpuMeter(bits, default_params(), model) for _ in range(3))
+    got = by_mags.mul_mags([mm.quantize_mag(x, bits, ranges[0]) for x in xs],
+                           [mm.quantize_mag(y, bits, ranges[1]) for y in ys],
+                           [(x < 0) != (y < 0) for x, y in pairs], *ranges)
+    assert type(got) is list
+    with np.errstate(over="ignore"):
+        wants = (by_list.mul(xs, ys, *ranges), by_array.mul(np.array(xs), np.array(ys), *ranges))
+    for want in wants:
+        assert np.array(got).tobytes() == np.array(want).tobytes()
+    for meter in (by_list, by_array):
+        assert (meter.energy_pj, meter.macs) == (by_mags.energy_pj, by_mags.macs)
 
 
 @pytest.mark.parametrize("bits", range(3, 9))
@@ -446,7 +539,6 @@ def test_swarm_config_accepts_numpy_integer_agents():
     assert scn.config.bits == sl.bitwidth_for_swarm(3)
     assert sl.run_workload(scn, budget=5).row() == sl.run_workload(
         sl.make_scenario("explore", 3, seed=1), budget=5).row()
-
 
 
 @pytest.mark.parametrize("name", ["extent", "goal_tolerance", "slot_tolerance", "collision_radius"])

@@ -7,13 +7,23 @@ mutant to a fresh copy and runs the suite there (``pytest -x``). A mutant is
 killed when the suite fails. Mutants marked equivalent cannot change any
 result; they stay on the list with the reason, and their survival is expected.
 
-Standard library only; it is not part of the test suite and never edits the
-working tree. A mutant whose old text does not occur exactly once in its file
-stops the audit before any test runs; ``tests/test_mutants.py`` makes the same
-check in the suite, and the audit leaves that test out of its own runs.
+The kill map, ``tools/mutant_kills.json``, records the test node that killed
+each mutant last time. The audit runs that node first (``pytest -x <node>``)
+and runs the whole suite only when the node passes or no longer exists, so the
+verdicts are those of whole-suite runs: a node that fails is part of the suite.
+The recorded nodes must also pass together on the unmutated copy, or the map
+is set aside for the run. After each run the audit writes the node that killed
+each mutant back to the map; ``--full`` runs the whole suite for every mutant.
+
+Standard library only; it is not part of the test suite and writes nothing in
+the working tree but the kill map. A mutant whose old text does not occur
+exactly once in its file stops the audit before any test runs;
+``tests/test_mutants.py`` makes the same check in the suite, and the audit
+leaves that test out of its own runs.
 
     python tools/mutants.py            # every mutant
     python tools/mutants.py flee-max   # the named ones
+    python tools/mutants.py --full     # every mutant on the whole suite
     python tools/mutants.py --list
 
 Exit status: 0 when every non-equivalent mutant is killed, 1 otherwise.
@@ -22,6 +32,7 @@ Exit status: 0 when every non-equivalent mutant is killed, 1 otherwise.
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import shutil
 import subprocess
@@ -33,6 +44,9 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 COPIED = ("src", "tests", "bench", "pyproject.toml")
+KILLS = ROOT / "tools" / "mutant_kills.json"
+# pytest's exit status when a named node is not found or collects no test
+NOT_RUN = (4, 5)
 SWARM = "src/edgesim/swarmlab.py"
 QNAV = "src/edgesim/qnav.py"
 STOCHSYN = "src/edgesim/stochsyn.py"
@@ -61,9 +75,33 @@ MUTANTS = (
            "the run stops at a catch, so only a later predator in the same step reads "
            "the catch's Q-table write (the n=5 qlearn trajectory golden)"),
     Mutant("python-mul-sign", SWARM,
-           "out.append((-product if (x < 0) != (y < 0) else product) * scale)",
-           "out.append((-product if (x < 0) == (y < 0) else product) * scale)",
+           "[(x < 0) != (y < 0) for x, y in zip(xs, ys)]",
+           "[(x < 0) == (y < 0) for x, y in zip(xs, ys)]",
            "the sign rule of LpuMeter.mul's Python path"),
+    Mutant("explore-stale-weight-mag", SWARM,
+           "            w_mags[a] = mm.quantize_mag(w, bits, EXPLORE_W_RANGE)\n",
+           "",
+           "the explore step keeps its weights quantized, so an update must re-quantize "
+           "the weight it moved"),
+    Mutant("explore-stale-weight-sign", SWARM,
+           "            w_neg[a] = w < 0\n",
+           "",
+           "an update that moves a weight across 0 flips the sign of its products"),
+    Mutant("explore-weight-finite", SWARM,
+           "    if not all(map(math.isfinite, weights)):",
+           "    if False:",
+           "a NaN explore weight failed inside int() naming nothing, and an infinite one "
+           "saturated"),
+    Mutant("explore-feature-table-shift", SWARM,
+           "mm.quantize_mag(f / EXPLORE_AREA, bits, 1.0) for f in range(EXPLORE_AREA + 1)",
+           "mm.quantize_mag(f / EXPLORE_AREA, bits, 1.0) for f in range(1, EXPLORE_AREA + 2)",
+           "entry f of the feature table is the magnitude of f unvisited cells"),
+    Mutant("lpu-list-operand-bool", SWARM,
+           "if type(v) is not float and (isinstance(v, (bool, np.bool_))\n"
+           "                                                 or not isinstance(v, numbers.Real)):",
+           "if type(v) is not float and (not isinstance(v, numbers.Real)):",
+           "LpuMeter.mul([True, 0.5], [0.5, 0.5], 1.0, 1.0) multiplied True as 1.0 and "
+           "charged 2 MACs"),
     Mutant("predprey-advance-block", SWARM,
            "    state.lfsr = state.lfsr.advance(used)\n    if not state.caught",
            "    state.lfsr = state.lfsr.advance(2 * n)\n    if not state.caught",
@@ -382,21 +420,34 @@ def _copy(dest: Path) -> Path:
     return dest
 
 
-def _suite_passes(root: Path) -> bool:
+def _run_tests(root: Path, nodes=()) -> tuple[int, str | None]:
+    """Run ``pytest -x`` on ``nodes``, or on the whole suite when there are
+    none; returns pytest's exit status and the first node it reports failed."""
     env = dict(os.environ, PYTHONPATH=str(root / "src"), PYTHONDONTWRITEBYTECODE="1")
     # the copy has no tools/, and a mutated copy lacks its own old text, so
     # the check that this list applies runs on the working tree only
     proc = subprocess.run(
-        [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
-         "--continue-on-collection-errors", "--ignore", "tests/test_mutants.py"],
-        cwd=root, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
-    return proc.returncode == 0
+        [sys.executable, "-m", "pytest", "-q", "-x", "-rfE", "-p", "no:cacheprovider",
+         "--continue-on-collection-errors", "--ignore", "tests/test_mutants.py", *nodes],
+        cwd=root, env=env, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True)
+    # short summary lines read "FAILED <node> - <message>" or "ERROR <node> - ..."
+    for line in proc.stdout.splitlines():
+        word, _, rest = line.partition(" ")
+        if word in ("FAILED", "ERROR"):
+            return proc.returncode, rest.split(" - ", 1)[0]
+    return proc.returncode, None
+
+
+def _read_kills() -> dict:
+    return json.loads(KILLS.read_text()) if KILLS.exists() else {}
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("names", nargs="*", help="mutants to run (default: all)")
     parser.add_argument("--list", action="store_true", help="list the mutants and exit")
+    parser.add_argument("--full", action="store_true",
+                        help="run the whole suite for every mutant, ignoring the kill map")
     args = parser.parse_args(argv)
     by_name = {m.name: m for m in MUTANTS}
     unknown = [n for n in args.names if n not in by_name]
@@ -405,30 +456,50 @@ def main(argv=None) -> int:
     chosen = [by_name[n] for n in args.names] or list(MUTANTS)
     if args.list:
         for m in chosen:
-            print(f"{m.name:26} {m.path}: {m.reason}")
+            print(f"{m.name:28} {m.path}: {m.reason}")
         return 0
     _check_unique(ROOT, chosen)
+    recorded = _read_kills()
+    kills = {} if args.full else {m.name: recorded[m.name] for m in chosen if m.name in recorded}
 
     survivors = []
+    killers = {}
+    start = time.perf_counter()
     with tempfile.TemporaryDirectory(prefix="mutants-") as tmp:
-        if not _suite_passes(_copy(Path(tmp) / "base")):
+        base = _copy(Path(tmp) / "base")
+        if _run_tests(base)[0] != 0:
             raise SystemExit("the suite fails on the unmutated copy")
+        if kills and _run_tests(base, sorted(set(kills.values())))[0] != 0:
+            print("the kill map's nodes fail or are missing on the unmutated copy; "
+                  "every mutant runs the whole suite", flush=True)
+            kills = {}
         for m in chosen:
             work = _copy(Path(tmp) / m.name)
             path = work / m.path
             path.write_text(path.read_text().replace(m.old, m.new))
             t0 = time.perf_counter()
-            killed = not _suite_passes(work)
+            status, killer = _run_tests(work, [kills[m.name]]) if m.name in kills else (0, None)
+            if status == 0 or status in NOT_RUN:
+                status, killer = _run_tests(work)
             shutil.rmtree(work)
-            if killed:
+            if status != 0:
                 verdict = "killed"
+                if killer is not None:
+                    killers[m.name] = killer
             elif m.equivalent:
                 verdict = "survived (equivalent)"
             else:
                 verdict = "SURVIVED"
                 survivors.append(m.name)
-            print(f"{verdict:22} {m.name:26} {time.perf_counter() - t0:5.1f} s  {m.reason}",
-                  flush=True)
+            print(f"{verdict:22} {m.name:28} {time.perf_counter() - t0:5.1f} s  "
+                  f"{killer if status != 0 else m.reason}", flush=True)
+    # the chosen mutants' entries are this run's killers; the others stay
+    ran = {m.name for m in chosen}
+    updated = {name: node for name, node in recorded.items()
+               if name in by_name and name not in ran} | killers
+    if updated != recorded:
+        KILLS.write_text(json.dumps(updated, indent=1, sort_keys=True) + "\n")
+    print(f"{len(chosen)} mutants in {time.perf_counter() - start:.0f} s")
     if survivors:
         print(f"{len(survivors)} non-equivalent mutant(s) survived: {', '.join(survivors)}")
         return 1
