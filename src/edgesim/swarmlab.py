@@ -706,7 +706,9 @@ def _step_explore(state, cfg, meter):
     # the LPU keeps its operands quantized: the 4 weights here, once a step,
     # and weights[a] again after each update; features read their magnitudes
     # from a table. A feature is >= 0 (never -0.0), so a product's sign is
-    # its weight's.
+    # its weight's. The weights are checked finite once, here: an update
+    # moves a weight by at most EXPLORE_ALPHA * (1 + EXPLORE_W_RANGE), since
+    # magnitudes saturate, the reward is 0 or 1 and a feature is at most 1.
     bits = meter.bits
     if not all(map(math.isfinite, weights)):
         raise ValueError("LPU operands must be finite")
@@ -745,8 +747,6 @@ def _step_explore(state, cfg, meter):
             reward = 0.0 if visited.item(cells[a]) else 1.0
             weights[a] += EXPLORE_ALPHA * (reward - qvals[a]) * feats[a] / EXPLORE_AREA
             w = weights[a]
-            if not math.isfinite(w):
-                raise ValueError("LPU operands must be finite")
             w_mags[a] = mm.quantize_mag(w, bits, EXPLORE_W_RANGE)
             w_neg[a] = w < 0
         nx, ny = divmod(cells[a], g)

@@ -13,7 +13,8 @@ and runs the whole suite only when the node passes or no longer exists, so the
 verdicts are those of whole-suite runs: a node that fails is part of the suite.
 The recorded nodes must also pass together on the unmutated copy, or the map
 is set aside for the run. After each run the audit writes the node that killed
-each mutant back to the map; ``--full`` runs the whole suite for every mutant.
+each mutant back to the map; with the map deleted, every mutant runs the whole
+suite and the map is written again.
 
 Standard library only; it is not part of the test suite and writes nothing in
 the working tree but the kill map. A mutant whose old text does not occur
@@ -23,7 +24,6 @@ leaves that test out of its own runs.
 
     python tools/mutants.py            # every mutant
     python tools/mutants.py flee-max   # the named ones
-    python tools/mutants.py --full     # every mutant on the whole suite
     python tools/mutants.py --list
 
 Exit status: 0 when every non-equivalent mutant is killed, 1 otherwise.
@@ -446,8 +446,6 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("names", nargs="*", help="mutants to run (default: all)")
     parser.add_argument("--list", action="store_true", help="list the mutants and exit")
-    parser.add_argument("--full", action="store_true",
-                        help="run the whole suite for every mutant, ignoring the kill map")
     args = parser.parse_args(argv)
     by_name = {m.name: m for m in MUTANTS}
     unknown = [n for n in args.names if n not in by_name]
@@ -460,7 +458,7 @@ def main(argv=None) -> int:
         return 0
     _check_unique(ROOT, chosen)
     recorded = _read_kills()
-    kills = {} if args.full else {m.name: recorded[m.name] for m in chosen if m.name in recorded}
+    kills = {m.name: recorded[m.name] for m in chosen if m.name in recorded}
 
     survivors = []
     killers = {}
