@@ -55,8 +55,11 @@ RECIP_BREAKS.flags.writeable = RECIP_VALUES.flags.writeable = False
 
 def nfe_recip(x):
     """Piecewise-linear 1/x, a float for 0-d input; inputs saturate at [D_FLOOR, D_CEIL]."""
-    xc = np.clip(np.asarray(x, dtype=float), D_FLOOR, D_CEIL)
-    seg = np.clip(np.searchsorted(RECIP_BREAKS, xc, side="right") - 1, 0, RECIP_SEGMENTS - 1)
+    # np.minimum(np.maximum()) is np.clip's values (NaN propagates) at less
+    # per-call cost
+    xc = np.minimum(np.maximum(np.asarray(x, dtype=float), D_FLOOR), D_CEIL)
+    seg = np.minimum(np.maximum(np.searchsorted(RECIP_BREAKS, xc, side="right") - 1, 0),
+                     RECIP_SEGMENTS - 1)
     t0 = RECIP_BREAKS[seg]
     t1 = RECIP_BREAKS[seg + 1]
     u = (xc - t0) / (t1 - t0)
@@ -81,13 +84,15 @@ class LpuMeter:
     by the operands' kind. Two Python floats, or two equal-length lists of
     real numbers, run in Python arithmetic and return a float or a list;
     anything else (ndarrays, mixed kinds, or a call with a ``ledger``) runs
-    in numpy and returns an ndarray, or a float for 0-d operands. The Python
-    path checks and quantizes its operands, then hands the magnitudes to
-    ``mul_mags``, the one multiply-and-charge body of Python arithmetic. A
-    caller that keeps its operands quantized (the explore step) calls
-    ``mul_mags`` directly. It charges its energies summed left to right,
-    which is the ``ndarray.sum`` the numpy path charges for fewer than 8
-    elements (numpy sums pairwise in blocks of 8 beyond that).
+    in numpy and returns an ndarray, or a float for 0-d operands. Both paths
+    check their operands, quantize them, then hand the magnitudes to a
+    multiply-and-charge body: ``mul_mags`` in Python arithmetic,
+    ``mul_mag_arrays`` in numpy. A caller that keeps its operands quantized
+    calls a body directly: the explore step ``mul_mags``, and ``apf_force``
+    ``mul_mag_arrays``, with each operand quantized once. ``mul_mags``
+    charges its energies summed left to right, which is the ``ndarray.sum``
+    the numpy body charges for fewer than 8 elements (numpy sums pairwise in
+    blocks of 8 beyond that).
 
     Each ``mul``/``nfe`` call adds its summed energy to ``energy_pj``; given a
     ``ledger`` list it appends its per-element energies there instead, for a
@@ -152,12 +157,25 @@ class LpuMeter:
         # finite operands is told apart by testing them one by one
         if not np.isfinite(np.add(a, b)).all() and not (np.isfinite(a).all() and np.isfinite(b).all()):
             raise ValueError("LPU operands must be finite")
-        ma = mm.quantize_mags(a, self.bits, a_range)
-        mb = mm.quantize_mags(b, self.bits, b_range)
-        self._charge(self.energy(ma, mb), ledger)
+        return self.mul_mag_arrays(mm.quantize_mags(a, self.bits, a_range),
+                                   mm.quantize_mags(b, self.bits, b_range),
+                                   np.less(a, 0) != np.less(b, 0), a_range, b_range, ledger)
+
+    def mul_mag_arrays(self, a_mags, b_mags, negative, a_range: float, b_range: float,
+                       ledger: list | None = None):
+        """``mul_mags`` of broadcastable arrays: multiply and charge operands
+        already quantized at the meter's width.
+
+        ``a_mags``/``b_mags`` are ``quantize_mags`` magnitudes (or ``quantize_mag``
+        ints), ``negative`` the products' signs (``np.less(a, 0) != np.less(b,
+        0)``, a bool array or a bool) and the ranges the ones the magnitudes
+        were quantized against. Returns and charges (or appends to ``ledger``)
+        what ``mul`` does on the reals; nothing is checked here.
+        """
+        self._charge(self._table[a_mags, b_mags], ledger)
         scale = (a_range * b_range) / float(self._full * self._full)
-        product = ma * mb  # exact integer product, scaled once
-        out = np.where(np.less(a, 0) != np.less(b, 0), -product, product) * scale
+        product = a_mags * b_mags  # exact integer product, scaled once
+        out = np.where(negative, -product, product) * scale
         return out if out.ndim else float(out)
 
     def _mul_python(self, xs: list, ys: list, x_range: float, y_range: float) -> list:
@@ -232,14 +250,26 @@ def apf_force(pos, goal, obstacles, params: PotentialParams, meter: LpuMeter):
     goal = np.asarray(goal, dtype=float)
     obstacles = np.asarray(obstacles, dtype=float)
     n = len(pos)
+    bits = meter.bits
     sat = 2.0 * params.v_max
-    err_c = np.clip(goal - pos, -sat, sat)
+    # Each LPU operand is quantized once and multiplied on the meter's numpy
+    # body, which checks nothing: the ranges are constants that
+    # PotentialParams has checked, and the two checks that can fire are
+    # made here, before the meter is charged. Clipped, err_c is finite
+    # unless a goal or position is NaN (an infinite goal saturates).
+    err_c = np.minimum(np.maximum(goal - pos, -sat), sat)
+    if np.isnan(err_c).any():
+        raise ValueError("LPU operands must be finite")
     ledger = []
-    att = meter.mul(params.k_att, err_c, max(params.k_att, 1.0), sat, ledger)
+    # k_att > 0, so the attraction's sign is err_c's
+    k_range = max(params.k_att, 1.0)
+    att = meter.mul_mag_arrays(mm.quantize_mag(params.k_att, bits, k_range),
+                               mm.quantize_mags(err_c, bits, sat), err_c < 0,
+                               k_range, sat, ledger)
 
     delta = pos[:, None, :] - obstacles
     d = np.hypot(delta[..., 0], delta[..., 1])
-    if np.any(d == 0.0):
+    if (d == 0.0).any():
         raise ValueError("agent sits exactly on an obstacle point (singular field)")
     # pushing pairs, agent-major and in list order; a NaN distance pushes,
     # so a NaN point is not skipped silently
@@ -247,27 +277,53 @@ def apf_force(pos, goal, obstacles, params: PotentialParams, meter: LpuMeter):
     counts = np.bincount(rows, minlength=n)
     first = np.cumsum(counts) - counts  # index of each agent's first pair
     d = d[rows, cols]
+    # a pushing distance is below d0 or NaN; finite and nonzero, it makes u,
+    # u*u, the magnitude and the direction below all finite
+    if np.isnan(d).any():
+        raise ValueError("LPU operands must be finite")
     dc = np.maximum(d, D_FLOOR)
     u0 = 1.0 / params.d0
     direction = delta[rows, cols] / d[:, None]
     # pushes saturate at the f_cap quantizer range before the v_max clamp
     f_cap = 4.0 * params.v_max
     u = meter.nfe(dc, ledger)
-    uu = meter.mul(u, u, 1.0 / D_FLOOR, 1.0 / D_FLOOR, ledger)
-    mag = meter.mul(params.k_rep * (u - u0), uu, 10.0, (1.0 / D_FLOOR) ** 2, ledger)
-    push = meter.mul(mag[:, None], direction, f_cap, 1.0, ledger)
-    # agent i's calls in order: attraction, then per pushing pair the
-    # lookup, u*u, the magnitude and the 2-element push
+    u_range = 1.0 / D_FLOOR
+    uu_range = u_range ** 2
+    u_mags = mm.quantize_mags(u, bits, u_range)
+    # a square is never negative: (u < 0) != (u < 0)
+    uu = meter.mul_mag_arrays(u_mags, u_mags, False, u_range, u_range, ledger)
+    rep = params.k_rep * (u - u0)
+    # u*u >= 0, so the magnitude's sign is rep's
+    mag = meter.mul_mag_arrays(mm.quantize_mags(rep, bits, 10.0),
+                               mm.quantize_mags(uu, bits, uu_range), rep < 0,
+                               10.0, uu_range, ledger)
+    push = meter.mul_mag_arrays(mm.quantize_mags(mag, bits, f_cap)[:, None],
+                                mm.quantize_mags(direction, bits, 1.0),
+                                (mag < 0)[:, None] != (direction < 0), f_cap, 1.0, ledger)
+    # charge in call order, as n single-agent calls would: agent i's
+    # attraction follows the 4 calls of each pushing pair of the agents
+    # before it, and each pair's calls are the lookup, u*u, the magnitude
+    # and the 2-element push
     e_att, e_nfe, e_uu, e_mag, e_push = ledger
-    pair_pj = np.stack([e_nfe, e_uu, e_mag, e_push[:, 0] + e_push[:, 1]], axis=1)
-    meter.charge(np.insert(pair_pj.ravel(), 4 * first, e_att[:, 0] + e_att[:, 1]),
-                 sum(e.size for e in ledger))
+    agents = np.arange(n)
+    att_at = agents + 4 * first
+    pair_pj = np.empty((len(rows), 4))
+    pair_pj[:, 0] = e_nfe
+    pair_pj[:, 1] = e_uu
+    pair_pj[:, 2] = e_mag
+    pair_pj[:, 3] = e_push[:, 0] + e_push[:, 1]
+    is_pair = np.ones(n + pair_pj.size, dtype=bool)
+    is_pair[att_at] = False
+    call_pj = np.empty(len(is_pair))
+    call_pj[att_at] = e_att[:, 0] + e_att[:, 1]
+    call_pj[is_pair] = pair_pj.ravel()
+    meter.charge(call_pj, sum(e.size for e in ledger))
 
     # sum each agent's terms left to right: attraction, then its pushes in list order
     terms = np.zeros((n, 1 + counts.max(initial=0), 2))
     terms[:, 0] = att
     terms[rows, 1 + np.arange(len(rows)) - first[rows]] = push
-    force = np.add.accumulate(terms, axis=1)[np.arange(n), counts]
+    force = np.add.accumulate(terms, axis=1)[agents, counts]
 
     norm = np.hypot(force[:, 0], force[:, 1])
     fast = norm > params.v_max
@@ -601,14 +657,22 @@ def _step_formation(state, cfg, meter):
     return len(state.positions)
 
 
+@lru_cache(maxsize=16)
+def _other_agents(n: int) -> np.ndarray:
+    """(n, n - 1) index of the agents other than i, in index order, on row i."""
+    j = np.arange(n - 1)
+    table = j + (j >= np.arange(n)[:, None])
+    table.flags.writeable = False
+    return table
+
+
 def _step_apf(state, targets, cfg, meter):
     """Move every agent by its APF force toward its target, repelled by the
     other agents (in index order) and then by the static obstacles."""
     pos = state.positions
     obstacles = state.obstacles
     n = len(pos)
-    j = np.arange(n - 1)
-    others = pos[j + (j >= np.arange(n)[:, None])]  # row i skips agent i
+    others = pos[_other_agents(n)]
     repel = np.concatenate([others, np.broadcast_to(obstacles, (n, *obstacles.shape))], axis=1)
     state.positions = pos + apf_force(pos, targets, repel, cfg.potential, meter)
 
@@ -777,7 +841,9 @@ def workload_success(state: WorkloadState, cfg: SwarmConfig) -> tuple[bool, floa
         return mean_err < cfg.slot_tolerance, mean_err
     if cfg.workload == "predprey":
         return state.caught, 0.0
-    coverage = float(state.visited.mean())
+    # an exact count divided once: the float visited.mean() gives, at a fifth
+    # of its per-step cost
+    coverage = float(np.count_nonzero(state.visited) / state.visited.size)
     return coverage >= 0.9, coverage
 
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from edgesim import macmodel as mm
 from edgesim.macmodel import default_params
@@ -160,6 +161,15 @@ def test_grid_neighbours_are_clipped_moves():
                 assert divmod(int(table[x, y, a]), g) == clipped
 
 
+@pytest.mark.parametrize("n", [sl.MIN_AGENTS, 3, sl.MAX_AGENTS])
+def test_other_agents_skip_self_in_index_order(n):
+    table = sl._other_agents(n)
+    assert table.tolist() == [[j for j in range(n) if j != i] for i in range(n)]
+    assert table is sl._other_agents(n)
+    with pytest.raises(ValueError, match="read-only"):
+        table[0, 0] = 0
+
+
 @pytest.mark.parametrize("bits", range(mm.MIN_BITS, mm.MAX_BITS + 1))
 def test_feature_mags_quantize_every_frontier_count(bits):
     area = sl.EXPLORE_AREA
@@ -220,6 +230,21 @@ def test_golden_outcomes(golden_runs):
     assert (predprey.steps, predprey.success) == (sl.DEFAULT_BUDGETS["predprey"], False)
     explore = golden_runs["explore", 2]
     assert (explore.success, explore.score) == (False, 0.67)
+
+
+@pytest.mark.parametrize("g", [1, 4, 7, 10, 33])
+def test_explore_coverage_is_the_visited_mean(g):
+    # the score counts visited cells and divides once, which is the float
+    # visited.mean() gives, on empty, full and random maps
+    cfg = sl.SwarmConfig(workload="explore", n_agents=2, seed=1)
+    rng = np.random.default_rng(g)
+    maps = [np.zeros((g, g), dtype=bool), np.ones((g, g), dtype=bool)]
+    maps += [rng.random((g, g)) < p for p in (0.1, 0.5, 0.9, 0.97)]
+    for visited in maps:
+        state = sl.WorkloadState(positions=np.zeros((2, 2), dtype=int), visited=visited)
+        success, coverage = sl.workload_success(state, cfg)
+        assert type(coverage) is float and coverage == float(visited.mean())
+        assert success is (coverage >= 0.9)
 
 
 # ---------------------------------------------------------------------------
@@ -295,6 +320,70 @@ def test_apf_agent_on_obstacle_raises():
     obstacles = np.array([[[4.0, 4.0], [1.0, 1.0]], [[1.0, 1.0], [9.0, 9.0]]])
     with pytest.raises(ValueError, match="obstacle"):
         sl.apf_force(pos, pos + 1.0, obstacles, pot, meter)
+
+
+def _apf_scene():
+    """Two agents: agent 0 is pushed by its first point, agent 1 by none."""
+    pos = np.array([[1.0, 1.0], [4.0, 4.0]])
+    goal = np.array([[3.0, 1.0], [4.0, 2.0]])
+    obstacles = np.array([[[1.5, 1.0], [9.0, 9.0]], [[1.0, 1.0], [9.0, 9.0]]])
+    return pos, goal, obstacles
+
+
+def _nan_goal(pos, goal, obstacles):
+    goal[0, 1] = np.nan
+
+
+def _nan_position(pos, goal, obstacles):
+    pos[1, 0] = np.nan
+
+
+def _nan_pushing_point(pos, goal, obstacles):
+    obstacles[0, 0] = (np.nan, 1.0)
+
+
+def _nan_goal_and_agent_on_point(pos, goal, obstacles):
+    goal[1, 0] = np.nan
+    obstacles[0, 1] = pos[0]
+
+
+def _nan_point_and_agent_on_point(pos, goal, obstacles):
+    obstacles[1, 0] = (np.nan, np.nan)
+    obstacles[0, 1] = pos[0]
+
+
+# a NaN goal or position fails on the attraction, before the singular-field
+# check; a NaN point always pushes, and fails after it
+@pytest.mark.parametrize("spoil,error", [
+    (_nan_goal, "LPU operands must be finite"), (_nan_position, "LPU operands must be finite"),
+    (_nan_pushing_point, "LPU operands must be finite"),
+    (_nan_goal_and_agent_on_point, "LPU operands must be finite"),
+    (_nan_point_and_agent_on_point, "singular field")])
+def test_apf_rejects_non_finite_operands_before_charging(spoil, error):
+    pot = sl.PotentialParams()
+    meter = sl.LpuMeter(5, default_params())
+    sl.apf_force(*_apf_scene(), pot, meter)
+    charged = (meter.energy_pj, meter.macs)
+    pos, goal, obstacles = _apf_scene()
+    spoil(pos, goal, obstacles)
+    with pytest.raises(ValueError, match=error):
+        sl.apf_force(pos, goal, obstacles, pot, meter)
+    assert (meter.energy_pj, meter.macs) == charged
+
+
+def test_apf_saturates_an_infinite_goal_and_skips_a_far_infinite_point():
+    pot = sl.PotentialParams()
+    pos, goal, obstacles = _apf_scene()
+    meters = [sl.LpuMeter(5, default_params()) for _ in range(2)]
+    want = sl.apf_force(pos, goal, obstacles, pot, meters[0])
+    # goal errors saturate at 2 v_max, so these goals attract as the old ones
+    goal[0] = (np.inf, 1.0)
+    goal[1] = (4.0, -np.inf)
+    obstacles[0, 1] = (np.inf, -np.inf)
+    obstacles[1, 1] = (9.0, np.inf)
+    got = sl.apf_force(pos, goal, obstacles, pot, meters[1])
+    assert got.tobytes() == want.tobytes()
+    assert (meters[1].energy_pj, meters[1].macs) == (meters[0].energy_pj, meters[0].macs)
 
 
 def test_recip_table_is_the_built_table_and_read_only():
@@ -489,6 +578,55 @@ def test_meter_mul_mags_matches_mul(bits, model, pairs, ranges):
         assert np.array(got).tobytes() == np.array(want).tobytes()
     for meter in (by_list, by_array):
         assert (meter.energy_pj, meter.macs) == (by_mags.energy_pj, by_mags.macs)
+
+
+# operand shapes that broadcast: 0-d, equal lengths (8 or more sum
+# pairwise), a scalar against an array, and apf_force's (P, 1) x (P, 2) push
+_broadcast_shapes = st.one_of(
+    st.just(((), ())),
+    st.integers(0, 12).map(lambda k: ((k,), (k,))),
+    st.integers(0, 4).map(lambda k: ((), (k,))),
+    st.integers(0, 9).map(lambda p: ((p, 1), (p, 2))),
+)
+
+
+@st.composite
+def _operand_arrays(draw):
+    shape_a, shape_b = draw(_broadcast_shapes)
+    return (draw(arrays(np.float64, shape_a, elements=_lpu_operands)),
+            draw(arrays(np.float64, shape_b, elements=_lpu_operands)))
+
+
+@pytest.mark.parametrize("model", mm.MODELS)
+@pytest.mark.parametrize("bits", range(mm.MIN_BITS, mm.MAX_BITS + 1))
+@settings(max_examples=40, deadline=None)
+@given(operands=_operand_arrays(),
+       ranges=st.tuples(st.sampled_from([1.0, 2.0, 8.0]), st.floats(1e-3, 1e3)))
+@example(operands=(np.array([[-0.0], [1e308], [-0.3], [2.0]]),
+                   np.array([[0.5, -0.0], [-1.7e308, 0.2], [0.1, -0.4], [-0.0, 0.0]])),
+         ranges=(1.0, 2.0))
+@example(operands=(np.array(-0.0), np.array(-0.7)), ranges=(1.0, 1.0))
+def test_meter_mul_mag_arrays_matches_mul(bits, model, operands, ranges):
+    # fed quantize_mags magnitudes and the < 0 sign rule, the numpy body
+    # returns, charges and ledgers what mul does on the arrays
+    a, b = operands
+    by_mags, by_mul, ledgered_mags, ledgered_mul = (
+        sl.LpuMeter(bits, default_params(), model) for _ in range(4))
+    mags = (mm.quantize_mags(a, bits, ranges[0]), mm.quantize_mags(b, bits, ranges[1]),
+            np.less(a, 0) != np.less(b, 0))
+    got = by_mags.mul_mag_arrays(*mags, *ranges)
+    ledger_mags, ledger_mul = [], []
+    got_ledgered = ledgered_mags.mul_mag_arrays(*mags, *ranges, ledger_mags)
+    with np.errstate(over="ignore"):
+        want = by_mul.mul(a, b, *ranges)
+        want_ledgered = ledgered_mul.mul(a, b, *ranges, ledger_mul)
+    assert type(got) is type(want) is (float if a.ndim == b.ndim == 0 else np.ndarray)
+    for out in (got, got_ledgered, want_ledgered):
+        assert np.array(out).tobytes() == np.array(want).tobytes()
+    assert (by_mags.energy_pj, by_mags.macs) == (by_mul.energy_pj, by_mul.macs)
+    assert [e.tobytes() for e in ledger_mags] == [e.tobytes() for e in ledger_mul]
+    for meter in (ledgered_mags, ledgered_mul):
+        assert (meter.energy_pj, meter.macs) == (0.0, 0)
 
 
 @pytest.mark.parametrize("bits", range(3, 9))

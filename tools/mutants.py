@@ -78,6 +78,24 @@ MUTANTS = (
            "[(x < 0) != (y < 0) for x, y in zip(xs, ys)]",
            "[(x < 0) == (y < 0) for x, y in zip(xs, ys)]",
            "the sign rule of LpuMeter.mul's Python path"),
+    Mutant("apf-attraction-sign", SWARM,
+           "mm.quantize_mags(err_c, bits, sat), err_c < 0,",
+           "mm.quantize_mags(err_c, bits, sat), err_c > 0,",
+           "k_att > 0, so the attraction's sign is err_c's; err_c <= 0 would be "
+           "equivalent, since goal - pos is never -0.0"),
+    Mutant("apf-u-range", SWARM,
+           "    u_mags = mm.quantize_mags(u, bits, u_range)\n",
+           "    u_mags = mm.quantize_mags(u, bits, uu_range)\n",
+           "apf_force quantizes each operand once, so u must be quantized against its "
+           "own range"),
+    Mutant("apf-goal-finite", SWARM,
+           "    if np.isnan(err_c).any():",
+           "    if False:",
+           "a NaN goal or position failed inside the integer cast, naming nothing"),
+    Mutant("apf-push-finite", SWARM,
+           "    if np.isnan(d).any():",
+           "    if False:",
+           "a NaN point pushes, and failed inside the integer cast, naming nothing"),
     Mutant("explore-stale-weight-mag", SWARM,
            "            w_mags[a] = mm.quantize_mag(w, bits, EXPLORE_W_RANGE)\n",
            "",
