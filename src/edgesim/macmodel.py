@@ -71,10 +71,14 @@ def check_int(value, name: str, lo: int | None = None, hi: int | None = None) ->
     return value
 
 
-def check_bool(value, name: str) -> None:
-    """Raise ``TypeError`` unless ``value`` is a Python or numpy bool."""
-    if not isinstance(value, (bool, np.bool_)):
-        raise TypeError(f"{name} must be a bool, got {value!r}")
+def check_type(value, name: str, types):
+    """``value``, an instance of ``types`` (a type or a tuple of types, as
+    for ``isinstance``); otherwise ``TypeError`` naming the field and the
+    first type (``np.bool_`` is also named "bool")."""
+    if not isinstance(value, types):
+        kind = types if isinstance(types, type) else types[0]
+        raise TypeError(f"{name} must be {kind.__name__}, got {value!r}")
+    return value
 
 
 def parse_field(text: str, parse, name: str):
@@ -287,9 +291,8 @@ def energy_table(bits: int, model: str, params: EnergyParams) -> np.ndarray:
     point that prices a MAC looks its table up here, so this is where a
     ``params`` that is not an ``EnergyParams`` raises ``TypeError``, before
     the cache can fail on an unhashable one."""
-    if not isinstance(params, EnergyParams):
-        raise TypeError(f"params must be EnergyParams, got {params!r}")
-    return _energy_table(check_bits(bits), check_model(model), params)
+    return _energy_table(check_bits(bits), check_model(model),
+                         check_type(params, "params", EnergyParams))
 
 
 @lru_cache(maxsize=32)

@@ -216,6 +216,8 @@ class QNetwork:
     horizon: int = PROX_HORIZON
 
     def __post_init__(self):
+        mm.check_type(self.w1, "w1", np.ndarray)
+        mm.check_type(self.w2, "w2", np.ndarray)
         if self.w1.ndim != 2 or self.w1.shape[1] != len(RAY_OFFSETS):
             raise ValueError(f"w1 must be (hidden, {len(RAY_OFFSETS)}), got {self.w1.shape}")
         if self.w2.shape != (N_ACTIONS, self.w1.shape[0]):
@@ -410,7 +412,7 @@ class TrainConfig:
             mm.check_int(getattr(self, name), name, 1)
         if self.capacity < self.batch_size:
             raise ValueError(f"capacity must be >= batch_size {self.batch_size}, got {self.capacity}")
-        mm.check_bool(self.stochastic, "stochastic")
+        mm.check_type(self.stochastic, "stochastic", (bool, np.bool_))
 
     def epsilon(self, episode: int) -> float:
         return max(self.eps_end, self.eps_start * self.eps_decay**episode)
@@ -554,6 +556,8 @@ def run_training(arena: Arena, cfg: TrainConfig, seed: int, model: str = "tdms",
     float buffer ``w`` and re-quantizes it into the integer buffers that
     ``quant`` views, and ``trace.net`` is built from a copy of ``w``.
     """
+    mm.check_type(arena, "arena", Arena)
+    mm.check_type(cfg, "cfg", TrainConfig)
     if params is None:
         params = mm.default_params()
     price = mm.array_pricer(DEPTH_BITS, model, params)
@@ -658,9 +662,11 @@ def run_policy(arena: Arena, net: QNetwork, eps: float, steps: int, seed: int,
     With stochastic=True the synapse masks stay active, matching how a
     stochastic-hardware policy actually executes.
     """
+    mm.check_type(arena, "arena", Arena)
+    mm.check_type(net, "net", QNetwork)
     mm.check_real(eps, "exploration rate eps", "[0, 1]")
     mm.check_real(drop_p, "drop probability drop_p", "[0, 1)")
-    mm.check_bool(stochastic, "stochastic")
+    mm.check_type(stochastic, "stochastic", (bool, np.bool_))
     mm.check_int(steps, "steps", 0)
     if params is None:
         params = mm.default_params()

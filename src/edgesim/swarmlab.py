@@ -72,31 +72,24 @@ def nfe_recip(x):
 
 
 class LpuMeter:
-    """Quantized-multiply front end with running energy/MAC accounting.
+    """Quantized multiplier and 1/d lookup with running energy/MAC accounting.
 
-    Scalars or arrays go in as reals with explicit ranges, are quantized to
-    the meter's bit width, multiplied exactly on the integer MAC model, and
-    come back dequantized. Each MAC is priced by its operand magnitudes from
-    the model's cached ``macmodel.energy_table``. NFE evaluations are charged
-    one MAC each (the interpolation multiply).
-
-    ``mul`` has two paths with the same rounding, pricing and signs, chosen
-    by the operands' kind. Two Python floats, or two equal-length lists of
-    real numbers, run in Python arithmetic and return a float or a list;
-    anything else (ndarrays, mixed kinds, or a call with a ``ledger``) runs
-    in numpy and returns an ndarray, or a float for 0-d operands. Both paths
-    check their operands, quantize them, then hand the magnitudes to a
-    multiply-and-charge body: ``mul_mags`` in Python arithmetic,
-    ``mul_mag_arrays`` in numpy. A caller that keeps its operands quantized
-    calls a body directly: the explore step ``mul_mags``, and ``apf_force``
-    ``mul_mag_arrays``, with each operand quantized once. ``mul_mags``
-    charges its energies summed left to right, which is the ``ndarray.sum``
-    the numpy body charges for fewer than 8 elements (numpy sums pairwise in
-    blocks of 8 beyond that).
-
-    Each ``mul``/``nfe`` call adds its summed energy to ``energy_pj``; given a
-    ``ledger`` list it appends its per-element energies there instead, for a
-    batching caller to ``charge`` in the order of the calls it stands for.
+    ``mul`` and ``nfe`` are the checked entry points: they reject operands
+    that are not real or are NaN (``mul`` infinities too, which ``nfe``
+    saturates) before anything is charged, then add their
+    MACs to ``macs`` and their energies, summed by ``ndarray.sum``, to
+    ``energy_pj``. ``mul`` quantizes floats, lists and arrays alike with
+    ``quantize_mags`` and returns dequantized products (a float for 0-d
+    operands); each MAC is priced by its operand magnitudes from the model's
+    cached ``macmodel.energy_table`` (``energy``), and each ``nfe`` lookup
+    is one interpolation MAC at ``nfe_pj``. The bodies take magnitudes
+    already quantized and check nothing: ``mul_mags`` multiplies Python
+    lists and charges its energies summed left to right, and
+    ``mul_mag_arrays`` multiplies arrays and charges nothing. The workload
+    steps keep their operands checked and quantized and call only the
+    bodies: the explore and predprey steps ``mul_mags``, and ``apf_force``
+    ``mul_mag_arrays``, pricing its calls with ``energy`` and ``nfe_pj`` and
+    charging them once, in call order, through ``charge``.
     """
 
     def __init__(self, bits: int, params: EnergyParams, model: str = "hdms"):
@@ -105,17 +98,16 @@ class LpuMeter:
         self.energy_pj = 0.0
         self.macs = 0
         self._full = (1 << self.bits) - 1
+        # an NFE lookup's interpolation MAC, at mid-scale operands
+        self.nfe_pj = self._table[self._full // 2, self._full // 2]
 
     def energy(self, x_mag, w_mag):
         """Per-element MAC energies (pJ) of the meter's model for broadcast operand magnitudes."""
         return self._table[x_mag, w_mag]
 
-    def _charge(self, e, ledger):
-        if ledger is None:
-            self.energy_pj += float(e.sum())
-            self.macs += e.size
-        else:
-            ledger.append(e)
+    def _charge(self, e):
+        self.energy_pj += float(e.sum())
+        self.macs += e.size
 
     def charge(self, call_pj, macs: int) -> None:
         """Add per-call energies to ``energy_pj`` one at a time, in order.
@@ -126,7 +118,7 @@ class LpuMeter:
         self.energy_pj = float(np.add.accumulate(np.concatenate(([self.energy_pj], call_pj)))[-1])
         self.macs += int(macs)
 
-    def mul(self, a, b, a_range: float, b_range: float, ledger: list | None = None):
+    def mul(self, a, b, a_range: float, b_range: float):
         """Elementwise quantized multiply; returns dequantized floats.
 
         Operands must be finite: out-of-range values saturate, NaN and
@@ -134,61 +126,40 @@ class LpuMeter:
         Ranges must be positive and finite. A range or operand that is not a
         real number (a bool included) raises ``TypeError``.
         """
-        # Python float ranges, the common case, skip the helper's type check
-        if type(a_range) is not float or type(b_range) is not float:
-            mm.check_real(a_range, "LPU range", "(0, inf)")
-            mm.check_real(b_range, "LPU range", "(0, inf)")
-        elif not (0 < a_range < np.inf and 0 < b_range < np.inf):
-            raise ValueError(f"LPU ranges must be in (0, inf), got {a_range}, {b_range}")
-        if ledger is None:
-            if isinstance(a, float) and isinstance(b, float):
-                return self._mul_python([a], [b], a_range, b_range)[0]
-            if isinstance(a, list) and isinstance(b, list):
-                # the numpy path's dtype rule, element by element
-                for v in chain(a, b):
-                    if type(v) is not float and (isinstance(v, (bool, np.bool_))
-                                                 or not isinstance(v, numbers.Real)):
-                        raise TypeError(f"LPU operands must be real numbers, got {v!r}")
-                return self._mul_python(a, b, a_range, b_range)
+        mm.check_real(a_range, "LPU range", "(0, inf)")
+        mm.check_real(b_range, "LPU range", "(0, inf)")
+        if isinstance(a, list) and isinstance(b, list):
+            # numpy would take bools as numbers and broadcast a 1-element list
+            for v in chain(a, b):
+                if isinstance(v, (bool, np.bool_)) or not isinstance(v, numbers.Real):
+                    raise TypeError(f"LPU operands must be real numbers, got {v!r}")
+            if len(a) != len(b):
+                raise ValueError(f"LPU operand lists differ in length: {len(a)} != {len(b)}")
         a, b = np.asarray(a), np.asarray(b)
         if a.dtype.kind not in "iuf" or b.dtype.kind not in "iuf":
             raise TypeError(f"LPU operands must be real numbers, got {a.dtype} and {b.dtype}")
-        # one ufunc pass in the common case; a sum that overflows from huge
-        # finite operands is told apart by testing them one by one
-        if not np.isfinite(np.add(a, b)).all() and not (np.isfinite(a).all() and np.isfinite(b).all()):
+        if not (np.isfinite(a).all() and np.isfinite(b).all()):
             raise ValueError("LPU operands must be finite")
-        return self.mul_mag_arrays(mm.quantize_mags(a, self.bits, a_range),
-                                   mm.quantize_mags(b, self.bits, b_range),
-                                   np.less(a, 0) != np.less(b, 0), a_range, b_range, ledger)
+        a_mags = mm.quantize_mags(a, self.bits, a_range)
+        b_mags = mm.quantize_mags(b, self.bits, b_range)
+        self._charge(self.energy(a_mags, b_mags))
+        return self.mul_mag_arrays(a_mags, b_mags, np.less(a, 0) != np.less(b, 0),
+                                   a_range, b_range)
 
-    def mul_mag_arrays(self, a_mags, b_mags, negative, a_range: float, b_range: float,
-                       ledger: list | None = None):
-        """``mul_mags`` of broadcastable arrays: multiply and charge operands
-        already quantized at the meter's width.
+    def mul_mag_arrays(self, a_mags, b_mags, negative, a_range: float, b_range: float):
+        """``mul``'s products of broadcastable operands already quantized at
+        the meter's width; charges nothing and checks nothing.
 
         ``a_mags``/``b_mags`` are ``quantize_mags`` magnitudes (or ``quantize_mag``
         ints), ``negative`` the products' signs (``np.less(a, 0) != np.less(b,
         0)``, a bool array or a bool) and the ranges the ones the magnitudes
-        were quantized against. Returns and charges (or appends to ``ledger``)
-        what ``mul`` does on the reals; nothing is checked here.
+        were quantized against. ``energy(a_mags, b_mags)`` is what ``mul``
+        charges for them.
         """
-        self._charge(self._table[a_mags, b_mags], ledger)
         scale = (a_range * b_range) / float(self._full * self._full)
         product = a_mags * b_mags  # exact integer product, scaled once
         out = np.where(negative, -product, product) * scale
         return out if out.ndim else float(out)
-
-    def _mul_python(self, xs: list, ys: list, x_range: float, y_range: float) -> list:
-        """``mul`` of two lists of reals: check lengths and finiteness, quantize,
-        then ``mul_mags``."""
-        if len(xs) != len(ys):
-            raise ValueError(f"LPU operand lists differ in length: {len(xs)} != {len(ys)}")
-        if not (all(map(math.isfinite, xs)) and all(map(math.isfinite, ys))):
-            raise ValueError("LPU operands must be finite")
-        bits = self.bits
-        return self.mul_mags([mm.quantize_mag(x, bits, x_range) for x in xs],
-                             [mm.quantize_mag(y, bits, y_range) for y in ys],
-                             [(x < 0) != (y < 0) for x, y in zip(xs, ys)], x_range, y_range)
 
     def mul_mags(self, x_mags: list, y_mags: list, negative: list,
                  x_range: float, y_range: float) -> list:
@@ -197,8 +168,10 @@ class LpuMeter:
         ``x_mags``/``y_mags`` are ``quantize_mag`` magnitudes of equal-length
         operand lists, ``negative[i]`` is product i's sign (``(x < 0) != (y <
         0)``) and the ranges are the ones the magnitudes were quantized
-        against. Returns ``mul``'s dequantized floats and charges ``mul``'s
-        energy and MACs; nothing is checked here.
+        against. Returns ``mul``'s dequantized floats as a list and charges
+        ``mul``'s MACs and their energies summed left to right, which is
+        ``mul``'s ``ndarray.sum`` below 8 elements (numpy sums pairwise in
+        blocks of 8 beyond that); nothing is checked here.
         """
         table = self._table
         scale = (x_range * y_range) / float(self._full * self._full)
@@ -212,11 +185,19 @@ class LpuMeter:
         self.macs += len(out)
         return out
 
-    def nfe(self, x, ledger: list | None = None):
-        """Metered ``nfe_recip`` lookup: one interpolation MAC per evaluated element."""
+    def nfe(self, x):
+        """Metered ``nfe_recip`` lookup: one interpolation MAC per evaluated element.
+
+        NaN raises ``ValueError`` and a non-real (a bool included)
+        ``TypeError``, before anything is charged; infinities saturate.
+        """
+        x = np.asarray(x)
+        if x.dtype.kind not in "iuf":
+            raise TypeError(f"LPU operands must be real numbers, got {x.dtype}")
+        if np.isnan(x).any():
+            raise ValueError("LPU operands must be finite")
         out = nfe_recip(x)
-        mid = self._full // 2
-        self._charge(np.full(np.asarray(x).size, self.energy(mid, mid)), ledger)
+        self._charge(np.full(x.size, self.nfe_pj))
         return out
 
 
@@ -242,9 +223,10 @@ def apf_force(pos, goal, obstacles, params: PotentialParams, meter: LpuMeter):
     ``pos`` and ``goal`` are (n, 2); ``obstacles`` is (n, K, 2), row i
     listing the points that repel agent i, and only points closer than d0
     push. Multiplies run on the meter's quantized LPU and each 1/d term is
-    one ``LpuMeter.nfe`` lookup in the 1/d table (``nfe_recip``), saturating
-    at D_FLOOR and D_CEIL. Forces, energy and MACs are exactly those of n
-    single-agent calls made in agent order.
+    one lookup in the 1/d table (``nfe_recip``), saturating at D_FLOOR and
+    D_CEIL; a lookup is priced at ``LpuMeter.nfe_pj``, the interpolation MAC
+    that ``LpuMeter.nfe`` charges, without a call of ``nfe``. Forces, energy
+    and MACs are exactly those of n single-agent calls made in agent order.
     """
     pos = np.asarray(pos, dtype=float)
     goal = np.asarray(goal, dtype=float)
@@ -253,19 +235,18 @@ def apf_force(pos, goal, obstacles, params: PotentialParams, meter: LpuMeter):
     bits = meter.bits
     sat = 2.0 * params.v_max
     # Each LPU operand is quantized once and multiplied on the meter's numpy
-    # body, which checks nothing: the ranges are constants that
+    # body, which checks and charges nothing: the ranges are constants that
     # PotentialParams has checked, and the two checks that can fire are
     # made here, before the meter is charged. Clipped, err_c is finite
     # unless a goal or position is NaN (an infinite goal saturates).
     err_c = np.minimum(np.maximum(goal - pos, -sat), sat)
     if np.isnan(err_c).any():
         raise ValueError("LPU operands must be finite")
-    ledger = []
     # k_att > 0, so the attraction's sign is err_c's
     k_range = max(params.k_att, 1.0)
-    att = meter.mul_mag_arrays(mm.quantize_mag(params.k_att, bits, k_range),
-                               mm.quantize_mags(err_c, bits, sat), err_c < 0,
-                               k_range, sat, ledger)
+    k_mag = mm.quantize_mag(params.k_att, bits, k_range)
+    err_mags = mm.quantize_mags(err_c, bits, sat)
+    att = meter.mul_mag_arrays(k_mag, err_mags, err_c < 0, k_range, sat)
 
     delta = pos[:, None, :] - obstacles
     d = np.hypot(delta[..., 0], delta[..., 1])
@@ -286,38 +267,39 @@ def apf_force(pos, goal, obstacles, params: PotentialParams, meter: LpuMeter):
     direction = delta[rows, cols] / d[:, None]
     # pushes saturate at the f_cap quantizer range before the v_max clamp
     f_cap = 4.0 * params.v_max
-    u = meter.nfe(dc, ledger)
+    u = nfe_recip(dc)
     u_range = 1.0 / D_FLOOR
     uu_range = u_range ** 2
     u_mags = mm.quantize_mags(u, bits, u_range)
     # a square is never negative: (u < 0) != (u < 0)
-    uu = meter.mul_mag_arrays(u_mags, u_mags, False, u_range, u_range, ledger)
+    uu = meter.mul_mag_arrays(u_mags, u_mags, False, u_range, u_range)
     rep = params.k_rep * (u - u0)
+    rep_mags = mm.quantize_mags(rep, bits, 10.0)
+    uu_mags = mm.quantize_mags(uu, bits, uu_range)
     # u*u >= 0, so the magnitude's sign is rep's
-    mag = meter.mul_mag_arrays(mm.quantize_mags(rep, bits, 10.0),
-                               mm.quantize_mags(uu, bits, uu_range), rep < 0,
-                               10.0, uu_range, ledger)
-    push = meter.mul_mag_arrays(mm.quantize_mags(mag, bits, f_cap)[:, None],
-                                mm.quantize_mags(direction, bits, 1.0),
-                                (mag < 0)[:, None] != (direction < 0), f_cap, 1.0, ledger)
+    mag = meter.mul_mag_arrays(rep_mags, uu_mags, rep < 0, 10.0, uu_range)
+    mag_mags = mm.quantize_mags(mag, bits, f_cap)[:, None]
+    dir_mags = mm.quantize_mags(direction, bits, 1.0)
+    push = meter.mul_mag_arrays(mag_mags, dir_mags, (mag < 0)[:, None] != (direction < 0),
+                                f_cap, 1.0)
     # charge in call order, as n single-agent calls would: agent i's
-    # attraction follows the 4 calls of each pushing pair of the agents
-    # before it, and each pair's calls are the lookup, u*u, the magnitude
-    # and the 2-element push
-    e_att, e_nfe, e_uu, e_mag, e_push = ledger
+    # 2-element attraction follows the 4 calls of each pushing pair of the
+    # agents before it, and each pair's calls are the lookup, u*u, the
+    # magnitude and the 2-element push, 5 MACs (a 2-element sum is the same
+    # in either order)
     agents = np.arange(n)
     att_at = agents + 4 * first
     pair_pj = np.empty((len(rows), 4))
-    pair_pj[:, 0] = e_nfe
-    pair_pj[:, 1] = e_uu
-    pair_pj[:, 2] = e_mag
-    pair_pj[:, 3] = e_push[:, 0] + e_push[:, 1]
+    pair_pj[:, 0] = meter.nfe_pj
+    pair_pj[:, 1] = meter.energy(u_mags, u_mags)
+    pair_pj[:, 2] = meter.energy(rep_mags, uu_mags)
+    pair_pj[:, 3] = meter.energy(mag_mags, dir_mags).sum(axis=1)
     is_pair = np.ones(n + pair_pj.size, dtype=bool)
     is_pair[att_at] = False
     call_pj = np.empty(len(is_pair))
-    call_pj[att_at] = e_att[:, 0] + e_att[:, 1]
+    call_pj[att_at] = meter.energy(k_mag, err_mags).sum(axis=1)
     call_pj[is_pair] = pair_pj.ravel()
-    meter.charge(call_pj, sum(e.size for e in ledger))
+    meter.charge(call_pj, 2 * n + 5 * len(rows))
 
     # sum each agent's terms left to right: attraction, then its pushes in list order
     terms = np.zeros((n, 1 + counts.max(initial=0), 2))
@@ -358,8 +340,7 @@ class SwarmConfig:
                          1, 0xFFFF)
         mm.check_model(self.model)
         mm.check_choice(self.predator_policy, "predator_policy", PREDATOR_POLICIES)
-        if not isinstance(self.potential, PotentialParams):
-            raise TypeError(f"potential must be PotentialParams, got {self.potential!r}")
+        mm.check_type(self.potential, "potential", PotentialParams)
         for name in ("extent", "goal_tolerance", "slot_tolerance", "collision_radius"):
             mm.check_real(getattr(self, name), name, "(0, inf)")
 
@@ -691,6 +672,8 @@ def _step_predprey(state, cfg, meter):
     nbrs = _grid_neighbours(g)
     prey = state.prey
     n = len(state.positions)
+    bits = meter.bits
+    gamma_mag = [mm.quantize_mag(PRED_GAMMA, bits, 1.0)]
     # each predator draws one LFSR word, or two for an epsilon-greedy random move
     words = state.lfsr.words(2 * n).tolist()
     used = 0
@@ -711,9 +694,13 @@ def _step_predprey(state, cfg, meter):
         caught = (nx, ny) == prey
         if cfg.predator_policy != "random":
             reward = 5.0 if caught else float(dist - new_dist)
-            # one MAC: discounted bootstrap product
-            q_next = meter.mul(PRED_GAMMA, float(state.qtable[_bearing_state(
-                prey[0] - nx, prey[1] - ny, new_dist)].max()), 1.0, Q_RANGE)
+            # one MAC: discounted bootstrap product; gamma > 0, so its sign is q_max's
+            q_max = float(state.qtable[_bearing_state(prey[0] - nx, prey[1] - ny,
+                                                      new_dist)].max())
+            if not math.isfinite(q_max):
+                raise ValueError("LPU operands must be finite")
+            q_next = meter.mul_mags(gamma_mag, [mm.quantize_mag(q_max, bits, Q_RANGE)],
+                                    [q_max < 0], 1.0, Q_RANGE)[0]
             target = reward if caught else reward + q_next
             state.qtable[s, a] += PRED_ALPHA * (target - state.qtable[s, a])
             state.qtable[s] = _quantize_qvalues(state.qtable[s], cfg.bits)
@@ -857,7 +844,7 @@ def run_workload(scn: Scenario, params: EnergyParams | None = None,
     Deterministic given the scenario seed; budget exhaustion reports
     success=False rather than raising.
     """
-    cfg = scn.config
+    cfg = mm.check_type(scn, "scn", Scenario).config
     if params is None:
         params = mm.default_params()
     budget = DEFAULT_BUDGETS[cfg.workload] if budget is None else mm.check_int(budget, "budget", 0)

@@ -10,6 +10,7 @@ import math
 from dataclasses import replace
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -40,7 +41,7 @@ def _train(**fields):
 
 
 def _policy(**kwargs):
-    return qnav.run_policy(ARENA, **(dict(net=NET, eps=0.1, steps=3, seed=7) | kwargs))
+    return qnav.run_policy(**(dict(arena=ARENA, net=NET, eps=0.1, steps=3, seed=7) | kwargs))
 
 
 def _swarm(workload="path", n_agents=3, potential=None, **fields):
@@ -101,26 +102,26 @@ CASES = {
     ("calibrate_energy", "anchor bits"): ("bit width", lambda v: _calibrate(0, v)),
     ("calibrate_energy", "anchor energy"): ("anchor energy", lambda v: _calibrate(1, v)),
     ("calibrate_energy", "anchor ratio"): ("anchor ratio", lambda v: _calibrate(2, v)),
-    **_fields("QNetwork", ("horizon",),
-              lambda f, v: _policy(net=qnav.QNetwork(NET.w1, NET.w2, horizon=v))),
+    **_fields("QNetwork", ("w1", "w2", "horizon"), lambda f, v: _policy(
+        net=qnav.QNetwork(**(dict(w1=NET.w1, w2=NET.w2) | {f: v})))),
     **_fields("Scratchpad", ("capacity",), lambda f, v: qnav.Scratchpad(v).push(
         NET.w1[0], 1, 0.0, NET.w1[1], False)),
     **_fields("TrainConfig", ("alpha", "gamma", "eps_start", "eps_end", "eps_decay", "drop_p",
                               "convergence_frac", "episodes", "max_steps", "batch_size",
                               "capacity", "convergence_window", "stochastic"),
               lambda f, v: _train(**{f: v})),
-    **_fields("run_policy", ("eps", "drop_p", "steps", "stochastic", "seed"),
+    **_fields("run_policy", ("arena", "net", "eps", "drop_p", "steps", "stochastic", "seed"),
               lambda f, v: _policy(**{f: v})),
-    ("run_training", "seed"): ("seed", lambda v: qnav.run_training(
-        ARENA, qnav.TrainConfig(**SHORT), v)),
+    **_fields("run_training", ("arena", "cfg", "seed"), lambda f, v: qnav.run_training(
+        **(dict(arena=ARENA, cfg=qnav.TrainConfig(**SHORT), seed=0xACE1) | {f: v}))),
     **_fields("PotentialParams", ("k_att", "k_rep", "d0", "v_max"),
               lambda f, v: _swarm(potential={f: v})),
     **_fields("SwarmConfig", ("workload", "n_agents", "extent", "seed", "model",
                               "goal_tolerance", "slot_tolerance", "collision_radius",
                               "predator_policy"), lambda f, v: _swarm(**{f: v})),
     ("SwarmConfig", "explore seed"): ("seed", lambda v: _swarm("explore", seed=v)),
-    **_fields("run_workload", ("budget", "params"), lambda f, v: sl.run_workload(
-        sl.make_scenario("formation", 2), **{"budget": 2, f: v})),
+    **_fields("run_workload", ("scn", "budget", "params"), lambda f, v: sl.run_workload(
+        **(dict(scn=sl.make_scenario("formation", 2), budget=2) | {f: v}))),
     **_fields("Arena", ("width", "height"), lambda f, v: _arena(**{f: v})),
     **_fields("Arena", ("start",), lambda f, v: _arena(start=(v, 1))),
     ("Lfsr", "state"): ("LFSR state", lambda v: Lfsr(v).advance(3).words(3)),
@@ -128,8 +129,9 @@ CASES = {
     **_fields("LpuMeter", ("params", "model"), lambda f, v: _meter(**{f: v})),
     **{("LpuMeter.mul", f): ("LPU", lambda v, f=f: _meter(**{f: v}))
        for f in ("a", "b", "a_range", "b_range")},
-    # list operands run the meter's Python path
+    # list operands have their elements checked one by one
     ("LpuMeter.mul", "list a"): ("LPU", lambda v: _meter(a=[0.5, v], b=[0.25, -0.5])),
+    ("LpuMeter.nfe", "x"): ("LPU", lambda v: sl.LpuMeter(5, PARAMS).nfe(v)),
     **{("load_energy_params", f): (f, lambda v, path, f=f: _params_file(path, f, v))
        for f in ("e_tr", "v_supply")},
     **{("load_scenario", f): (f, lambda v, path, f=f: _scenario_file(path, f, v))
@@ -155,3 +157,17 @@ def test_entry_points_run_or_name_the_field(tmp_path, case, value):
         run(value, tmp_path / "in.txt") if entry in FILE_ENTRIES else run(value)
     except (ValueError, TypeError) as exc:
         assert text in str(exc), f"{entry}: {field}={value!r} raised {exc!r}"
+
+
+
+# a whole object of the wrong type failed on its first attribute access with
+# AttributeError, naming nothing; each of these runs here, not only when sampled
+@pytest.mark.parametrize("case", [("run_training", "arena"), ("run_training", "cfg"),
+                                  ("run_policy", "arena"), ("run_policy", "net"),
+                                  ("run_workload", "scn"), ("QNetwork", "w1"),
+                                  ("QNetwork", "w2")], ids=".".join)
+@pytest.mark.parametrize("value", ["x", {}, [0.5, 0.25], None], ids=repr)
+def test_wrong_objects_name_the_field(case, value):
+    text, run = CASES[case]
+    with pytest.raises(TypeError, match=f"{text} must be"):
+        run(value)

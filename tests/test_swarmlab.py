@@ -222,6 +222,46 @@ def test_explore_rejects_a_non_finite_weight(bad):
     assert (meter.energy_pj, meter.macs) == (0.0, 0)
 
 
+# the same digest of predprey runs from Q-tables with all-negative rows, so
+# that the bootstrap product's sign matters (it changes no default run),
+# captured while the bootstrap MAC still ran through LpuMeter.mul
+SIGNED_PREDPREY_GOLDEN = {
+    (3, "hdms", "all -1.5"): "f2ac2b58fe782470d502132772d7c886bff956aad1b4cb759bf53d701d699822",
+    (10, "tdms", "signed ramp"): "a392da21a39cd618a60a7bd1719226ec95f9fe749d7dfa04e509686a5c1b4e52",
+}
+
+
+@pytest.mark.parametrize("case", sorted(SIGNED_PREDPREY_GOLDEN))
+def test_predprey_from_negative_q_values_digest(case):
+    n, model, fill = case
+    scn = sl.make_scenario("predprey", n, seed=1, model=model)
+    cfg = scn.config
+    meter = sl.LpuMeter(cfg.bits, default_params(), cfg.model)
+    state = sl.init_state(scn)
+    state.qtable[:] = (np.full((16, 4), -1.5) if fill == "all -1.5"
+                       else np.linspace(-6.0, 2.0, 64).reshape(16, 4))
+    h = hashlib.sha256()
+    for _ in range(40):
+        sm = sl.workload_step(state, cfg, meter)
+        h.update(repr((state.positions.tolist(), state.prey, state.qtable.tolist(),
+                       state.lfsr.state, sm.energy_pj, sm.macs)).encode())
+    assert h.hexdigest() == SIGNED_PREDPREY_GOLDEN[case]
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_predprey_rejects_a_non_finite_q_value_before_charging(bad):
+    # the bootstrap MAC multiplies the next state's largest Q value; a NaN
+    # failed inside int() naming nothing, and an infinity would saturate
+    scn = sl.make_scenario("predprey", 2, seed=1)
+    cfg = scn.config
+    meter = sl.LpuMeter(cfg.bits, default_params(), cfg.model)
+    state = sl.init_state(scn)
+    state.qtable[:] = bad
+    with pytest.raises(ValueError, match="LPU operands must be finite"):
+        sl.workload_step(state, cfg, meter)
+    assert (meter.energy_pj, meter.macs) == (0.0, 0)
+
+
 def test_golden_outcomes(golden_runs):
     for n in (2, 10, 20):
         assert golden_runs["path", n].success
@@ -407,6 +447,30 @@ def test_nfe_recip_reads_the_chord_table_and_saturates():
     assert np.allclose(sl.nfe_recip(mid), chord, rtol=1e-12, atol=0)
 
 
+def test_meter_nfe_charges_one_mac_per_lookup():
+    meter = sl.LpuMeter(5, default_params())
+    mid = ((1 << 5) - 1) // 2
+    assert meter.nfe_pj == meter.energy(mid, mid)
+    x = np.array([0.05, 0.3, 1.0, 2.5])
+    assert meter.nfe(x).tobytes() == sl.nfe_recip(x).tobytes()
+    assert meter.nfe(1) == sl.nfe_recip(1.0)
+    assert (meter.energy_pj, meter.macs) == (float(np.full(5, meter.nfe_pj).sum()), 5)
+    # infinities saturate at the table's ends
+    assert meter.nfe([np.inf, -np.inf]).tolist() == [0.5, 10.0]
+
+
+@pytest.mark.parametrize("x,error", [
+    (np.nan, ValueError), ([0.5, np.nan], ValueError), (True, TypeError),
+    (np.array([True]), TypeError), ("x", TypeError), (None, TypeError), ([0.5, "1"], TypeError)])
+def test_meter_nfe_rejects_what_mul_rejects(x, error):
+    # nfe(nan) returned nan and charged a MAC, nfe(True) looked up 1.0 and
+    # nfe("x") failed inside numpy, naming nothing
+    meter = sl.LpuMeter(5, default_params())
+    with pytest.raises(error, match="LPU operands must be"):
+        meter.nfe(x)
+    assert (meter.energy_pj, meter.macs) == (0.0, 0)
+
+
 def test_check_collisions():
     cfg = sl.SwarmConfig(workload="path", n_agents=3)
 
@@ -427,8 +491,7 @@ def test_check_collisions():
 
 
 def _operand(v, kind):
-    """``v`` as an ndarray (the meter's numpy path) or as a Python float or
-    list of floats (its Python path)."""
+    """``v`` as an ndarray or as a Python float or list of floats."""
     v = np.asarray(v, dtype=float)
     return v if kind == "numpy" else v.tolist()
 
@@ -436,7 +499,7 @@ def _operand(v, kind):
 KINDS = ("numpy", "python")
 
 
-# each check runs on both of the meter's paths
+# each check runs on both operand kinds
 @pytest.mark.parametrize("a,b", [(np.nan, 0.5), (0.5, np.inf), (-np.inf, 0.5),
                                  (np.array([0.5, np.nan]), np.ones(2)),
                                  (np.ones(2), np.array([-np.inf, 0.5])),
@@ -504,7 +567,7 @@ def test_meter_rejects_unequal_length_lists(a, b):
 def test_meter_python_path_takes_int_elements():
     ints, floats = (sl.LpuMeter(5, default_params()) for _ in range(2))
     got = ints.mul([1, -2, np.int64(0)], [0.5, 0.25, np.float64(-0.5)], 2.0, 1.0)
-    assert got == floats.mul([1.0, -2.0, 0.0], [0.5, 0.25, -0.5], 2.0, 1.0)
+    assert np.array_equal(got, floats.mul([1.0, -2.0, 0.0], [0.5, 0.25, -0.5], 2.0, 1.0))
     assert (ints.energy_pj, ints.macs) == (floats.energy_pj, floats.macs)
 
 
@@ -526,11 +589,10 @@ _lpu_operands = st.one_of(
 )
 
 
-# at most 7 elements: the Python path charges a left-to-right sum, which is
-# numpy's ndarray.sum only below its pairwise block of 8
+# lists and floats run mul's one numpy path, as ndarrays and 0-d arrays do
 @settings(max_examples=300, deadline=None)
 @given(bits=st.integers(mm.MIN_BITS, mm.MAX_BITS), model=st.sampled_from(mm.MODELS),
-       pairs=st.lists(st.tuples(_lpu_operands, _lpu_operands), min_size=1, max_size=7),
+       pairs=st.lists(st.tuples(_lpu_operands, _lpu_operands), min_size=1, max_size=12),
        ranges=st.tuples(st.sampled_from([1.0, 2.0, 8.0]), st.floats(1e-3, 1e3)))
 @example(bits=3, model="hdms", pairs=[(0.0, -0.0), (-0.0, -1.0), (-0.4, 0.9), (1e308, -1e308)],
          ranges=(1.0, 1.0))
@@ -541,7 +603,7 @@ def test_meter_python_path_matches_numpy_path(bits, model, pairs, ranges):
     with np.errstate(over="ignore"):
         want = by_array.mul(np.array(xs), np.array(ys), *ranges)
         got = by_list.mul(xs, ys, *ranges)
-        assert type(got) is list and np.array(got).tobytes() == want.tobytes()
+        assert type(got) is np.ndarray and got.tobytes() == want.tobytes()
         assert (by_list.energy_pj, by_list.macs) == (by_array.energy_pj, by_array.macs)
         for x, y in pairs:
             got = by_float.mul(x, y, *ranges)
@@ -608,25 +670,19 @@ def _operand_arrays(draw):
 @example(operands=(np.array(-0.0), np.array(-0.7)), ranges=(1.0, 1.0))
 def test_meter_mul_mag_arrays_matches_mul(bits, model, operands, ranges):
     # fed quantize_mags magnitudes and the < 0 sign rule, the numpy body
-    # returns, charges and ledgers what mul does on the arrays
+    # returns what mul does on the arrays and charges nothing; energy() of
+    # the magnitudes is what mul charges
     a, b = operands
-    by_mags, by_mul, ledgered_mags, ledgered_mul = (
-        sl.LpuMeter(bits, default_params(), model) for _ in range(4))
-    mags = (mm.quantize_mags(a, bits, ranges[0]), mm.quantize_mags(b, bits, ranges[1]),
-            np.less(a, 0) != np.less(b, 0))
-    got = by_mags.mul_mag_arrays(*mags, *ranges)
-    ledger_mags, ledger_mul = [], []
-    got_ledgered = ledgered_mags.mul_mag_arrays(*mags, *ranges, ledger_mags)
+    by_mags, by_mul = (sl.LpuMeter(bits, default_params(), model) for _ in range(2))
+    a_mags, b_mags = mm.quantize_mags(a, bits, ranges[0]), mm.quantize_mags(b, bits, ranges[1])
+    got = by_mags.mul_mag_arrays(a_mags, b_mags, np.less(a, 0) != np.less(b, 0), *ranges)
     with np.errstate(over="ignore"):
         want = by_mul.mul(a, b, *ranges)
-        want_ledgered = ledgered_mul.mul(a, b, *ranges, ledger_mul)
     assert type(got) is type(want) is (float if a.ndim == b.ndim == 0 else np.ndarray)
-    for out in (got, got_ledgered, want_ledgered):
-        assert np.array(out).tobytes() == np.array(want).tobytes()
-    assert (by_mags.energy_pj, by_mags.macs) == (by_mul.energy_pj, by_mul.macs)
-    assert [e.tobytes() for e in ledger_mags] == [e.tobytes() for e in ledger_mul]
-    for meter in (ledgered_mags, ledgered_mul):
-        assert (meter.energy_pj, meter.macs) == (0.0, 0)
+    assert np.array(got).tobytes() == np.array(want).tobytes()
+    assert (by_mags.energy_pj, by_mags.macs) == (0.0, 0)
+    e = by_mags.energy(a_mags, b_mags)
+    assert (float(e.sum()), e.size) == (by_mul.energy_pj, by_mul.macs)
 
 
 @pytest.mark.parametrize("bits", range(3, 9))

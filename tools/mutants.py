@@ -74,13 +74,37 @@ MUTANTS = (
            "reward = 4.0 if caught else float(dist - new_dist)",
            "the run stops at a catch, so only a later predator in the same step reads "
            "the catch's Q-table write (the n=5 qlearn trajectory golden)"),
-    Mutant("python-mul-sign", SWARM,
-           "[(x < 0) != (y < 0) for x, y in zip(xs, ys)]",
-           "[(x < 0) == (y < 0) for x, y in zip(xs, ys)]",
-           "the sign rule of LpuMeter.mul's Python path"),
+    Mutant("predprey-bootstrap-sign", SWARM,
+           "[q_max < 0]",
+           "[False]",
+           "gamma > 0, so the bootstrap product's sign is the next state's largest Q "
+           "value's"),
+    Mutant("predprey-q-finite", SWARM,
+           "            if not math.isfinite(q_max):",
+           "            if False:",
+           "a NaN Q value failed inside int() naming nothing, and an infinite one "
+           "saturated"),
+    Mutant("apf-mac-count", SWARM,
+           "5 * len(rows)",
+           "4 * len(rows)",
+           "a pushing pair costs 5 MACs: the 1/d lookup, u*u, the magnitude and the "
+           "2-element push"),
+    Mutant("apf-nfe-price", SWARM,
+           "pair_pj[:, 0] = meter.nfe_pj",
+           "pair_pj[:, 0] = meter.energy(0, 0)",
+           "apf_force prices each 1/d lookup at the interpolation MAC LpuMeter.nfe "
+           "charges"),
+    Mutant("lpu-nfe-number", SWARM,
+           '        if x.dtype.kind not in "iuf":',
+           "        if False:",
+           "LpuMeter.nfe(True) looked up 1.0, and nfe(\"x\") failed inside numpy"),
+    Mutant("lpu-nfe-finite", SWARM,
+           "        if np.isnan(x).any():",
+           "        if False:",
+           "LpuMeter.nfe(nan) returned nan and charged a MAC"),
     Mutant("apf-attraction-sign", SWARM,
-           "mm.quantize_mags(err_c, bits, sat), err_c < 0,",
-           "mm.quantize_mags(err_c, bits, sat), err_c > 0,",
+           "k_mag, err_mags, err_c < 0,",
+           "k_mag, err_mags, err_c > 0,",
            "k_att > 0, so the attraction's sign is err_c's; err_c <= 0 would be "
            "equivalent, since goal - pos is never -0.0"),
     Mutant("apf-u-range", SWARM,
@@ -115,9 +139,8 @@ MUTANTS = (
            "mm.quantize_mag(f / EXPLORE_AREA, bits, 1.0) for f in range(1, EXPLORE_AREA + 2)",
            "entry f of the feature table is the magnitude of f unvisited cells"),
     Mutant("lpu-list-operand-bool", SWARM,
-           "if type(v) is not float and (isinstance(v, (bool, np.bool_))\n"
-           "                                                 or not isinstance(v, numbers.Real)):",
-           "if type(v) is not float and (not isinstance(v, numbers.Real)):",
+           "if isinstance(v, (bool, np.bool_)) or not isinstance(v, numbers.Real):",
+           "if not isinstance(v, numbers.Real):",
            "LpuMeter.mul([True, 0.5], [0.5, 0.5], 1.0, 1.0) multiplied True as 1.0 and "
            "charged 2 MACs"),
     Mutant("predprey-advance-block", SWARM,
@@ -213,7 +236,7 @@ MUTANTS = (
            "            mm.check_real(float(getattr(self, name)), name, interval)\n",
            "TrainConfig(alpha=True) kept True, which passes every range check as 1"),
     Mutant("train-config-bool", QNAV,
-           '        mm.check_bool(self.stochastic, "stochastic")\n',
+           '        mm.check_type(self.stochastic, "stochastic", (bool, np.bool_))\n',
            "",
            "TrainConfig(stochastic=2) would size a step's LFSR block from a non-bool"),
     Mutant("run-policy-steps", QNAV,
@@ -316,7 +339,7 @@ MUTANTS = (
            'mm.check_real(float(drop_p), "drop probability drop_p"',
            "run_policy(drop_p=False) ran as drop_p = 0.0"),
     Mutant("run-policy-stochastic-bool", QNAV,
-           '    mm.check_bool(stochastic, "stochastic")\n',
+           '    mm.check_type(stochastic, "stochastic", (bool, np.bool_))\n',
            "",
            "run_policy(stochastic=2) or (stochastic=\"yes\") ran with the masks on"),
     Mutant("keep-mask-p-range", STOCHSYN,
@@ -336,8 +359,8 @@ MUTANTS = (
            "        if False:",
            "LpuMeter.mul(True, 0.5, 1.0, 1.0) multiplied True as 1.0"),
     Mutant("energy-table-params-type", MACMODEL,
-           "    if not isinstance(params, EnergyParams):",
-           "    if False:",
+           'check_type(params, "params", EnergyParams))',
+           "params)",
            "a params of another type failed inside the energy formulas with AttributeError"),
     Mutant("check-real-open-low", MACMODEL,
            '(lo <= value if interval[0] == "[" else lo < value)',
@@ -369,8 +392,8 @@ MUTANTS = (
            "an unhashable params failed inside the cache with \"unhashable type\", "
            "naming no field"),
     Mutant("swarm-config-potential-type", SWARM,
-           "        if not isinstance(self.potential, PotentialParams):",
-           "        if False:",
+           '        mm.check_type(self.potential, "potential", PotentialParams)\n',
+           "",
            "make_scenario(\"path\", 2, potential={}) constructed, and run_workload raised "
            "AttributeError"),
     Mutant("calibrate-float-first", MACMODEL,
@@ -398,7 +421,7 @@ MUTANTS = (
     Mutant("lpu-operand-number", SWARM,
            '        if a.dtype.kind not in "iuf" or b.dtype.kind not in "iuf":',
            '        if a.dtype.kind == "b" or b.dtype.kind == "b":',
-           "a str operand failed inside numpy's add, naming no field"),
+           "a str operand failed inside np.isfinite, naming no field"),
     Mutant("run-training-seed", QNAV,
            '    lfsr = Lfsr(mm.check_int(seed, "seed", 1, 0xFFFF))\n    net, lfsr = init_network',
            "    lfsr = Lfsr(seed)\n    net, lfsr = init_network",
@@ -411,6 +434,34 @@ MUTANTS = (
            'with np.errstate(over="raise", invalid="raise"):',
            "with np.errstate():",
            "a tiny anchor ratio overflowed inside the fit, and at 5e-324 gave a NaN c_d2"),
+    Mutant("run-training-arena-type", QNAV,
+           '    mm.check_type(arena, "arena", Arena)\n    mm.check_type(cfg,',
+           "    mm.check_type(cfg,",
+           "run_training(\"x\", cfg, 1) raised AttributeError, naming nothing"),
+    Mutant("run-training-cfg-type", QNAV,
+           '    mm.check_type(cfg, "cfg", TrainConfig)\n',
+           "",
+           "run_training(arena, {}, 1) raised AttributeError, naming nothing"),
+    Mutant("run-policy-arena-type", QNAV,
+           '    mm.check_type(arena, "arena", Arena)\n    mm.check_type(net,',
+           "    mm.check_type(net,",
+           "run_policy(\"x\", net, 0.1, 3, 1) raised AttributeError, naming nothing"),
+    Mutant("run-policy-net-type", QNAV,
+           '    mm.check_type(net, "net", QNetwork)\n',
+           "",
+           "run_policy(arena, \"x\", 0.1, 3, 1) raised AttributeError, naming nothing"),
+    Mutant("run-workload-scn-type", SWARM,
+           'mm.check_type(scn, "scn", Scenario).config',
+           "scn.config",
+           "run_workload(\"x\") raised AttributeError, naming nothing"),
+    Mutant("qnetwork-w1-type", QNAV,
+           '        mm.check_type(self.w1, "w1", np.ndarray)\n',
+           "",
+           "QNetwork(w1=<list>, ...) raised AttributeError on .ndim, naming nothing"),
+    Mutant("qnetwork-w2-type", QNAV,
+           '        mm.check_type(self.w2, "w2", np.ndarray)\n',
+           "",
+           "QNetwork(w2=<list>, ...) raised AttributeError on .shape, naming nothing"),
     Mutant("collision-self-distance", SWARM,
            "np.fill_diagonal(d, np.inf)",
            "np.fill_diagonal(d, 1e9)",
