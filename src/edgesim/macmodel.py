@@ -178,13 +178,19 @@ class EnergyParams:
 # quantization front-end
 
 
-def quantize_mags(v, bits: int, value_range: float):
+def quantize_mags(v, bits: int, value_range: float, out=None):
     """Operand magnitudes of reals ``v`` at ``bits`` bits over
     [-value_range, value_range]: |v| saturates at the range, then rounds to
     nearest (half up). The one rounding rule every front end shares; it does
-    not validate (hot path), so callers check finiteness, bits and range."""
+    not validate (hot path), so callers check finiteness, bits and range.
+    With ``out``, an int64 array of ``v``'s shape, the magnitudes are written
+    into it and it is returned."""
     full = (1 << bits) - 1
-    return (np.minimum(np.abs(v), value_range) / value_range * full + 0.5).astype(np.int64)
+    scaled = np.minimum(np.abs(v), value_range) / value_range * full
+    if out is None:
+        return (scaled + 0.5).astype(np.int64)
+    # the float sum is truncated into out, as astype truncates it
+    return np.add(scaled, 0.5, out=out, casting="unsafe")
 
 
 def quantize_mag(x: float, bits: int, value_range: float) -> int:

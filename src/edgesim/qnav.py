@@ -20,14 +20,17 @@ one flat float buffer of both layers, updated by ``_update`` (the body of
 buffer has fixed per-layer views, so nothing is rebuilt per step; a
 ``QNetwork`` is made only for the trace, from a copy of the float buffer.
 
-A training step reads its randomness as one block of the LFSR stream,
-``lfsr.words(k)``, and steps past the words it used with one
-``lfsr.advance(used)``. It takes them in the order of the per-call draws
-``drop_mask``, ``select_action`` and ``Scratchpad.sample``: 48 words for the
-action mask (stochastic runs only), one for epsilon plus one more when
-exploring, ``batch_size`` for the replay sample once the scratchpad holds a
-batch, then 48 for the update mask. A run is therefore bit-identical to
-making those draws one call at a time.
+A training run keeps its place in the LFSR stream as an int cursor, the
+``slot`` of ``stochsyn``'s stream table. Each step reads one block of words
+at the cursor with ``stream_block``, and one block of the run's
+``keep_table`` at the same cursor, so both drop-connect masks are slices of
+it, with no compare of their own. The step then moves the cursor past the
+words it used, modulo the LFSR period. It takes the words in the order of
+the per-call draws ``drop_mask``, ``select_action`` and
+``Scratchpad.sample``: 48 words for the action mask (stochastic runs only),
+one for epsilon plus one more when exploring, ``batch_size`` for the replay
+sample once the scratchpad holds a batch, then 48 for the update mask. A run
+is therefore bit-identical to making those draws one call at a time.
 """
 
 from __future__ import annotations
@@ -39,7 +42,8 @@ from pathlib import Path
 import numpy as np
 
 from edgesim import macmodel as mm
-from edgesim.stochsyn import Lfsr, drop_mask, epsilon_greedy, keep_mask, masked_weights, to_randint
+from edgesim.stochsyn import (LFSR_PERIOD, Lfsr, drop_mask, epsilon_greedy, keep_table,
+                               masked_weights, stream_block, stream_table, to_randint)
 
 # headings are 45-degree steps counterclockwise from +x
 HEADING_VECS = ((1, 0), (1, 1), (0, 1), (-1, 1), (-1, 0), (-1, -1), (0, -1), (1, -1))
@@ -207,6 +211,10 @@ class QNetwork:
     """3-16-4 rectifier network; float shadow weights in [-1, 1], executed on
     the MAC models as 6-bit sign-magnitude operands.
 
+    The layers must be real, finite arrays (not bool). A weight outside
+    [-1, 1] runs saturated, at the full-scale magnitude DEPTH_MAX, and
+    ``train_step`` clips it back into [-1, 1].
+
     Immutable: training returns a new network, and the layer arrays passed
     in are marked read-only (not copied).
     """
@@ -218,6 +226,11 @@ class QNetwork:
     def __post_init__(self):
         mm.check_type(self.w1, "w1", np.ndarray)
         mm.check_type(self.w2, "w2", np.ndarray)
+        for name, layer in (("w1", self.w1), ("w2", self.w2)):
+            if layer.dtype.kind not in "iuf":
+                raise TypeError(f"{name} must hold real numbers, got dtype {layer.dtype}")
+            if not _all_finite(layer):
+                raise ValueError(f"{name} must be finite")
         if self.w1.ndim != 2 or self.w1.shape[1] != len(RAY_OFFSETS):
             raise ValueError(f"w1 must be (hidden, {len(RAY_OFFSETS)}), got {self.w1.shape}")
         if self.w2.shape != (N_ACTIONS, self.w1.shape[0]):
@@ -247,11 +260,10 @@ def _all_finite(a: np.ndarray) -> bool:
 
 def _quantize(w: np.ndarray, q: np.ndarray, m: np.ndarray) -> None:
     """Quantize the flat float weights ``w`` in place into the signed integer
-    weights ``q`` and their magnitudes ``m``. Every magnitude is at most
-    DEPTH_MAX, so the weights must be finite."""
-    if not _all_finite(w):
-        raise ValueError("network weights must be finite")
-    m[:] = mm.quantize_mags(w, DEPTH_BITS, 1.0)
+    weights ``q`` and their magnitudes ``m``. The weights must be finite, as
+    a ``QNetwork``'s are and training keeps them, so that every magnitude is
+    at most DEPTH_MAX."""
+    mm.quantize_mags(w, DEPTH_BITS, 1.0, out=m)
     # -m where w < 0; a -0.0 weight has magnitude 0, so its sign is lost
     q[:] = np.copysign(m, w)
 
@@ -457,9 +469,9 @@ def _update(w: np.ndarray, layers, batch, cfg: TrainConfig, keep) -> None:
     # states, through one rectifier
     a1 = np.concatenate((xs @ w1_used.T, xn @ w1.T))
     h_both = np.minimum(np.maximum(a1, 0.0) * ACT_GAIN, 1.0)
-    h, h_next = h_both[:n], h_both[n:]
-    q = h @ w2.T                                 # (B, actions)
-    q_next_max = np.maximum.reduce(h_next @ w2.T, axis=1)
+    q_both = h_both @ w2.T                       # (2B, actions)
+    h, q = h_both[:n], q_both[:n]
+    q_next_max = np.maximum.reduce(q_both[n:], axis=1)
     targets = bellman_target(rewards, q_next_max, cfg.gamma, terminal)
     delta = targets - q[np.arange(n), actions]
 
@@ -567,6 +579,9 @@ def run_training(arena: Arena, cfg: TrainConfig, seed: int, model: str = "tdms",
     operands, scaled, next_pose, collided = _pose_tables(arena, net.horizon)
     start = _flat_pose(arena, arena.start, 0)
     shape = net.w1.shape
+    slot = lfsr.slot
+    stream = stream_table()
+    keeps = keep_table(cfg.drop_p) if cfg.stochastic else None
     w = np.concatenate((net.w1, net.w2), axis=None)
     layers = _layers(w, shape)
     q, m, quant = _quantized(w, shape)
@@ -593,8 +608,11 @@ def run_training(arena: Arena, cfg: TrainConfig, seed: int, model: str = "tdms",
         covered = 1
         eps = cfg.epsilon(ep)
         for _ in range(cfg.max_steps):
-            words = lfsr.words(block)
-            keep = keep_mask(words[:mask_words], cfg.drop_p, shape) if mask_words else None
+            words = stream_block(stream, slot, block)
+            keep = None
+            if mask_words:
+                step_keeps = stream_block(keeps, slot, block)
+                keep = step_keeps[:mask_words].reshape(shape)
             qvals, energy = _forward(quant, operands[pose], keep, price)
             action, used = epsilon_greedy(qvals, eps, words[mask_words:])
             used += mask_words
@@ -614,11 +632,11 @@ def run_training(arena: Arena, cfg: TrainConfig, seed: int, model: str = "tdms",
                 used += cfg.batch_size
                 keep = None
                 if mask_words:
-                    keep = keep_mask(words[used:used + mask_words], cfg.drop_p, shape)
+                    keep = step_keeps[used:used + mask_words].reshape(shape)
                     used += mask_words
                 _update(w, layers, batch, cfg, keep)
                 _quantize(w, q, m)
-            lfsr = lfsr.advance(used)
+            slot = (slot + used) % LFSR_PERIOD
 
             ep_rows.append(ep)
             cov_rows.append(covered)

@@ -5,22 +5,29 @@ polynomial x^16 + x^14 + x^13 + x^11 + 1 (period 65535). Masks consume 16
 output bits per weight: the bits, read MSB-first as a fraction of 2^16,
 drop the weight when they fall below the drop probability.
 
-Draws read a read-only stream table built once per process: ``stream[j]``
-is the 16-bit word that starts at cycle index 16*j mod 65535, so the words
-a state draws in order sit next to each other and a draw of n words is one
-slice (a gather only when it runs past the table's padding).
+Draws read a read-only stream table built once per process,
+``stream_table()``: ``stream[j]`` is the 16-bit word that starts at cycle
+index 16*j mod 65535, so the words a state draws in order sit next to each
+other. A state's ``slot`` is the stream entry it draws next, its cursor, and
+a draw of n words is ``stream_block(stream, slot, n)``: one slice, or a
+gather only when it runs past the table's padding. The state after those
+words is at slot ``(slot + n) % LFSR_PERIOD``.
+
+``keep_table(p)`` holds the keep flags of every stream entry at drop
+probability p, ``stream >= p * 2^16``, built once per p. A drop-connect mask
+of n weights drawn from a cursor is the keep table's block at that cursor,
+the same slots whose words it consumes, so masks need no compare of their
+own; ``drop_mask`` draws one this way from an ``Lfsr``.
 
 A hot loop that draws word by word can read a block instead: ``words(k)``
 returns the next k words without stepping, the loop converts each word it
 uses with ``to_uniform``/``to_randint`` (the conversions ``uniform`` and
 ``randint`` apply), and ``advance(used)`` then gives the state after the
 words it used, in one table lookup. The result is bit-identical to making
-the same draws one call at a time. A drop-connect mask drawn from a block is
-``keep_mask`` on a slice of it, as ``drop_mask`` draws it.
-
-Each step of the grid swarm workloads and each ``qnav`` training step reads
-one block this way. A training step's block holds, in order, its action
-mask, its epsilon-greedy words, its replay sample and its update mask.
+the same draws one call at a time. Each step of the grid swarm workloads
+reads its words this way. A ``qnav`` training step keeps no ``Lfsr`` at
+all: it carries the int cursor, reads its block of words and its block of
+keep flags at it, and moves it past the words it used.
 """
 
 from __future__ import annotations
@@ -73,17 +80,18 @@ class Lfsr:
         out = (states[(start + np.arange(n)) % LFSR_PERIOD] & 1).astype(np.uint8)
         return out, Lfsr(int(states[(start + n) % LFSR_PERIOD]))
 
+    @property
+    def slot(self) -> int:
+        """The stream cursor: the entry of ``stream_table()`` this state draws next."""
+        return int(_cycle_tables()[1][self.state]) * _SLOT_PER_INDEX % LFSR_PERIOD
+
     def words(self, count: int) -> np.ndarray:
         """The next ``count`` 16-bit samples, without stepping: a read-only
         view when they are one slice of the stream table. ``advance(k)`` is
         the state after the first k of them."""
         if count < 0:
             raise ValueError("sample count must be non-negative")
-        _states, index_of, stream = _cycle_tables()
-        slot = int(index_of[self.state]) * _SLOT_PER_INDEX % LFSR_PERIOD
-        if slot + count <= len(stream):
-            return stream[slot:slot + count]
-        return stream[(slot + np.arange(count)) % LFSR_PERIOD]
+        return stream_block(_cycle_tables()[2], self.slot, count)
 
     def advance(self, count: int) -> "Lfsr":
         """The state after ``count`` 16-bit samples, in one table lookup."""
@@ -183,21 +191,41 @@ def _cycle_tables():
     return tables
 
 
-def drop_mask(shape: tuple[int, int], p: float, lfsr: Lfsr) -> tuple[np.ndarray, Lfsr]:
-    """Generate a drop-connect keep array: entry (i, j) is dropped (False) when
-    its 16-bit sample is below p. Row-major draw order, 16 LFSR steps per entry."""
-    rows, cols = shape
-    return keep_mask(lfsr.words(rows * cols), p, shape), lfsr.advance(rows * cols)
+def stream_table() -> np.ndarray:
+    """The read-only stream table (module docstring), built on first use."""
+    return _cycle_tables()[2]
 
 
-def keep_mask(words, p: float, shape: tuple[int, int]) -> np.ndarray:
-    """The keep array that 16-bit samples ``words`` draw in ``drop_mask``'s
-    row-major order: an entry is dropped (False) when its sample is below p.
-    The samples are compared with p scaled by 2^16, as exact as ``to_uniform``,
-    which scales them down by 2^16. The drop probability must be in [0, 1)."""
+def stream_block(table: np.ndarray, slot: int, count: int) -> np.ndarray:
+    """Entries ``slot`` to ``slot + count - 1``, modulo LFSR_PERIOD, of a
+    table indexed like the stream table (``stream_table()`` or a
+    ``keep_table``): a read-only view when they are one slice, else a gather
+    that wraps to the table's start."""
+    if slot + count <= len(table):
+        return table[slot:slot + count]
+    return table[(slot + np.arange(count)) % LFSR_PERIOD]
+
+
+@lru_cache(maxsize=8)
+def keep_table(p: float) -> np.ndarray:
+    """Read-only keep flags of the stream table at drop probability p: entry
+    j is False (dropped) when stream word j is below p. The words are
+    compared with p scaled by 2^16, as exact as ``to_uniform``, which scales
+    them down by 2^16. The drop probability must be in [0, 1)."""
     if not 0 <= p < 1:
         raise ValueError(f"drop probability must be in [0, 1), got {p}")
-    return (words >= p * _WORD_SCALE).reshape(shape)
+    keep = stream_table() >= p * _WORD_SCALE
+    keep.flags.writeable = False
+    return keep
+
+
+def drop_mask(shape: tuple[int, int], p: float, lfsr: Lfsr) -> tuple[np.ndarray, Lfsr]:
+    """Generate a drop-connect keep array: entry (i, j) is dropped (False) when
+    its 16-bit sample is below p. Row-major draw order, 16 LFSR steps per entry.
+    The array is read-only when it is a view of the cached ``keep_table``."""
+    rows, cols = shape
+    keep = stream_block(keep_table(p), lfsr.slot, rows * cols)
+    return keep.reshape(shape), lfsr.advance(rows * cols)
 
 
 def epsilon_greedy(qvals, eps: float, words):
@@ -211,9 +239,9 @@ def epsilon_greedy(qvals, eps: float, words):
 
 
 def masked_weights(weights: np.ndarray, keep: np.ndarray) -> np.ndarray:
-    """Zero the dropped entries, leave kept entries untouched (a dropped
-    negative weight reads +0, where ``weights * keep`` would write -0.0)."""
-    weights = np.asarray(weights)
+    """Zero the dropped entries of the array ``weights``, leave kept entries
+    untouched (a dropped negative weight reads +0, where ``weights * keep``
+    would write -0.0). The result has the weights' dtype."""
     if weights.shape != keep.shape:
         raise ValueError(f"weight shape {weights.shape} != mask shape {keep.shape}")
-    return np.where(keep, weights, np.zeros((), dtype=weights.dtype))
+    return np.where(keep, weights, 0)

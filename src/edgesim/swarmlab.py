@@ -14,7 +14,6 @@ import math
 import numbers
 from dataclasses import dataclass, field, fields
 from functools import lru_cache
-from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -124,17 +123,20 @@ class LpuMeter:
         Operands must be finite: out-of-range values saturate, NaN and
         infinities raise ``ValueError``, and so do lists of unequal length.
         Ranges must be positive and finite. A range or operand that is not a
-        real number (a bool included) raises ``TypeError``.
+        real number (a bool included) raises ``TypeError``; so does any
+        element of a list operand that is not, whatever the other operand is.
         """
         mm.check_real(a_range, "LPU range", "(0, inf)")
         mm.check_real(b_range, "LPU range", "(0, inf)")
-        if isinstance(a, list) and isinstance(b, list):
-            # numpy would take bools as numbers and broadcast a 1-element list
-            for v in chain(a, b):
-                if isinstance(v, (bool, np.bool_)) or not isinstance(v, numbers.Real):
-                    raise TypeError(f"LPU operands must be real numbers, got {v!r}")
-            if len(a) != len(b):
-                raise ValueError(f"LPU operand lists differ in length: {len(a)} != {len(b)}")
+        for operand in (a, b):
+            if isinstance(operand, list):
+                # numpy would take a bool among numbers as a number
+                for v in operand:
+                    if isinstance(v, (bool, np.bool_)) or not isinstance(v, numbers.Real):
+                        raise TypeError(f"LPU operands must be real numbers, got {v!r}")
+        # numpy would broadcast a 1-element list
+        if isinstance(a, list) and isinstance(b, list) and len(a) != len(b):
+            raise ValueError(f"LPU operand lists differ in length: {len(a)} != {len(b)}")
         a, b = np.asarray(a), np.asarray(b)
         if a.dtype.kind not in "iuf" or b.dtype.kind not in "iuf":
             raise TypeError(f"LPU operands must be real numbers, got {a.dtype} and {b.dtype}")

@@ -132,6 +132,12 @@ CASES = {
     # list operands have their elements checked one by one
     ("LpuMeter.mul", "list a"): ("LPU", lambda v: _meter(a=[0.5, v], b=[0.25, -0.5])),
     ("LpuMeter.nfe", "x"): ("LPU", lambda v: sl.LpuMeter(5, PARAMS).nfe(v)),
+    # wrong shapes, filled with the value (SHAPE_CASES)
+    ("QNetwork", "w1 shape"): ("w1", lambda v: _policy(
+        net=qnav.QNetwork(w1=np.full((NET.w1.shape[0], 2), v), w2=NET.w2))),
+    ("QNetwork", "w2 shape"): ("w2", lambda v: _policy(
+        net=qnav.QNetwork(w1=NET.w1, w2=np.full((qnav.N_ACTIONS, NET.w1.shape[0] - 1), v)))),
+    ("LpuMeter.mul", "list lengths"): ("LPU", lambda v: _meter(a=[0.5, v], b=[0.25])),
     **{("load_energy_params", f): (f, lambda v, path, f=f: _params_file(path, f, v))
        for f in ("e_tr", "v_supply")},
     **{("load_scenario", f): (f, lambda v, path, f=f: _scenario_file(path, f, v))
@@ -170,4 +176,17 @@ def test_entry_points_run_or_name_the_field(tmp_path, case, value):
 def test_wrong_objects_name_the_field(case, value):
     text, run = CASES[case]
     with pytest.raises(TypeError, match=f"{text} must be"):
+        run(value)
+
+
+# a wrong shape raises whatever fills it; a real, finite fill reaches the
+# shape check itself
+SHAPE_CASES = [("QNetwork", "w1 shape"), ("QNetwork", "w2 shape"), ("LpuMeter.mul", "list lengths")]
+
+
+@pytest.mark.parametrize("case", SHAPE_CASES, ids=".".join)
+@pytest.mark.parametrize("value", [0.5, 0, -1.0])
+def test_wrong_shapes_name_the_field(case, value):
+    text, run = CASES[case]
+    with pytest.raises(ValueError, match=text):
         run(value)

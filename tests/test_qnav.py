@@ -29,7 +29,8 @@ from edgesim.qnav import (
     sense,
     train_step,
 )
-from edgesim.stochsyn import BITS_PER_SAMPLE, LFSR_PERIOD, Lfsr, _cycle_tables, drop_mask
+from edgesim.stochsyn import (_STREAM_PAD, BITS_PER_SAMPLE, LFSR_PERIOD, Lfsr, _cycle_tables,
+                              drop_mask, stream_table)
 
 
 @pytest.fixture(scope="module")
@@ -177,6 +178,44 @@ def test_qnetwork_rejects_bad_layer_shapes(w1, w2, field):
     with pytest.raises(ValueError, match=field):
         QNetwork(w1=np.zeros(w1), w2=np.zeros(w2))
     assert QNetwork(w1=np.zeros((5, 3)), w2=np.zeros((4, 5))).w2.shape == (4, 5)
+
+
+@pytest.mark.parametrize("layer", ["w1", "w2"])
+@pytest.mark.parametrize("dtype", [object, bool, complex])
+def test_qnetwork_rejects_non_real_layers(layer, dtype):
+    # an object w1 constructed and failed inside np.isfinite, naming
+    # nothing, and a bool w1 ran as 0/1 weights
+    w = {"w1": np.zeros((16, 3)), "w2": np.zeros((4, 16))}
+    w[layer] = w[layer].astype(dtype)
+    with pytest.raises(TypeError, match=f"{layer} must hold real numbers"):
+        QNetwork(**w)
+
+
+@pytest.mark.parametrize("layer", ["w1", "w2"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_qnetwork_rejects_non_finite_weights_naming_the_layer(layer, bad):
+    # a NaN weight constructed and failed only in the first forward pass,
+    # as "network weights must be finite", naming neither layer
+    w = {"w1": np.zeros((16, 3)), "w2": np.zeros((4, 16))}
+    w[layer][1, 2] = bad
+    with pytest.raises(ValueError, match=f"{layer} must be finite"):
+        QNetwork(**w)
+
+
+def test_qnetwork_weights_outside_the_unit_range_run_saturated(params):
+    # a weight beyond [-1, 1] runs at full scale, and a training step clips
+    # it back into [-1, 1]
+    big = QNetwork(w1=np.full((16, 3), 5.0), w2=np.full((4, 16), -3.0))
+    unit = QNetwork(w1=np.ones((16, 3)), w2=-np.ones((4, 16)))
+    for got, want in zip(big.quantized(), unit.quantized()):
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+    x = proximity(np.array([2, 3, 4]))
+    (q_big, e_big), (q_unit, e_unit) = (q_forward(n, x, None, "tdms", params) for n in (big, unit))
+    assert np.array_equal(q_big, q_unit) and e_big == e_unit
+    batch = (np.full((1, 3), 0.5), np.array([0]), np.array([0.0]), np.zeros((1, 3)),
+             np.array([True]))
+    out = train_step(big, batch, TrainConfig())
+    assert np.abs(out.w1).max() == 1.0 and np.abs(out.w2).max() == 1.0
 
 
 @pytest.mark.parametrize("horizon, error", [(2.5, TypeError), (2.0, TypeError),
@@ -835,11 +874,11 @@ TINY_ARENA = Arena.from_text("####\n#.S#\n#..#\n####")
 _INIT_WORDS = 16 * 3 + qnav.N_ACTIONS * 16
 
 
-def _per_call_training(arena, cfg, seed, ends):
+def _per_call_training(arena, cfg, seed, starts):
     """run_training's steps with one call per draw: drop_mask, select_action
     and a scratchpad sample that steps past its own words, moving the robot
     by apply_action. No convergence check: the runs here end before a full
-    window. Appends the LFSR after each step to ``ends``."""
+    window. Appends the stream cursor at the start of each step to ``starts``."""
     params = default_params()
     lfsr = Lfsr(seed)
     net, lfsr = init_network(lfsr, horizon=qnav.arena_horizon(arena))
@@ -849,6 +888,7 @@ def _per_call_training(arena, cfg, seed, ends):
         state = RobotState(arena.start, 0)
         visited = {state.position}
         for _ in range(cfg.max_steps):
+            starts.append(lfsr.slot)
             x = proximity(sense(arena, state), net.horizon)
             keep = None
             if cfg.stochastic:
@@ -872,7 +912,6 @@ def _per_call_training(arena, cfg, seed, ends):
                 if cfg.stochastic:
                     keep, lfsr = drop_mask(net.w1.shape, cfg.drop_p, lfsr)
                 net = qnav.train_step(net, batch, cfg, keep)
-            ends.append(lfsr)
             rows.append((len(visited), reward, energy))
             state = new_state
             if terminal:
@@ -894,30 +933,17 @@ def _stream_slot_index(slot):
     return slot * BITS_PER_SAMPLE % LFSR_PERIOD
 
 
-@settings(max_examples=60, deadline=None)
-@example(index=LFSR_PERIOD - 1, eps=1.0, stochastic=True, batch_size=2, steps=6, arena=0)
-@example(index=_stream_slot_index(LFSR_PERIOD - 30), eps=0.0, stochastic=True, batch_size=1,
-         steps=8, arena=1)
-@example(index=12345, eps=1.0, stochastic=False, batch_size=6, steps=4, arena=0)
-@given(index=st.one_of(st.integers(0, LFSR_PERIOD - 1),
-                       st.integers(LFSR_PERIOD - 2000, LFSR_PERIOD - 1)),
-       eps=st.sampled_from([0.0, 1.0, 0.4]), stochastic=st.booleans(),
-       batch_size=st.integers(1, 6), steps=st.integers(1, 12), arena=st.sampled_from([0, 1]))
-def test_block_step_matches_per_call_draws(index, eps, stochastic, batch_size, steps, arena):
-    # one block read and one advance(used) per step give the same action
-    # masks, actions, replay rows, update masks and LFSR states as drawing
-    # each of them with its own call; the first step starts at cycle index
-    # `index` (near the cycle's end, a step's words and advance wrap)
-    arena = (TINY_ARENA, SMALL_ARENA)[arena]
-    seed = int(_cycle_tables()[0][(index - BITS_PER_SAMPLE * _INIT_WORDS) % LFSR_PERIOD])
-    cfg = TrainConfig(episodes=2, max_steps=steps, batch_size=batch_size, capacity=batch_size + 3,
-                      stochastic=stochastic, eps_start=eps, eps_end=eps)
+def _check_block_steps(arena, cfg, seed):
+    """run_training against _per_call_training from ``seed``: the same action
+    masks, actions, replay rows, update masks and per-step stream cursors,
+    and the same trace rows, coverage and final network. Returns the cursors."""
     # the spies sit on the private forward and update, which run_training
-    # calls directly and q_forward and train_step wrap
-    forward, update, advance = qnav._forward, qnav._update, Lfsr.advance
+    # calls directly and q_forward and train_step wrap, and on the block
+    # read of the stream table, whose slot is the step's cursor
+    forward, update, block_read = qnav._forward, qnav._update, qnav.stream_block
 
     def run(per_call):
-        log, ends = [], []
+        log, starts = [], []
         with pytest.MonkeyPatch.context() as mp:
             def spy_forward(quant, x, keep, price):
                 log.append(("act", keep))
@@ -930,22 +956,70 @@ def test_block_step_matches_per_call_draws(index, eps, stochastic, batch_size, s
             mp.setattr(qnav, "_forward", spy_forward)
             mp.setattr(qnav, "_update", spy_update)
             if per_call:
-                return log, ends, _per_call_training(arena, cfg, seed, ends)
+                return log, starts, _per_call_training(arena, cfg, seed, starts)
 
-            def spy_advance(lfsr, count):
-                ends.append(advance(lfsr, count))
-                return ends[-1]
+            def spy_block(table, slot, count):
+                if table is stream_table():
+                    starts.append(slot)
+                return block_read(table, slot, count)
 
-            mp.setattr(Lfsr, "advance", spy_advance)
-            trace = run_training(arena, cfg, seed, "tdms")
-            return log, ends[1:], trace  # ends[0] is init_network's draw
+            mp.setattr(qnav, "stream_block", spy_block)
+            return log, starts, run_training(arena, cfg, seed, "tdms")
 
-    log, ends, trace = run(per_call=False)
-    want_log, want_ends, (rows, coverage, net) = run(per_call=True)
+    log, starts, trace = run(per_call=False)
+    want_log, want_starts, (rows, coverage, net) = run(per_call=True)
     assert len(log) == len(want_log)
     for got, want in zip(log, want_log):
         assert got[0] == want[0] and all(_same(u, v) for u, v in zip(got[1:], want[1:]))
-    assert ends == want_ends
+    assert starts == want_starts
     assert [row[2:] for row in trace.rows()] == rows
     assert trace.episode_coverage.tolist() == coverage
     assert np.array_equal(trace.net.w1, net.w1) and np.array_equal(trace.net.w2, net.w2)
+    return starts
+
+
+def _seed_at(index):
+    """The seed whose first training step starts at cycle index ``index``."""
+    return int(_cycle_tables()[0][(index - BITS_PER_SAMPLE * _INIT_WORDS) % LFSR_PERIOD])
+
+
+@settings(max_examples=60, deadline=None)
+@example(index=LFSR_PERIOD - 1, eps=1.0, stochastic=True, batch_size=2, steps=6, arena=0)
+@example(index=_stream_slot_index(LFSR_PERIOD - 30), eps=0.0, stochastic=True, batch_size=1,
+         steps=8, arena=1)
+@example(index=12345, eps=1.0, stochastic=False, batch_size=6, steps=4, arena=0)
+@given(index=st.one_of(st.integers(0, LFSR_PERIOD - 1),
+                       st.integers(LFSR_PERIOD - 2000, LFSR_PERIOD - 1)),
+       eps=st.sampled_from([0.0, 1.0, 0.4]), stochastic=st.booleans(),
+       batch_size=st.integers(1, 6), steps=st.integers(1, 12), arena=st.sampled_from([0, 1]))
+def test_block_step_matches_per_call_draws(index, eps, stochastic, batch_size, steps, arena):
+    # one block read per step and a cursor moved past the words it used give
+    # the same draws and LFSR positions as drawing each with its own call;
+    # the first step starts at cycle index `index` (near the cycle's end, a
+    # step's block and cursor wrap)
+    cfg = TrainConfig(episodes=2, max_steps=steps, batch_size=batch_size, capacity=batch_size + 3,
+                      stochastic=stochastic, eps_start=eps, eps_end=eps)
+    _check_block_steps((TINY_ARENA, SMALL_ARENA)[arena], cfg, _seed_at(index))
+
+
+# cell (4, 1) is free but walled in, so no episode covers every free cell and
+# each runs its max_steps
+WALLED_ARENA = Arena.from_text("######\n#S.#.#\n#..###\n######")
+
+
+def test_block_step_wraps_past_the_stream_padding():
+    # a batch of 4097 makes every step's block (2 masks, 2 epsilon words and
+    # the batch) 99 words longer than the stream table's padding, so each
+    # step that starts in the last 98 slots of the period reads its block by
+    # the wrap gather. At epsilon 0 a step uses 49 words until the scratchpad
+    # holds a batch, so the first training step, step 4096, starts 4096 * 49
+    # slots after the first: here at slot LFSR_PERIOD - 60, where its replay
+    # sample and update mask run past the table's end and wrap to its start.
+    batch = 4097
+    first = (LFSR_PERIOD - 60 - 4096 * 49) % LFSR_PERIOD
+    cfg = TrainConfig(episodes=1, max_steps=batch + 2, batch_size=batch, capacity=batch,
+                      eps_start=0.0, eps_end=0.0)
+    block = 2 * 48 + 2 + batch
+    assert block == _STREAM_PAD + 99
+    starts = _check_block_steps(WALLED_ARENA, cfg, _seed_at(_stream_slot_index(first)))
+    assert len(starts) == batch + 2 and starts[batch - 1] == LFSR_PERIOD - 60

@@ -274,9 +274,53 @@ def test_drop_mask_rejects_bad_p():
 
 @pytest.mark.parametrize("p", [np.nan, 2.0, 1.0, -0.1, np.inf])
 def test_keep_mask_rejects_bad_p(p):
-    # a NaN or 2.0 drop probability gave an all-False mask: every synapse dropped
+    # a NaN or 2.0 drop probability gave an all-False mask: every synapse
+    # dropped; every keep mask is a block of the keep table
     with pytest.raises(ValueError, match="drop probability"):
-        stochsyn.keep_mask(Lfsr(1).words(4), p, (2, 2))
+        stochsyn.keep_table(p)
+
+
+def _state_drawing(word):
+    """The LFSR state whose next 16-bit sample is ``word``."""
+    states, _index_of, stream = _cycle_tables()
+    slot = int(np.flatnonzero(stream[:LFSR_PERIOD] == word)[0])
+    return Lfsr(int(states[16 * slot % LFSR_PERIOD]))
+
+
+@pytest.mark.parametrize("p", [0.25, 0.5, 0.75])
+def test_keep_table_keeps_a_sample_equal_to_p(p):
+    # an entry is dropped only below p: a sample of exactly p * 2^16 draws
+    # the uniform p itself, and is kept; the sample one below is dropped
+    word = int(p * 65536)
+    for sample, kept in ((word, True), (word - 1, False)):
+        lfsr = _state_drawing(sample)
+        assert (lfsr.uniform()[0] >= p) is kept
+        assert stochsyn.keep_table(p)[lfsr.slot] == kept
+        assert drop_mask((1, 1), p, lfsr)[0].tolist() == [[kept]]
+
+
+def test_keep_table_is_cached_read_only_and_matches_the_stream():
+    table = stochsyn.keep_table(0.25)
+    assert stochsyn.keep_table(np.float64(0.25)) is table
+    assert table.dtype == bool and len(table) == len(stochsyn.stream_table())
+    assert np.array_equal(table, stochsyn.stream_table() / 65536 >= 0.25)
+    with pytest.raises(ValueError, match="read-only"):
+        table[0] = False
+    assert stochsyn.keep_table(0.0).all()
+
+
+@settings(max_examples=100, deadline=None)
+@given(state=_states, count=st.integers(0, 5000))
+def test_stream_block_at_a_cursor_is_a_block_read(state, count):
+    # the cursor of a state indexes the stream table and its keep tables: a
+    # block there is the state's next words and their keep flags, and the
+    # cursor moved past them is the state after them
+    lfsr = Lfsr(state)
+    words = lfsr.words(count)
+    assert np.array_equal(stochsyn.stream_block(stochsyn.stream_table(), lfsr.slot, count), words)
+    assert np.array_equal(stochsyn.stream_block(stochsyn.keep_table(0.5), lfsr.slot, count),
+                          words >= 32768)
+    assert lfsr.advance(count).slot == (lfsr.slot + count) % LFSR_PERIOD
 
 
 def test_epsilon_greedy_boundaries():

@@ -541,6 +541,18 @@ def test_meter_rejects_bools(a, b, a_range, b_range):
     assert (meter.energy_pj, meter.macs) == (0.0, 0)
 
 
+@pytest.mark.parametrize("a,b", [
+    ([True, 0.5], 0.5), (0.5, [0.5, np.bool_(True)]), ([True, 0.5], np.ones(2)),
+    (np.ones(2), [0.5, False]), ([[0.5], [True]], 0.5)])
+def test_meter_checks_list_elements_against_any_operand(a, b):
+    # the elements of a list were checked only against another list:
+    # mul([True, 0.5], 0.5, 1.0, 1.0) returned [0.516, 0.266] and charged 2 MACs
+    meter = sl.LpuMeter(5, default_params())
+    with pytest.raises(TypeError, match="LPU operands must be real numbers"):
+        meter.mul(a, b, 1.0, 1.0)
+    assert (meter.energy_pj, meter.macs) == (0.0, 0)
+
+
 @pytest.mark.parametrize("a,b,a_range,b_range", [
     ("x", 0.5, 1.0, 1.0), (0.5, None, 1.0, 1.0), (np.array(["1"]), np.ones(1), 1.0, 1.0),
     (0.5, 0.5, None, 1.0), (0.5, 0.5, 1.0, "1"), (np.ones(2), np.ones(2), "2", 1.0),

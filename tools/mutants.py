@@ -138,6 +138,11 @@ MUTANTS = (
            "mm.quantize_mag(f / EXPLORE_AREA, bits, 1.0) for f in range(EXPLORE_AREA + 1)",
            "mm.quantize_mag(f / EXPLORE_AREA, bits, 1.0) for f in range(1, EXPLORE_AREA + 2)",
            "entry f of the feature table is the magnitude of f unvisited cells"),
+    Mutant("lpu-list-operand-one-side", SWARM,
+           "            if isinstance(operand, list):",
+           "            if isinstance(a, list) and isinstance(b, list):",
+           "LpuMeter.mul([True, 0.5], 0.5, 1.0, 1.0) returned [0.516, 0.266] and "
+           "charged 2 MACs: list elements were checked only against another list"),
     Mutant("lpu-list-operand-bool", SWARM,
            "if isinstance(v, (bool, np.bool_)) or not isinstance(v, numbers.Real):",
            "if not isinstance(v, numbers.Real):",
@@ -195,28 +200,42 @@ MUTANTS = (
            "a float or bool LFSR state constructs and fails only inside numpy at the "
            "first draw"),
     Mutant("train-advance-block", QNAV,
-           "            lfsr = lfsr.advance(used)\n",
-           "            lfsr = lfsr.advance(block)\n",
-           "a training step advances the LFSR past the words it used, not past its "
-           "whole block"),
+           "            slot = (slot + used) % LFSR_PERIOD\n",
+           "            slot = (slot + block) % LFSR_PERIOD\n",
+           "a training step moves its stream cursor past the words it used, not past "
+           "its whole block"),
+    Mutant("train-cursor-wrap", QNAV,
+           "            slot = (slot + used) % LFSR_PERIOD\n",
+           "            slot = (slot + used) % (2 * LFSR_PERIOD)\n",
+           "the stream cursor is a slot of one period; past the period's end the words "
+           "it reads are still right (the gather wraps them), but the cursor is not the "
+           "LFSR's position, and every later block is a gather"),
     Mutant("train-collided-ignored", QNAV,
            "            if collided[pose, action]:",
            "            if False and collided[pose, action]:",
            "a refused move earns the collision penalty from the pose table's flag"),
     Mutant("train-update-mask-reused", QNAV,
-           "keep = keep_mask(words[used:used + mask_words], cfg.drop_p, shape)",
-           "keep = keep_mask(words[:mask_words], cfg.drop_p, shape)",
-           "the update mask reads its own words, after the replay sample's"),
+           "keep = step_keeps[used:used + mask_words].reshape(shape)",
+           "keep = step_keeps[:mask_words].reshape(shape)",
+           "the update mask reads its own words' keep flags, after the replay sample's"),
     Mutant("forward-safe-fan-in", QNAV,
            "_SAFE_FAN_IN = mm.ACC_MAX // (DEPTH_MAX * DEPTH_MAX)",
            "_SAFE_FAN_IN = 2 * mm.ACC_MAX // (DEPTH_MAX * DEPTH_MAX)",
            "the forward skips its output-layer accumulator check only for hidden layers "
            "too narrow to overflow"),
     Mutant("qnetwork-finite", QNAV,
-           "    if not _all_finite(w):",
-           "    if False:",
-           "a NaN weight quantizes past DEPTH_MAX, and the forward's accumulator bound "
-           "no longer holds"),
+           "            if not _all_finite(layer):",
+           "            if False:",
+           "a NaN weight constructed and failed only in the first forward pass, naming "
+           "neither layer; it would quantize past DEPTH_MAX"),
+    Mutant("qnetwork-real-dtype", QNAV,
+           '            if layer.dtype.kind not in "iuf":',
+           "            if False:",
+           "an object w1 constructed and failed inside np.isfinite, naming nothing"),
+    Mutant("qnetwork-bool-dtype", QNAV,
+           '            if layer.dtype.kind not in "iuf":',
+           '            if layer.dtype.kind not in "biuf":',
+           "a bool w1 ran as 0/1 weights"),
     Mutant("train-best-net-alias", QNAV,
            "                best_w = w.copy()\n",
            "                best_w = w\n",
@@ -345,7 +364,15 @@ MUTANTS = (
     Mutant("keep-mask-p-range", STOCHSYN,
            "    if not 0 <= p < 1:\n",
            "    if False:\n",
-           "keep_mask at p = NaN or 2.0 dropped every synapse"),
+           "keep_table at p = NaN or 2.0 dropped every synapse"),
+    Mutant("keep-table-threshold", STOCHSYN,
+           "keep = stream_table() >= p * _WORD_SCALE",
+           "keep = stream_table() > p * _WORD_SCALE",
+           "a sample is dropped only below p: one of exactly p * 2^16 draws p and is kept"),
+    Mutant("stream-block-wrap", STOCHSYN,
+           "    return table[(slot + np.arange(count)) % LFSR_PERIOD]",
+           "    return table[(slot + np.arange(count)) % len(table)]",
+           "a block past the padded table's end wraps to the start of the period"),
     Mutant("lpu-a-range-bool", SWARM,
            'mm.check_real(a_range, "LPU range", "(0, inf)")',
            'mm.check_real(float(a_range), "LPU range", "(0, inf)")',
