@@ -12,9 +12,10 @@ energy it is charged and the oscillator (DCO) cycles it runs:
               partial products run on the 5-bit kernel with digital shift-add.
 
 ``energy_table`` is the one place that maps a model to its energy formula;
-``mac``, ``mean_energy`` and ``array_pricer`` price from it. All energies
-scale with the square of the supply voltage relative to the calibration
-reference.
+``mac`` and ``mean_energy`` price from it, and so does ``Meter``, the one
+pricer and energy/MAC count of both workload families (``qnav`` layers,
+``swarmlab``'s ``LpuMeter``). All energies scale with the square of the
+supply voltage relative to the calibration reference.
 """
 
 from __future__ import annotations
@@ -314,17 +315,46 @@ def _energy_table(bits: int, model: str, params: EnergyParams) -> np.ndarray:
     return table
 
 
-def array_pricer(bits: int, model: str, params: EnergyParams):
-    """A function ``price(x_mag, w_mag)``: the total energy (pJ) of pairing
-    each weight magnitude in ``w_mag`` (one entry per MAC) with its input
-    magnitude in ``x_mag``, which broadcasts against it. The energy table is
-    looked up once, here, so a hot loop pays only the gather."""
-    table = energy_table(bits, model, params)
-    if model == "digital":
-        per_mac = float(table[0, 0])
-        # n * e: a summed gather of the constant table differs by up to 1.6e-16
-        return lambda x_mag, w_mag: float(np.size(w_mag) * per_mac)
-    return lambda x_mag, w_mag: float(table[x_mag, w_mag].sum())
+class Meter:
+    """The one energy pricer of every workload, for one (bits, model, params):
+    the energy table is looked up once, here, so a hot loop pays only the
+    gather. ``energy`` gives per-MAC energies (pJ) of broadcast operand
+    magnitudes and ``layer_pj`` a layer's total, charging nothing. A charge
+    adds MACs to ``macs`` and their energy to ``energy_pj``: ``_charge`` an
+    array summed by ``ndarray.sum``, ``charge`` per-call sums left to right
+    (``LpuMeter.mul_mags`` also sums left to right)."""
+
+    def __init__(self, bits: int, model: str, params: EnergyParams):
+        self.bits = check_bits(bits)
+        self._table = energy_table(self.bits, model, params)  # checks model and params
+        self._per_mac = float(self._table[0, 0]) if model == "digital" else None
+        self.energy_pj = 0.0
+        self.macs = 0
+
+    def energy(self, x_mag, w_mag):
+        return self._table[x_mag, w_mag]
+
+    def layer_pj(self, x_mag, w_mag) -> float:
+        """Total energy of pairing each weight magnitude in ``w_mag`` (one
+        entry per MAC) with its input magnitude in ``x_mag``, which
+        broadcasts against it."""
+        if self._per_mac is not None:
+            # n * e: a summed gather of the constant table differs by up to 1.6e-16
+            return float(np.size(w_mag) * self._per_mac)
+        return float(self._table[x_mag, w_mag].sum())
+
+    def _charge(self, e):
+        self.energy_pj += float(e.sum())
+        self.macs += e.size
+
+    def charge(self, call_pj, macs: int) -> None:
+        """Add per-call energies to ``energy_pj`` one at a time, in order.
+
+        A plain left-to-right sum, so the total equals that of the same calls
+        charged one by one (``ndarray.sum`` is pairwise and would differ).
+        """
+        self.energy_pj = float(np.add.accumulate(np.concatenate(([self.energy_pj], call_pj)))[-1])
+        self.macs += int(macs)
 
 
 def mean_energy(model: str, bits: int, params: EnergyParams) -> float:

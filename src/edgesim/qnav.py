@@ -229,7 +229,7 @@ class QNetwork:
         for name, layer in (("w1", self.w1), ("w2", self.w2)):
             if layer.dtype.kind not in "iuf":
                 raise TypeError(f"{name} must hold real numbers, got dtype {layer.dtype}")
-            if not _all_finite(layer):
+            if not np.isfinite(layer).all():
                 raise ValueError(f"{name} must be finite")
         if self.w1.ndim != 2 or self.w1.shape[1] != len(RAY_OFFSETS):
             raise ValueError(f"w1 must be (hidden, {len(RAY_OFFSETS)}), got {self.w1.shape}")
@@ -251,11 +251,6 @@ def _layers(flat: np.ndarray, shape1) -> tuple[np.ndarray, np.ndarray]:
     (hidden, 3), then the (N_ACTIONS, hidden) output layer."""
     n1 = shape1[0] * shape1[1]
     return flat[:n1].reshape(shape1), flat[n1:].reshape(N_ACTIONS, shape1[0])
-
-
-def _all_finite(a: np.ndarray) -> bool:
-    """``np.isfinite(a).all()``, without a reduction's per-call cost."""
-    return np.count_nonzero(np.isfinite(a)) == a.size
 
 
 def _quantize(w: np.ndarray, q: np.ndarray, m: np.ndarray) -> None:
@@ -319,7 +314,7 @@ def q_forward(net: QNetwork, x: np.ndarray, keep=None, model: str = "tdms",
         params = mm.default_params()
     if not ((x >= 0) & (x <= DEPTH_MAX)).all():
         raise ValueError(f"input operands must be in [0, {DEPTH_MAX}]")
-    return _forward(net.quantized(), x, keep, mm.array_pricer(DEPTH_BITS, model, params))
+    return _forward(net.quantized(), x, keep, mm.Meter(DEPTH_BITS, model, params))
 
 
 # a layer's accumulator sums one product of two 6-bit magnitudes per input,
@@ -328,11 +323,11 @@ def q_forward(net: QNetwork, x: np.ndarray, keep=None, model: str = "tdms",
 _SAFE_FAN_IN = mm.ACC_MAX // (DEPTH_MAX * DEPTH_MAX)
 
 
-def _forward(quant, x: np.ndarray, keep, price):
+def _forward(quant, x: np.ndarray, keep, meter: mm.Meter):
     """``q_forward`` of the network quantized as ``quant`` (``QNetwork.quantized``)
-    on an operand row already known to lie in [0, DEPTH_MAX], with the layers
-    priced by ``price``, an ``mm.array_pricer``. A run checks its operand
-    table and looks up its pricer once."""
+    on an operand row already known to lie in [0, DEPTH_MAX], with each layer
+    priced by ``meter.layer_pj``. A run checks its operand table and builds
+    its meter once."""
     (q1, q2), (m1, m2) = quant
     if keep is not None:
         q1 = masked_weights(q1, keep)
@@ -343,7 +338,7 @@ def _forward(quant, x: np.ndarray, keep, price):
     if hidden.size > _SAFE_FAN_IN and (np.abs(acc2) > mm.ACC_MAX).any():
         raise OverflowError("output-layer accumulator overflow")
 
-    energy = price(x, m1) + price(hidden, m2)
+    energy = meter.layer_pj(x, m1) + meter.layer_pj(hidden, m2)
     return acc2 / float(DEPTH_MAX * DEPTH_MAX), energy
 
 
@@ -444,6 +439,13 @@ def train_step(net: QNetwork, batch, cfg: TrainConfig, keep=None) -> QNetwork:
     the masked weights and first-layer gradients flow only through kept
     connections; targets stay clean.
     """
+    _, actions, rewards, _, _ = batch
+    if len(actions) == 0:
+        raise ValueError("batch must be non-empty")
+    if not _ACTIONS.issuperset(actions.tolist()):
+        raise ValueError(f"action indices must be in [0, {N_ACTIONS})")
+    if not np.isfinite(rewards).all():
+        raise ValueError("rewards must be finite")
     w = np.concatenate((net.w1, net.w2), axis=None)
     layers = _layers(w, net.w1.shape)
     _update(w, layers, batch, cfg, keep)
@@ -451,16 +453,11 @@ def train_step(net: QNetwork, batch, cfg: TrainConfig, keep=None) -> QNetwork:
 
 
 def _update(w: np.ndarray, layers, batch, cfg: TrainConfig, keep) -> None:
-    """``train_step`` in place: ``w`` is the flat float buffer of both
-    layers and ``layers`` its ``_layers`` views."""
+    """``train_step`` in place, on a batch it does not check (a run's own
+    scratchpad rows are valid): ``w`` is the flat float buffer of both layers
+    and ``layers`` its ``_layers`` views."""
     xs, actions, rewards, xn, terminal = batch
     n = len(actions)
-    if n == 0:
-        raise ValueError("batch must be non-empty")
-    if not _ACTIONS.issuperset(actions.tolist()):
-        raise ValueError(f"action indices must be in [0, {N_ACTIONS})")
-    if not _all_finite(rewards):
-        raise ValueError("rewards must be finite")
 
     w1, w2 = layers
     w1_used = w1 if keep is None else masked_weights(w1, keep)
@@ -572,7 +569,7 @@ def run_training(arena: Arena, cfg: TrainConfig, seed: int, model: str = "tdms",
     mm.check_type(cfg, "cfg", TrainConfig)
     if params is None:
         params = mm.default_params()
-    price = mm.array_pricer(DEPTH_BITS, model, params)
+    meter = mm.Meter(DEPTH_BITS, model, params)
     lfsr = Lfsr(mm.check_int(seed, "seed", 1, 0xFFFF))
     net, lfsr = init_network(lfsr, horizon=arena_horizon(arena))
     pad = Scratchpad(cfg.capacity)
@@ -613,7 +610,7 @@ def run_training(arena: Arena, cfg: TrainConfig, seed: int, model: str = "tdms",
             if mask_words:
                 step_keeps = stream_block(keeps, slot, block)
                 keep = step_keeps[:mask_words].reshape(shape)
-            qvals, energy = _forward(quant, operands[pose], keep, price)
+            qvals, energy = _forward(quant, operands[pose], keep, meter)
             action, used = epsilon_greedy(qvals, eps, words[mask_words:])
             used += mask_words
             new_pose = int(next_pose[pose, action])
@@ -688,7 +685,7 @@ def run_policy(arena: Arena, net: QNetwork, eps: float, steps: int, seed: int,
     mm.check_int(steps, "steps", 0)
     if params is None:
         params = mm.default_params()
-    price = mm.array_pricer(DEPTH_BITS, model, params)
+    meter = mm.Meter(DEPTH_BITS, model, params)
     lfsr = Lfsr(mm.check_int(seed, "seed", 1, 0xFFFF))
     operands, _, next_pose, _ = _pose_tables(arena, net.horizon)
     quant = net.quantized()
@@ -699,7 +696,7 @@ def run_policy(arena: Arena, net: QNetwork, eps: float, steps: int, seed: int,
         keep = None
         if stochastic:
             keep, lfsr = drop_mask(net.w1.shape, drop_p, lfsr)
-        qvals, _ = _forward(quant, operands[pose], keep, price)
+        qvals, _ = _forward(quant, operands[pose], keep, meter)
         action, lfsr = select_action(qvals, eps, lfsr)
         pose = int(next_pose[pose, action])
         visited[pose // N_HEADINGS] = 1

@@ -70,55 +70,23 @@ def nfe_recip(x):
 # linear processing unit
 
 
-class LpuMeter:
-    """Quantized multiplier and 1/d lookup with running energy/MAC accounting.
-
-    ``mul`` and ``nfe`` are the checked entry points: they reject operands
-    that are not real or are NaN (``mul`` infinities too, which ``nfe``
-    saturates) before anything is charged, then add their
-    MACs to ``macs`` and their energies, summed by ``ndarray.sum``, to
-    ``energy_pj``. ``mul`` quantizes floats, lists and arrays alike with
-    ``quantize_mags`` and returns dequantized products (a float for 0-d
-    operands); each MAC is priced by its operand magnitudes from the model's
-    cached ``macmodel.energy_table`` (``energy``), and each ``nfe`` lookup
-    is one interpolation MAC at ``nfe_pj``. The bodies take magnitudes
-    already quantized and check nothing: ``mul_mags`` multiplies Python
-    lists and charges its energies summed left to right, and
-    ``mul_mag_arrays`` multiplies arrays and charges nothing. The workload
-    steps keep their operands checked and quantized and call only the
-    bodies: the explore and predprey steps ``mul_mags``, and ``apf_force``
-    ``mul_mag_arrays``, pricing its calls with ``energy`` and ``nfe_pj`` and
-    charging them once, in call order, through ``charge``.
+class LpuMeter(mm.Meter):
+    """The LPU's ops on a ``macmodel.Meter``: quantized multiplies and 1/d
+    lookups, each lookup one interpolation MAC at ``nfe_pj``. ``mul`` and
+    ``nfe`` check their operands before they charge; the workload steps call
+    only the bodies, which take magnitudes already quantized and check
+    nothing: ``mul_mags`` (lists) and ``mul_mag_arrays`` (arrays, uncharged).
     """
 
     def __init__(self, bits: int, params: EnergyParams, model: str = "hdms"):
-        self.bits = mm.check_bits(bits)
-        self._table = mm.energy_table(self.bits, model, params)  # checks the model
-        self.energy_pj = 0.0
-        self.macs = 0
+        super().__init__(bits, model, params)
         self._full = (1 << self.bits) - 1
         # an NFE lookup's interpolation MAC, at mid-scale operands
         self.nfe_pj = self._table[self._full // 2, self._full // 2]
 
-    def energy(self, x_mag, w_mag):
-        """Per-element MAC energies (pJ) of the meter's model for broadcast operand magnitudes."""
-        return self._table[x_mag, w_mag]
-
-    def _charge(self, e):
-        self.energy_pj += float(e.sum())
-        self.macs += e.size
-
-    def charge(self, call_pj, macs: int) -> None:
-        """Add per-call energies to ``energy_pj`` one at a time, in order.
-
-        A plain left-to-right sum, so the total equals that of the same calls
-        charged one by one (``ndarray.sum`` is pairwise and would differ).
-        """
-        self.energy_pj = float(np.add.accumulate(np.concatenate(([self.energy_pj], call_pj)))[-1])
-        self.macs += int(macs)
-
     def mul(self, a, b, a_range: float, b_range: float):
-        """Elementwise quantized multiply; returns dequantized floats.
+        """Elementwise quantized multiply of floats, lists or arrays; charges
+        its MACs and returns dequantized floats (a float for 0-d operands).
 
         Operands must be finite: out-of-range values saturate, NaN and
         infinities raise ``ValueError``, and so do lists of unequal length.
@@ -345,6 +313,10 @@ class SwarmConfig:
         mm.check_type(self.potential, "potential", PotentialParams)
         for name in ("extent", "goal_tolerance", "slot_tolerance", "collision_radius"):
             mm.check_real(getattr(self, name), name, "(0, inf)")
+        # each grid agent, the prey included, starts on a cell of its own
+        if self.workload in ("predprey", "explore") and self.grid_size ** 2 < self.n_agents:
+            raise ValueError(f"extent {self.extent!r} gives a {self.grid_size}x{self.grid_size} "
+                             f"grid, fewer cells than n_agents = {self.n_agents}")
 
     @property
     def bits(self) -> int:

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from edgesim import macmodel as mm
 from edgesim import qnav, swarmlab
@@ -381,6 +382,29 @@ def test_surface_is_full_grid(params):
         }
         for model in mm.MODELS:
             assert np.array_equal(mm.energy_table(bits, model, params), expected[model]), (model, bits)
+
+
+# the two layer shapes of the qnav network: 3 inputs into 16 hidden units,
+# and 16 hidden activations into the 4 action values
+LAYER_SHAPES = (((3,), (16, 3)), ((16,), (4, 16)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(bits=st.integers(mm.MIN_BITS, mm.MAX_BITS), model=st.sampled_from(mm.MODELS),
+       shapes=st.sampled_from(LAYER_SHAPES), data=st.data())
+def test_meter_layer_pj_is_the_layer_pricing_rule(params, bits, model, shapes, data):
+    # the rule qnav priced its layers by before the meter: n * e for digital
+    # (a summed gather of the constant table can differ by 1 ulp), else the
+    # summed gather; a masked weight has magnitude 0
+    mag = st.one_of(st.just(0), st.integers(0, (1 << bits) - 1))
+    x = data.draw(arrays(np.int64, shapes[0], elements=mag))
+    w = data.draw(arrays(np.int64, shapes[1], elements=mag))
+    table = mm.energy_table(bits, model, params)
+    want = np.size(w) * float(table[0, 0]) if model == "digital" else float(table[x, w].sum())
+    meter = mm.Meter(bits, model, params)
+    got = meter.layer_pj(x, w)
+    assert type(got) is float and got == want
+    assert (meter.energy_pj, meter.macs) == (0.0, 0)  # pricing a layer charges nothing
 
 
 # ---------------------------------------------------------------------------

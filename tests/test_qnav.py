@@ -401,6 +401,18 @@ def test_train_step_rejects_bad_batch(a, r):
         train_step(net, _batch([[3, 4, 5]], [a], [r], [[3, 4, 5]], [False]), TrainConfig())
 
 
+@pytest.mark.parametrize("a, r, text", [([], [], "non-empty"), ([-1], [0.0], "action"),
+                                        ([4], [0.0], "action"), ([0], [float("nan")], "rewards"),
+                                        ([0], [float("inf")], "rewards")])
+def test_train_step_names_what_is_wrong_with_a_batch(a, r, text):
+    # train_step checks the batches that enter from outside; without its own
+    # check a NaN reward reached the weights, and the error named w1
+    net, _ = init_network(Lfsr(3))
+    rows = [[3, 4, 5]] * len(a)
+    with pytest.raises(ValueError, match=text):
+        train_step(net, _batch(rows, a, r, rows, [False] * len(a)), TrainConfig())
+
+
 def test_train_step_matches_finite_difference():
     # scalar 1-1-1 net against a frozen terminal target, embedded in a 3-1-4
     # net: the other two rays read depth 8 (proximity 0) through zero weights

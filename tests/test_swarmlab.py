@@ -757,6 +757,27 @@ def test_swarm_config_floats_must_be_positive_and_finite(name, value):
         sl.make_scenario("path", 3, **{name: value})
 
 
+@pytest.mark.parametrize("workload", ["explore", "predprey"])
+def test_grid_workloads_need_a_cell_per_agent(tmp_path, workload):
+    # explore at n=20 and extent 3 placed 16 agents on its 4x4 grid and still
+    # reported n_agents=20, and predprey ran 15 predators
+    for n, extent in ((20, 3.0), (17, 4.0), (20, 4.4)):
+        with pytest.raises(ValueError, match="extent"):
+            sl.make_scenario(workload, n, extent=extent)
+    # a cell for every agent, the prey included, is enough
+    scn = sl.make_scenario(workload, 16, extent=4.0, seed=1)
+    assert len(np.unique(scn.agents, axis=0)) == 16
+    assert sl.run_workload(scn, budget=2).n_agents == 16
+    # path and formation place their agents in the plane, not on cells
+    assert sl.SwarmConfig("path", 20, extent=3.0).grid_size ** 2 < 20
+    # a scenario file goes through the same check
+    path = tmp_path / "scn.txt"
+    sl.save_scenario(scn, path)
+    path.write_text(path.read_text().replace("n_agents = 16", "n_agents = 17") + "0.0 0.0\n")
+    with pytest.raises(ValueError, match="extent"):
+        sl.load_scenario(path)
+
+
 @pytest.mark.parametrize("name", ["k_att", "k_rep", "d0", "v_max"])
 @pytest.mark.parametrize("value", [np.inf, np.nan, 0.0, -1.0])
 def test_potential_params_must_be_positive_and_finite(name, value):

@@ -224,10 +224,23 @@ MUTANTS = (
            "the forward skips its output-layer accumulator check only for hidden layers "
            "too narrow to overflow"),
     Mutant("qnetwork-finite", QNAV,
-           "            if not _all_finite(layer):",
+           "            if not np.isfinite(layer).all():",
            "            if False:",
            "a NaN weight constructed and failed only in the first forward pass, naming "
            "neither layer; it would quantize past DEPTH_MAX"),
+    Mutant("train-step-empty-batch", QNAV,
+           "    if len(actions) == 0:\n",
+           "    if False:\n",
+           "train_step on an empty batch divided by zero, naming nothing"),
+    Mutant("train-step-action-range", QNAV,
+           "    if not _ACTIONS.issuperset(actions.tolist()):",
+           "    if False and not _ACTIONS.issuperset(actions.tolist()):",
+           "train_step took action -1 as the last action's row, and failed on 4 with "
+           "IndexError"),
+    Mutant("train-step-rewards-finite", QNAV,
+           "    if not np.isfinite(rewards).all():",
+           "    if False:",
+           "train_step with a NaN reward made NaN weights, and the error named w1"),
     Mutant("qnetwork-real-dtype", QNAV,
            '            if layer.dtype.kind not in "iuf":',
            "            if False:",
@@ -266,6 +279,14 @@ MUTANTS = (
            '        if self.workload in ("predprey", "explore"):\n',
            '        if self.workload in ("predprey",):\n',
            "an explore seed outside the LFSR's range failed only at run time"),
+    Mutant("swarm-grid-cells", SWARM,
+           "and self.grid_size ** 2 < self.n_agents:",
+           "and False:",
+           "explore at n=20 and extent 3 ran 16 agents on a 4x4 grid and reported 20"),
+    Mutant("swarm-grid-cells-full", SWARM,
+           "self.grid_size ** 2 < self.n_agents:",
+           "self.grid_size ** 2 <= self.n_agents:",
+           "a grid with exactly one cell per agent, the prey included, is enough"),
     Mutant("run-workload-budget", SWARM,
            'else mm.check_int(budget, "budget", 0)',
            "else budget",
@@ -385,6 +406,17 @@ MUTANTS = (
            '        if a.dtype.kind not in "iuf" or b.dtype.kind not in "iuf":',
            "        if False:",
            "LpuMeter.mul(True, 0.5, 1.0, 1.0) multiplied True as 1.0"),
+    Mutant("meter-digital-layer-rule", MACMODEL,
+           "return float(np.size(w_mag) * self._per_mac)",
+           "return float(self._table[x_mag, w_mag].sum())",
+           "a digital layer is priced n * e; the summed gather of the constant table "
+           "differs by up to 1.6e-16 (the digital training golden)"),
+    Mutant("meter-charge-pairwise", MACMODEL,
+           "self.energy_pj = float(np.add.accumulate(np.concatenate(([self.energy_pj], "
+           "call_pj)))[-1])",
+           "self.energy_pj = float(np.concatenate(([self.energy_pj], call_pj)).sum())",
+           "charge sums per-call energies left to right, as calls charged one by one "
+           "would; ndarray.sum is pairwise"),
     Mutant("energy-table-params-type", MACMODEL,
            'check_type(params, "params", EnergyParams))',
            "params)",
