@@ -322,7 +322,15 @@ class Meter:
     magnitudes and ``layer_pj`` a layer's total, charging nothing. A charge
     adds MACs to ``macs`` and their energy to ``energy_pj``: ``_charge`` an
     array summed by ``ndarray.sum``, ``charge`` per-call sums left to right
-    (``LpuMeter.mul_mags`` also sums left to right)."""
+    (``LpuMeter.mul_mags`` also sums left to right).
+
+    ``rows_pj`` is the one layer pricing rule, and prices many layers at
+    once: one gather and one row-wise ``np.add.reduce``, ``n · e`` a row for
+    digital. ``layer_pj`` is its one-row case. A row's total does not depend
+    on the other rows: a reduction along the last axis of the C-contiguous
+    gather sums each row as one flat run, by numpy's pairwise rule, as
+    ``ndarray.sum`` sums that row alone. So a run can price each step as it
+    goes or a batch of steps at once and get the same totals bit for bit."""
 
     def __init__(self, bits: int, model: str, params: EnergyParams):
         self.bits = check_bits(bits)
@@ -337,11 +345,18 @@ class Meter:
     def layer_pj(self, x_mag, w_mag) -> float:
         """Total energy of pairing each weight magnitude in ``w_mag`` (one
         entry per MAC) with its input magnitude in ``x_mag``, which
-        broadcasts against it."""
+        broadcasts against it: ``rows_pj`` of one row."""
+        return float(self.rows_pj(np.asarray(x_mag)[None], np.asarray(w_mag)[None])[0])
+
+    def rows_pj(self, x_rows, w_rows) -> np.ndarray:
+        """The layer total of every row ``k``, pairing ``w_rows[k]`` with
+        ``x_rows[k]``, as a float array: (n, inputs) input and (n, outputs,
+        inputs) weight magnitudes, one layer pass per row."""
+        n = len(w_rows)
         if self._per_mac is not None:
             # n * e: a summed gather of the constant table differs by up to 1.6e-16
-            return float(np.size(w_mag) * self._per_mac)
-        return float(self._table[x_mag, w_mag].sum())
+            return np.full(n, w_rows[0].size * self._per_mac)
+        return np.add.reduce(self._table[x_rows[:, None], w_rows].reshape(n, -1), axis=1)
 
     def _charge(self, e):
         self.energy_pj += float(e.sum())

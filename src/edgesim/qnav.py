@@ -20,6 +20,17 @@ one flat float buffer of both layers, updated by ``_update`` (the body of
 buffer has fixed per-layer views, so nothing is rebuilt per step; a
 ``QNetwork`` is made only for the trace, from a copy of the float buffer.
 
+``_forward`` is the integer forward pass alone: a step's MAC energy depends
+only on its operand magnitudes, so a training run records each step's pose,
+masked first-layer magnitudes, hidden activations and output-layer
+magnitudes in per-run buffers of at most ``_PRICE_ROWS`` rows, and prices
+an episode's steps once, at its end (or each time the rows fill), with
+``Meter.rows_pj``: one gather and one row-wise sum per layer, equal bit for
+bit to pricing each step by ``Meter.layer_pj`` as ``q_forward`` does.
+``run_policy`` prices nothing, and the greedy pick reads the integer output
+accumulators (dividing by DEPTH_MAX**2 is monotone and, below 2**24,
+one-to-one, so the argmax is the same).
+
 A training run keeps its place in the LFSR stream as an int cursor, the
 ``slot`` of ``stochsyn``'s stream table. Each step reads one block of words
 at the cursor with ``stream_block``, and one block of the run's
@@ -63,6 +74,8 @@ NEW_CELL_REWARD = 1.0
 
 # integer hidden activations are rescaled to 6-bit operands by this shift
 ACT_SHIFT = 5
+# the most a 3-input first-layer accumulator can reach: |a| <= 3 * 63 * 63
+_ACC1_MAX = len(RAY_OFFSETS) * DEPTH_MAX * DEPTH_MAX
 # the float shadow net mirrors the integer rescale: y = min(GAIN * relu(a), 1)
 ACT_GAIN = (DEPTH_MAX * DEPTH_MAX) / float((1 << ACT_SHIFT) * DEPTH_MAX)
 # default sensor-conditioning horizon (cells); see proximity()
@@ -314,32 +327,53 @@ def q_forward(net: QNetwork, x: np.ndarray, keep=None, model: str = "tdms",
         params = mm.default_params()
     if not ((x >= 0) & (x <= DEPTH_MAX)).all():
         raise ValueError(f"input operands must be in [0, {DEPTH_MAX}]")
-    return _forward(net.quantized(), x, keep, mm.Meter(DEPTH_BITS, model, params))
+    quant = net.quantized()
+    meter = mm.Meter(DEPTH_BITS, model, params)
+    acc2, hidden, m1 = _forward(quant, x, keep)
+    energy = meter.layer_pj(x, m1) + meter.layer_pj(hidden, quant[1][1])
+    return acc2 / float(DEPTH_MAX * DEPTH_MAX), energy
 
 
 # a layer's accumulator sums one product of two 6-bit magnitudes per input,
 # so only a layer with more inputs than this can pass ACC_MAX (the 3-input
 # first layer never can)
 _SAFE_FAN_IN = mm.ACC_MAX // (DEPTH_MAX * DEPTH_MAX)
+# a training run prices its steps in batches of at most this many (run_training)
+_PRICE_ROWS = 512
 
 
-def _forward(quant, x: np.ndarray, keep, meter: mm.Meter):
-    """``q_forward`` of the network quantized as ``quant`` (``QNetwork.quantized``)
-    on an operand row already known to lie in [0, DEPTH_MAX], with each layer
-    priced by ``meter.layer_pj``. A run checks its operand table and builds
-    its meter once."""
-    (q1, q2), (m1, m2) = quant
+def _activation_table() -> np.ndarray:
+    """Read-only hidden activation ``min(max(a, 0) >> ACT_SHIFT, DEPTH_MAX)``,
+    as a byte, of every first-layer accumulator ``a`` in [-_ACC1_MAX,
+    _ACC1_MAX], at index ``a``: a negative ``a`` reads from the table's end."""
+    n = 2 * _ACC1_MAX + 1
+    acc = np.arange(n)
+    acc[_ACC1_MAX + 1:] -= n
+    table = np.minimum(np.maximum(acc, 0) >> ACT_SHIFT, DEPTH_MAX).astype(np.uint8)
+    table.flags.writeable = False
+    return table
+
+
+_ACTIVATION = _activation_table()
+
+
+def _forward(quant, x: np.ndarray, keep):
+    """The integer forward pass of the network quantized as ``quant``
+    (``QNetwork.quantized``) on an operand row already known to lie in
+    [0, DEPTH_MAX]. Returns the output-layer accumulators (the action values
+    times DEPTH_MAX**2), the hidden activations and the first-layer weight
+    magnitudes after the mask: with ``x`` and the output-layer magnitudes,
+    the operands that price the pass."""
+    (q1, q2), (m1, _) = quant
     if keep is not None:
         q1 = masked_weights(q1, keep)
         m1 = np.abs(q1)
 
-    hidden = np.minimum(np.maximum(q1 @ x, 0) >> ACT_SHIFT, DEPTH_MAX)
+    hidden = _ACTIVATION[q1 @ x]
     acc2 = q2 @ hidden
     if hidden.size > _SAFE_FAN_IN and (np.abs(acc2) > mm.ACC_MAX).any():
         raise OverflowError("output-layer accumulator overflow")
-
-    energy = meter.layer_pj(x, m1) + meter.layer_pj(hidden, m2)
-    return acc2 / float(DEPTH_MAX * DEPTH_MAX), energy
+    return acc2, hidden, m1
 
 
 def bellman_target(r, q_next_max, gamma: float, terminal):
@@ -442,6 +476,9 @@ def train_step(net: QNetwork, batch, cfg: TrainConfig, keep=None) -> QNetwork:
     _, actions, rewards, _, _ = batch
     if len(actions) == 0:
         raise ValueError("batch must be non-empty")
+    # a float or bool action would pass the range check as 1.0 or True
+    if actions.dtype.kind not in "iu":
+        raise TypeError(f"actions must be integers, got dtype {actions.dtype}")
     if not _ACTIONS.issuperset(actions.tolist()):
         raise ValueError(f"action indices must be in [0, {N_ACTIONS})")
     if not np.isfinite(rewards).all():
@@ -463,9 +500,13 @@ def _update(w: np.ndarray, layers, batch, cfg: TrainConfig, keep) -> None:
     w1_used = w1 if keep is None else masked_weights(w1, keep)
 
     # (B, hidden) pre-activations of the states over those of the next
-    # states, through one rectifier
-    a1 = np.concatenate((xs @ w1_used.T, xn @ w1.T))
-    h_both = np.minimum(np.maximum(a1, 0.0) * ACT_GAIN, 1.0)
+    # states, through one rectifier, in place
+    h_both = np.empty((2 * n, w1.shape[0]))
+    np.dot(xs, w1_used.T, out=h_both[:n])
+    np.dot(xn, w1.T, out=h_both[n:])
+    np.maximum(h_both, 0.0, out=h_both)
+    h_both *= ACT_GAIN
+    np.minimum(h_both, 1.0, out=h_both)
     q_both = h_both @ w2.T                       # (2B, actions)
     h, q = h_both[:n], q_both[:n]
     q_next_max = np.maximum.reduce(q_both[n:], axis=1)
@@ -563,7 +604,9 @@ def run_training(arena: Arena, cfg: TrainConfig, seed: int, model: str = "tdms",
 
     The network trains in place (module docstring): each update moves the
     float buffer ``w`` and re-quantizes it into the integer buffers that
-    ``quant`` views, and ``trace.net`` is built from a copy of ``w``.
+    ``quant`` views, and ``trace.net`` is built from a copy of ``w``. An
+    episode's steps are priced at its end, in batches of at most
+    ``_PRICE_ROWS`` (module docstring).
     """
     mm.check_type(arena, "arena", Arena)
     mm.check_type(cfg, "cfg", TrainConfig)
@@ -582,6 +625,20 @@ def run_training(arena: Arena, cfg: TrainConfig, seed: int, model: str = "tdms",
     w = np.concatenate((net.w1, net.w2), axis=None)
     layers = _layers(w, shape)
     q, m, quant = _quantized(w, shape)
+    m2 = quant[1][1]
+    # each step's pose and MAC operand magnitudes (at most DEPTH_MAX, so a
+    # byte each), one row per step, priced when an episode ends or the rows
+    # fill, whichever comes first
+    rows = min(cfg.max_steps, _PRICE_ROWS)
+    poses = np.zeros(rows, dtype=np.int64)
+    m1_rows = np.zeros((rows,) + shape, dtype=np.uint8)
+    hidden_rows = np.zeros((rows, shape[0]), dtype=np.uint8)
+    m2_rows = np.zeros((rows,) + m2.shape, dtype=np.uint8)
+
+    def price(k):
+        """The energies of the first ``k`` recorded steps."""
+        return (meter.rows_pj(operands[poses[:k]], m1_rows[:k])
+                + meter.rows_pj(hidden_rows[:k], m2_rows[:k]))
 
     # stochastic synapses sit on the sensor fan-in (first layer), refreshed
     # every forward pass and every training step
@@ -604,14 +661,22 @@ def run_training(arena: Arena, cfg: TrainConfig, seed: int, model: str = "tdms",
         visited[pose // N_HEADINGS] = 1
         covered = 1
         eps = cfg.epsilon(ep)
+        k = 0  # steps recorded and not yet priced
         for _ in range(cfg.max_steps):
+            if k == rows:
+                en_rows.append(price(k))
+                k = 0
             words = stream_block(stream, slot, block)
             keep = None
             if mask_words:
                 step_keeps = stream_block(keeps, slot, block)
                 keep = step_keeps[:mask_words].reshape(shape)
-            qvals, energy = _forward(quant, operands[pose], keep, meter)
-            action, used = epsilon_greedy(qvals, eps, words[mask_words:])
+            # the step's operand magnitudes go into row k, priced later
+            acc2, hidden_rows[k], m1_rows[k] = _forward(quant, operands[pose], keep)
+            poses[k] = pose
+            m2_rows[k] = m2
+            k += 1
+            action, used = epsilon_greedy(acc2, eps, words[mask_words:])
             used += mask_words
             new_pose = int(next_pose[pose, action])
             reward = 0.0
@@ -638,11 +703,11 @@ def run_training(arena: Arena, cfg: TrainConfig, seed: int, model: str = "tdms",
             ep_rows.append(ep)
             cov_rows.append(covered)
             rew_rows.append(reward)
-            en_rows.append(energy)
             iteration += 1
             pose = new_pose
             if terminal:
                 break
+        en_rows.append(price(k))
         episode_coverage.append(covered)
         window = episode_coverage[-cfg.convergence_window:]
         if len(window) == cfg.convergence_window:
@@ -660,7 +725,7 @@ def run_training(arena: Arena, cfg: TrainConfig, seed: int, model: str = "tdms",
     return TrainingTrace(
         iteration=np.arange(iteration), episode=np.array(ep_rows),
         covered_cells=np.array(cov_rows), reward=np.array(rew_rows),
-        energy_pj=np.array(en_rows),
+        energy_pj=np.concatenate(en_rows),
         episode_coverage=np.array(episode_coverage),
         converged=converged, convergence_episode=convergence_episode,
         free_cells=free_cells,
@@ -685,7 +750,7 @@ def run_policy(arena: Arena, net: QNetwork, eps: float, steps: int, seed: int,
     mm.check_int(steps, "steps", 0)
     if params is None:
         params = mm.default_params()
-    meter = mm.Meter(DEPTH_BITS, model, params)
+    mm.Meter(DEPTH_BITS, model, params)  # checks model and params; the run prices nothing
     lfsr = Lfsr(mm.check_int(seed, "seed", 1, 0xFFFF))
     operands, _, next_pose, _ = _pose_tables(arena, net.horizon)
     quant = net.quantized()
@@ -696,8 +761,8 @@ def run_policy(arena: Arena, net: QNetwork, eps: float, steps: int, seed: int,
         keep = None
         if stochastic:
             keep, lfsr = drop_mask(net.w1.shape, drop_p, lfsr)
-        qvals, _ = _forward(quant, operands[pose], keep, meter)
-        action, lfsr = select_action(qvals, eps, lfsr)
+        acc2, _, _ = _forward(quant, operands[pose], keep)
+        action, lfsr = select_action(acc2, eps, lfsr)
         pose = int(next_pose[pose, action])
         visited[pose // N_HEADINGS] = 1
     return sum(visited)

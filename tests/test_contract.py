@@ -44,6 +44,12 @@ def _policy(**kwargs):
     return qnav.run_policy(**(dict(arena=ARENA, net=NET, eps=0.1, steps=3, seed=7) | kwargs))
 
 
+def _train_step(actions):
+    x = np.full((1, 3), 0.5)
+    return qnav.train_step(NET, (x, np.array([actions]), np.zeros(1), x, np.zeros(1, bool)),
+                           qnav.TrainConfig())
+
+
 def _swarm(workload="path", n_agents=3, potential=None, **fields):
     if potential is not None:
         fields["potential"] = sl.PotentialParams(**potential)
@@ -110,6 +116,8 @@ CASES = {
                               "convergence_frac", "episodes", "max_steps", "batch_size",
                               "capacity", "convergence_window", "stochastic"),
               lambda f, v: _train(**{f: v})),
+    # a float or bool action array passed the range check as 1.0 or True
+    ("train_step", "actions"): ("action", _train_step),
     **_fields("run_policy", ("arena", "net", "eps", "drop_p", "steps", "stochastic", "seed"),
               lambda f, v: _policy(**{f: v})),
     **_fields("run_training", ("arena", "cfg", "seed"), lambda f, v: qnav.run_training(
@@ -181,6 +189,15 @@ def test_wrong_objects_name_the_field(case, value):
 
 # a wrong shape raises whatever fills it; a real, finite fill reaches the
 # shape check itself
+# an action array of floats or bools passed the range check as 1.0 or True,
+# then failed inside numpy with IndexError
+@pytest.mark.parametrize("value", [1.0, True], ids=repr)
+def test_non_integer_actions_name_the_field(value):
+    text, run = CASES[("train_step", "actions")]
+    with pytest.raises(TypeError, match=f"{text}s must be integers"):
+        run(value)
+
+
 SHAPE_CASES = [("QNetwork", "w1 shape"), ("QNetwork", "w2 shape"), ("LpuMeter.mul", "list lengths")]
 
 

@@ -407,6 +407,31 @@ def test_meter_layer_pj_is_the_layer_pricing_rule(params, bits, model, shapes, d
     assert (meter.energy_pj, meter.macs) == (0.0, 0)  # pricing a layer charges nothing
 
 
+@settings(max_examples=150, deadline=None)
+@given(bits=st.integers(mm.MIN_BITS, mm.MAX_BITS), model=st.sampled_from(mm.MODELS),
+       shapes=st.sampled_from(LAYER_SHAPES + (((40,), (4, 40)),)), n=st.integers(1, 400),
+       zero_frac=st.sampled_from([0.0, 0.3, 1.0]), seed=st.integers(0, 2**32 - 1))
+def test_meter_rows_pj_is_layer_pj_row_by_row(params, bits, model, shapes, n, zero_frac, seed):
+    # a training run prices an episode's steps in one batch; each row's total
+    # must equal the per-step layer_pj bit for bit, with rows of 48 and 64
+    # MACs (the qnav layers) and of 160 (past numpy's 128-element pairwise
+    # block); a zero magnitude is a masked weight or a silent hidden unit
+    rng = np.random.default_rng(seed)
+
+    def mags(shape):
+        m = rng.integers(0, 1 << bits, size=(n,) + shape)
+        m[rng.random(m.shape) < zero_frac] = 0
+        return m
+
+    x_rows, w_rows = mags(shapes[0]), mags(shapes[1])
+    meter = mm.Meter(bits, model, params)
+    got = meter.rows_pj(x_rows, w_rows)
+    want = [meter.layer_pj(x, w) for x, w in zip(x_rows, w_rows)]
+    assert got.dtype == np.float64 and got.shape == (n,)
+    assert got.tolist() == want
+    assert (meter.energy_pj, meter.macs) == (0.0, 0)
+
+
 # ---------------------------------------------------------------------------
 # calibration
 

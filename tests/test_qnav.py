@@ -291,6 +291,16 @@ def test_q_forward_accumulator_overflow(params, wide, message):
         q_forward(net, x, None, "tdms", params)
 
 
+def test_activation_table_matches_the_rectify_shift_saturate_rule():
+    # every first-layer accumulator a 3-input layer of 6-bit magnitudes can
+    # reach, negative ones read from the table's end
+    bound = 3 * qnav.DEPTH_MAX * qnav.DEPTH_MAX
+    acc = np.arange(-bound, bound + 1)
+    want = np.minimum(np.maximum(acc, 0) >> qnav.ACT_SHIFT, qnav.DEPTH_MAX)
+    assert np.array_equal(qnav._ACTIVATION[acc], want)
+    assert not qnav._ACTIVATION.flags.writeable
+
+
 def test_q_forward_matches_per_mac_composition(params):
     # oracle: run the same forward as explicit per-element MAC ops, with a
     # first-layer drop mask whose dropped weights are priced at magnitude 0
@@ -411,6 +421,19 @@ def test_train_step_names_what_is_wrong_with_a_batch(a, r, text):
     rows = [[3, 4, 5]] * len(a)
     with pytest.raises(ValueError, match=text):
         train_step(net, _batch(rows, a, r, rows, [False] * len(a)), TrainConfig())
+
+
+@pytest.mark.parametrize("actions", [np.array([1.0]), np.array([True]), np.array([0.0, 2.0]),
+                                     np.array(["1"]), np.array([1], dtype=object)], ids=repr)
+def test_train_step_rejects_non_integer_actions(actions):
+    # a float or bool action passed the range check as 1.0 or True and then
+    # failed inside numpy with IndexError, naming nothing
+    net, _ = init_network(Lfsr(3))
+    n = len(actions)
+    s, _, r, s_next, terminal = _batch([[3, 4, 5]] * n, [0] * n, [0.0] * n, [[3, 4, 5]] * n,
+                                       [False] * n)
+    with pytest.raises(TypeError, match="actions must be integers"):
+        train_step(net, (s, actions, r, s_next, terminal), TrainConfig())
 
 
 def test_train_step_matches_finite_difference():
@@ -687,6 +710,17 @@ def test_run_policy_rejects_non_numbers(small_run, kwargs, match):
         run_policy(SMALL_ARENA, small_run.net, **(dict(eps=0.1, steps=5, seed=7) | kwargs))
 
 
+@pytest.mark.parametrize("kwargs, error, match", [
+    (dict(model="analog"), ValueError, "MAC model"), (dict(params={}), TypeError, "params"),
+])
+def test_run_policy_checks_model_and_params(small_run, kwargs, error, match):
+    # a policy run prices nothing, but rejects what q_forward would reject,
+    # even when it runs no step
+    for steps in (0, 3):
+        with pytest.raises(error, match=match):
+            run_policy(SMALL_ARENA, small_run.net, 0.1, steps, seed=7, **kwargs)
+
+
 @pytest.mark.parametrize("seed, error", [(0, ValueError), (0x10000, ValueError),
                                          (True, TypeError), (2.0, TypeError)])
 def test_runs_name_a_bad_seed(small_run, seed, error):
@@ -949,17 +983,17 @@ def _check_block_steps(arena, cfg, seed):
     """run_training against _per_call_training from ``seed``: the same action
     masks, actions, replay rows, update masks and per-step stream cursors,
     and the same trace rows, coverage and final network. Returns the cursors."""
-    # the spies sit on the private forward and update, which run_training
-    # calls directly and q_forward and train_step wrap, and on the block
-    # read of the stream table, whose slot is the step's cursor
+    # the spies sit on the private integer forward and update, which
+    # run_training calls directly and q_forward and train_step wrap, and on
+    # the block read of the stream table, whose slot is the step's cursor
     forward, update, block_read = qnav._forward, qnav._update, qnav.stream_block
 
     def run(per_call):
         log, starts = [], []
         with pytest.MonkeyPatch.context() as mp:
-            def spy_forward(quant, x, keep, price):
+            def spy_forward(quant, x, keep):
                 log.append(("act", keep))
-                return forward(quant, x, keep, price)
+                return forward(quant, x, keep)
 
             def spy_update(w, layers, batch, cfg, keep):
                 log.append(("update", batch, keep))
@@ -1012,6 +1046,16 @@ def test_block_step_matches_per_call_draws(index, eps, stochastic, batch_size, s
     cfg = TrainConfig(episodes=2, max_steps=steps, batch_size=batch_size, capacity=batch_size + 3,
                       stochastic=stochastic, eps_start=eps, eps_end=eps)
     _check_block_steps((TINY_ARENA, SMALL_ARENA)[arena], cfg, _seed_at(index))
+
+
+def test_training_memory_does_not_grow_with_max_steps():
+    # every episode covers the tiny arena's 4 free cells long before its
+    # max_steps: a run records at most _PRICE_ROWS steps for pricing, so a
+    # huge max_steps allocates nothing per step it does not run
+    cfg = TrainConfig(episodes=3, max_steps=10**12, batch_size=2, capacity=8,
+                      eps_start=1.0, eps_end=1.0)
+    starts = _check_block_steps(TINY_ARENA, cfg, 0xACE1)
+    assert len(starts) < qnav._PRICE_ROWS  # the episodes ended early
 
 
 # cell (4, 1) is free but walled in, so no episode covers every free cell and

@@ -407,8 +407,8 @@ MUTANTS = (
            "        if False:",
            "LpuMeter.mul(True, 0.5, 1.0, 1.0) multiplied True as 1.0"),
     Mutant("meter-digital-layer-rule", MACMODEL,
-           "return float(np.size(w_mag) * self._per_mac)",
-           "return float(self._table[x_mag, w_mag].sum())",
+           "return np.full(n, w_rows[0].size * self._per_mac)",
+           "return np.add.reduce(self._table[x_rows[:, None], w_rows].reshape(n, -1), axis=1)",
            "a digital layer is priced n * e; the summed gather of the constant table "
            "differs by up to 1.6e-16 (the digital training golden)"),
     Mutant("meter-charge-pairwise", MACMODEL,
@@ -521,6 +521,45 @@ MUTANTS = (
            '        mm.check_type(self.w2, "w2", np.ndarray)\n',
            "",
            "QNetwork(w2=<list>, ...) raised AttributeError on .shape, naming nothing"),
+    Mutant("activation-table-bound", QNAV,
+           "_ACC1_MAX = len(RAY_OFFSETS) * DEPTH_MAX * DEPTH_MAX",
+           "_ACC1_MAX = (len(RAY_OFFSETS) - 1) * DEPTH_MAX * DEPTH_MAX",
+           "the activation table covers every accumulator a 3-input first layer can "
+           "reach, up to 3 * 63 * 63"),
+    Mutant("activation-table-offset", QNAV,
+           "    acc[_ACC1_MAX + 1:] -= n\n",
+           "    acc[_ACC1_MAX:] -= n\n",
+           "index a of the activation table holds a's activation, and a negative a "
+           "reads from the end: the largest accumulator is not the most negative one"),
+    Mutant("rows-pj-across-rows", MACMODEL,
+           "return np.add.reduce(self._table[x_rows[:, None], w_rows].reshape(n, -1), axis=1)",
+           "return np.add.reduce(self._table[x_rows[:, None], w_rows].reshape(n, -1), axis=0)",
+           "each row is one step's layer, so the sum runs along a row, not across rows"),
+    Mutant("rows-pj-left-to-right", MACMODEL,
+           "return np.add.reduce(self._table[x_rows[:, None], w_rows].reshape(n, -1), axis=1)",
+           "return np.add.accumulate(self._table[x_rows[:, None], w_rows].reshape(n, -1), "
+           "axis=1)[:, -1]",
+           "a row's total must be its pairwise sum, as layer_pj sums it: a left-to-right "
+           "sum differs in the last bits (a reduction along the other axis of the "
+           "transposed rows is equivalent, since numpy iterates it in memory order)"),
+    Mutant("train-pricing-last-row", QNAV,
+           "        en_rows.append(price(k))\n        episode_coverage",
+           "        en_rows.append(price(k - 1))\n        episode_coverage",
+           "an episode prices every one of its steps, the last included"),
+    Mutant("train-pricing-full-rows", QNAV,
+           "                en_rows.append(price(k))\n",
+           "",
+           "steps recorded before the rows fill are priced before the rows are reused"),
+    Mutant("train-step-actions-dtype", QNAV,
+           '    if actions.dtype.kind not in "iu":',
+           "    if False:",
+           "train_step took a float or bool action past its range check, then failed "
+           "inside numpy with IndexError"),
+    Mutant("run-policy-checks", QNAV,
+           "    mm.Meter(DEPTH_BITS, model, params)  # checks model and params; the run prices nothing\n",
+           "",
+           "run_policy prices nothing, but must still reject an unknown MAC model or "
+           "params that are not EnergyParams"),
     Mutant("collision-self-distance", SWARM,
            "np.fill_diagonal(d, np.inf)",
            "np.fill_diagonal(d, 1e9)",
