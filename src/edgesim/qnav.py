@@ -14,11 +14,13 @@ pass), their float scaling (the shadow network's inputs) and its (pose,
 action) transitions, and a run tracks its pose as one flat row index.
 
 A training run keeps its network in place rather than as a ``QNetwork``:
-one flat float buffer of both layers, updated by ``_update`` (the body of
-``train_step``), and the signed and magnitude integer buffers that
-``_quantize`` refills from it after each update and ``_forward`` reads. Each
-buffer has fixed per-layer views, so nothing is rebuilt per step; a
-``QNetwork`` is made only for the trace, from a copy of the float buffer.
+one flat float buffer of both layers, moved by the update that ``_updater``
+binds to it once per run (the rule ``train_step`` runs on a copy), and the
+signed and magnitude integer buffers that ``_quantize`` refills from it after
+each update and ``_forward`` reads. Each buffer has fixed per-layer views, and
+the bound update owns its activation and delta buffers, so nothing is rebuilt
+per step; a ``QNetwork`` is made only for the trace, from a copy of the float
+buffer.
 
 ``_forward`` is the integer forward pass alone: a step's MAC energy depends
 only on its operand magnitudes, so a training run records each step's pose,
@@ -239,11 +241,8 @@ class QNetwork:
     def __post_init__(self):
         mm.check_type(self.w1, "w1", np.ndarray)
         mm.check_type(self.w2, "w2", np.ndarray)
-        for name, layer in (("w1", self.w1), ("w2", self.w2)):
-            if layer.dtype.kind not in "iuf":
-                raise TypeError(f"{name} must hold real numbers, got dtype {layer.dtype}")
-            if not np.isfinite(layer).all():
-                raise ValueError(f"{name} must be finite")
+        _check_real_array(self.w1, "w1")
+        _check_real_array(self.w2, "w2")
         if self.w1.ndim != 2 or self.w1.shape[1] != len(RAY_OFFSETS):
             raise ValueError(f"w1 must be (hidden, {len(RAY_OFFSETS)}), got {self.w1.shape}")
         if self.w2.shape != (N_ACTIONS, self.w1.shape[0]):
@@ -257,6 +256,14 @@ class QNetwork:
         """Signed integer weights ``(q1, q2)`` and their magnitudes
         ``(m1, m2)`` of both layers, quantized in one pass by ``_quantize``."""
         return _quantized(np.concatenate((self.w1, self.w2), axis=None), self.w1.shape)[2]
+
+
+def _check_real_array(a: np.ndarray, name: str) -> None:
+    """``a`` must hold real numbers (not bools), all finite."""
+    if a.dtype.kind not in "iuf":
+        raise TypeError(f"{name} must hold real numbers, got dtype {a.dtype}")
+    if not np.isfinite(a).all():
+        raise ValueError(f"{name} must be finite")
 
 
 def _layers(flat: np.ndarray, shape1) -> tuple[np.ndarray, np.ndarray]:
@@ -424,8 +431,8 @@ class Scratchpad:
             raise ValueError("cannot sample an empty scratchpad")
         n = len(self)
         rows = (self.pushed - n + to_randint(draws, n)) % self.capacity
-        return (self.s[rows], self.a[rows], self.r[rows], self.s_next[rows],
-                self.terminal[rows])
+        return (self.s.take(rows, axis=0), self.a[rows], self.r[rows],
+                self.s_next.take(rows, axis=0), self.terminal[rows])
 
 
 @dataclass(frozen=True)
@@ -463,70 +470,94 @@ def train_step(net: QNetwork, batch, cfg: TrainConfig, keep=None) -> QNetwork:
     """One semi-gradient minibatch update toward the Bellman targets.
 
     ``batch`` is the (s, a, r, s_next, terminal) arrays of
-    ``Scratchpad.sample``, with float network inputs as the states (rows of
-    the ``scaled`` table of ``_pose_tables``). Gradients are taken through the float shadow
+    ``Scratchpad.sample``: B rows of float network inputs as the states and
+    next states (rows of the ``scaled`` table of ``_pose_tables``), and B
+    integer actions, real rewards and bool terminal flags; a batch that is not
+    raises naming the field. Gradients are taken through the float shadow
     network (straight-through with respect to quantization); the batch-mean
     nudge is computed against the entry weights and applied once, then
-    weights re-enter [-1, 1].
+    weights re-enter [-1, 1]. The update is the one ``run_training`` binds to
+    its own buffer (``_updater``), here bound to a copy of the weights.
 
     With a first-layer drop-connect mask ``keep``, the prediction path runs on
     the masked weights and first-layer gradients flow only through kept
     connections; targets stay clean.
     """
-    _, actions, rewards, _, _ = batch
-    if len(actions) == 0:
+    fields = ("states", "actions", "rewards", "next_states", "terminal")
+    for name, value in zip(fields, batch):
+        mm.check_type(value, name, np.ndarray)
+    xs, actions, rewards, xn, terminal = batch
+    if actions.ndim != 1:
+        raise ValueError(f"actions must be 1-D, got shape {actions.shape}")
+    n = len(actions)
+    if n == 0:
         raise ValueError("batch must be non-empty")
     # a float or bool action would pass the range check as 1.0 or True
     if actions.dtype.kind not in "iu":
         raise TypeError(f"actions must be integers, got dtype {actions.dtype}")
     if not _ACTIONS.issuperset(actions.tolist()):
         raise ValueError(f"action indices must be in [0, {N_ACTIONS})")
-    if not np.isfinite(rewards).all():
-        raise ValueError("rewards must be finite")
+    for name, value in (("states", xs), ("rewards", rewards), ("next_states", xn)):
+        _check_real_array(value, name)
+    if terminal.dtype.kind != "b":
+        raise TypeError(f"terminal must hold bools, got dtype {terminal.dtype}")
+    for name, value, shape in (("states", xs, (n, len(RAY_OFFSETS))), ("rewards", rewards, (n,)),
+                               ("next_states", xn, (n, len(RAY_OFFSETS))),
+                               ("terminal", terminal, (n,))):
+        if value.shape != shape:
+            raise ValueError(f"{name} must have shape {shape}, a row per action, got {value.shape}")
     w = np.concatenate((net.w1, net.w2), axis=None)
-    layers = _layers(w, net.w1.shape)
-    _update(w, layers, batch, cfg, keep)
-    return QNetwork(*layers, horizon=net.horizon)
+    _updater(w, net.w1.shape, cfg, n)(batch, keep)
+    return QNetwork(*_layers(w, net.w1.shape), horizon=net.horizon)
 
 
-def _update(w: np.ndarray, layers, batch, cfg: TrainConfig, keep) -> None:
-    """``train_step`` in place, on a batch it does not check (a run's own
-    scratchpad rows are valid): ``w`` is the flat float buffer of both layers
-    and ``layers`` its ``_layers`` views."""
-    xs, actions, rewards, xn, terminal = batch
-    n = len(actions)
+def _updater(w: np.ndarray, shape1, cfg: TrainConfig, n: int):
+    """``train_step``'s update rule bound to the flat float buffer ``w`` of
+    both layers (``_layers`` with ``shape1``) and to batches of ``n`` rows.
+    Returns ``update(batch, keep)``, which moves ``w`` in place on a batch it
+    does not check (a run's own scratchpad rows are valid). The layer views,
+    the activation and delta buffers, the row index and the step size are made
+    once, here, so an update allocates only its small temporaries."""
+    w1, w2 = _layers(w, shape1)
+    # the flat delta is laid out like w, so both layers move in one add
+    d = np.zeros_like(w)
+    d_w1, d_w2 = _layers(d, shape1)
+    # (B, hidden) activations of the states over those of the next states
+    h_both = np.empty((2 * n, shape1[0]))
+    h, h_next = h_both[:n], h_both[n:]
+    rows = np.arange(n)
+    step = cfg.alpha / n
 
-    w1, w2 = layers
-    w1_used = w1 if keep is None else masked_weights(w1, keep)
+    def update(batch, keep) -> None:
+        xs, actions, rewards, xn, terminal = batch
+        w1_used = w1 if keep is None else masked_weights(w1, keep)
 
-    # (B, hidden) pre-activations of the states over those of the next
-    # states, through one rectifier, in place
-    h_both = np.empty((2 * n, w1.shape[0]))
-    np.dot(xs, w1_used.T, out=h_both[:n])
-    np.dot(xn, w1.T, out=h_both[n:])
-    np.maximum(h_both, 0.0, out=h_both)
-    h_both *= ACT_GAIN
-    np.minimum(h_both, 1.0, out=h_both)
-    q_both = h_both @ w2.T                       # (2B, actions)
-    h, q = h_both[:n], q_both[:n]
-    q_next_max = np.maximum.reduce(q_both[n:], axis=1)
-    targets = bellman_target(rewards, q_next_max, cfg.gamma, terminal)
-    delta = targets - q[np.arange(n), actions]
+        # both pre-activations through one rectifier, in place
+        np.dot(xs, w1_used.T, out=h)
+        np.dot(xn, w1.T, out=h_next)
+        np.maximum(h_both, 0.0, out=h_both)
+        np.multiply(h_both, ACT_GAIN, out=h_both)
+        np.minimum(h_both, 1.0, out=h_both)
+        q_both = h_both @ w2.T                       # (2B, actions)
+        q_next_max = np.maximum.reduce(q_both[n:], axis=1)
+        targets = bellman_target(rewards, q_next_max, cfg.gamma, terminal)
+        delta = targets - q_both[rows, actions]
 
-    nudge = cfg.alpha / n * delta[:, None]
-    d_w2 = np.zeros(w2.shape)
-    np.add.at(d_w2, actions, nudge * h)
-    # rectifier and saturation gate: 0 < a1 and a1 * ACT_GAIN < 1, read off h
-    active = (h > 0.0) & (h < 1.0)
-    d_w1 = (nudge * w2[actions] * active * ACT_GAIN).T @ xs
-    if keep is not None:
-        d_w1 *= keep
+        nudge = step * delta[:, None]
+        d_w2.fill(0.0)
+        np.add.at(d_w2, actions, nudge * h)
+        # rectifier and saturation gate: 0 < a1 and a1 * ACT_GAIN < 1, read off h
+        active = (h > 0.0) & (h < 1.0)
+        np.dot((nudge * w2.take(actions, axis=0) * active * ACT_GAIN).T, xs, out=d_w1)
+        if keep is not None:
+            np.multiply(d_w1, keep, out=d_w1)
 
-    # both deltas read the entry weights, so the layers move only now; then
-    # both re-enter [-1, 1] in one clip of the buffer they are views of
-    w1 += d_w1
-    w2 += d_w2
-    w.clip(-1.0, 1.0, out=w)
+        # both deltas read the entry weights, so the layers move only now, in
+        # one add; then both re-enter [-1, 1] in one clip
+        np.add(w, d, out=w)
+        w.clip(-1.0, 1.0, out=w)
+
+    return update
 
 
 # ---------------------------------------------------------------------------
@@ -602,9 +633,10 @@ def run_training(arena: Arena, cfg: TrainConfig, seed: int, model: str = "tdms",
     ``trace.net`` is the network at the end of the strongest window, or the
     last network when the run ends before a full window.
 
-    The network trains in place (module docstring): each update moves the
-    float buffer ``w`` and re-quantizes it into the integer buffers that
-    ``quant`` views, and ``trace.net`` is built from a copy of ``w``. An
+    The network trains in place (module docstring): the run binds one update
+    to the float buffer ``w`` (``_updater``), and each update moves ``w`` and
+    re-quantizes it into the integer buffers that ``quant`` views;
+    ``trace.net`` is built from a copy of ``w``. An
     episode's steps are priced at its end, in batches of at most
     ``_PRICE_ROWS`` (module docstring).
     """
@@ -623,8 +655,8 @@ def run_training(arena: Arena, cfg: TrainConfig, seed: int, model: str = "tdms",
     stream = stream_table()
     keeps = keep_table(cfg.drop_p) if cfg.stochastic else None
     w = np.concatenate((net.w1, net.w2), axis=None)
-    layers = _layers(w, shape)
     q, m, quant = _quantized(w, shape)
+    update = _updater(w, shape, cfg, cfg.batch_size)
     m2 = quant[1][1]
     # each step's pose and MAC operand magnitudes (at most DEPTH_MAX, so a
     # byte each), one row per step, priced when an episode ends or the rows
@@ -696,7 +728,7 @@ def run_training(arena: Arena, cfg: TrainConfig, seed: int, model: str = "tdms",
                 if mask_words:
                     keep = step_keeps[used:used + mask_words].reshape(shape)
                     used += mask_words
-                _update(w, layers, batch, cfg, keep)
+                update(batch, keep)
                 _quantize(w, q, m)
             slot = (slot + used) % LFSR_PERIOD
 

@@ -44,10 +44,12 @@ def _policy(**kwargs):
     return qnav.run_policy(**(dict(arena=ARENA, net=NET, eps=0.1, steps=3, seed=7) | kwargs))
 
 
-def _train_step(actions):
+def _train_step(**fields):
+    """``train_step`` on a one-row batch with ``fields`` replaced."""
     x = np.full((1, 3), 0.5)
-    return qnav.train_step(NET, (x, np.array([actions]), np.zeros(1), x, np.zeros(1, bool)),
-                           qnav.TrainConfig())
+    batch = dict(states=x, actions=np.array([1]), rewards=np.zeros(1), next_states=x,
+                 terminal=np.zeros(1, bool)) | fields
+    return qnav.train_step(NET, tuple(batch.values()), qnav.TrainConfig())
 
 
 def _swarm(workload="path", n_agents=3, potential=None, **fields):
@@ -117,7 +119,15 @@ CASES = {
                               "capacity", "convergence_window", "stochastic"),
               lambda f, v: _train(**{f: v})),
     # a float or bool action array passed the range check as 1.0 or True
-    ("train_step", "actions"): ("action", _train_step),
+    ("train_step", "actions"): ("action", lambda v: _train_step(actions=np.array([v]))),
+    # a NaN state reached the weights and the error named w1; terminal flags
+    # of any dtype were read by their truthiness
+    **_fields("train_step", ("states", "next_states"),
+              lambda f, v: _train_step(**{f: np.full((1, 3), v)})),
+    **_fields("train_step", ("rewards", "terminal"),
+              lambda f, v: _train_step(**{f: np.full(1, v)})),
+    # a list in a batch failed on its first attribute access, naming nothing
+    ("train_step", "states object"): ("states", lambda v: _train_step(states=v)),
     **_fields("run_policy", ("arena", "net", "eps", "drop_p", "steps", "stochastic", "seed"),
               lambda f, v: _policy(**{f: v})),
     **_fields("run_training", ("arena", "cfg", "seed"), lambda f, v: qnav.run_training(
@@ -146,6 +156,16 @@ CASES = {
     ("QNetwork", "w2 shape"): ("w2", lambda v: _policy(
         net=qnav.QNetwork(w1=NET.w1, w2=np.full((qnav.N_ACTIONS, NET.w1.shape[0] - 1), v)))),
     ("LpuMeter.mul", "list lengths"): ("LPU", lambda v: _meter(a=[0.5, v], b=[0.25])),
+    # a batch whose arrays disagree with its one action failed inside numpy
+    ("train_step", "states rows"): ("states", lambda v: _train_step(states=np.full((2, 3), v))),
+    ("train_step", "state width"): ("states", lambda v: _train_step(states=np.full((1, 4), v))),
+    ("train_step", "next_states rows"): ("next_states", lambda v: _train_step(
+        next_states=np.full((2, 3), v))),
+    ("train_step", "rewards rows"): ("rewards", lambda v: _train_step(rewards=np.full(2, v))),
+    ("train_step", "terminal rows"): ("terminal", lambda v: _train_step(
+        terminal=np.full(2, bool(v)))),
+    ("train_step", "actions ndim"): ("actions", lambda v: _train_step(
+        actions=np.full((1, 1), v))),
     **{("load_energy_params", f): (f, lambda v, path, f=f: _params_file(path, f, v))
        for f in ("e_tr", "v_supply")},
     **{("load_scenario", f): (f, lambda v, path, f=f: _scenario_file(path, f, v))
@@ -179,7 +199,8 @@ def test_entry_points_run_or_name_the_field(tmp_path, case, value):
 @pytest.mark.parametrize("case", [("run_training", "arena"), ("run_training", "cfg"),
                                   ("run_policy", "arena"), ("run_policy", "net"),
                                   ("run_workload", "scn"), ("QNetwork", "w1"),
-                                  ("QNetwork", "w2")], ids=".".join)
+                                  ("QNetwork", "w2"), ("train_step", "states object")],
+                         ids=".".join)
 @pytest.mark.parametrize("value", ["x", {}, [0.5, 0.25], None], ids=repr)
 def test_wrong_objects_name_the_field(case, value):
     text, run = CASES[case]
@@ -187,8 +208,6 @@ def test_wrong_objects_name_the_field(case, value):
         run(value)
 
 
-# a wrong shape raises whatever fills it; a real, finite fill reaches the
-# shape check itself
 # an action array of floats or bools passed the range check as 1.0 or True,
 # then failed inside numpy with IndexError
 @pytest.mark.parametrize("value", [1.0, True], ids=repr)
@@ -198,7 +217,28 @@ def test_non_integer_actions_name_the_field(value):
         run(value)
 
 
-SHAPE_CASES = [("QNetwork", "w1 shape"), ("QNetwork", "w2 shape"), ("LpuMeter.mul", "list lengths")]
+# a non-finite state reached the weights, and the error named w1
+@pytest.mark.parametrize("field", ["states", "next_states"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=repr)
+def test_non_finite_batches_name_the_field(field, value):
+    text, run = CASES[("train_step", field)]
+    with pytest.raises(ValueError, match=f"^{text} must be finite"):
+        run(value)
+
+
+# terminal flags of 0.5, NaN or a string were read by their truthiness
+@pytest.mark.parametrize("value", [0.5, 1, math.nan, "1"], ids=repr)
+def test_non_bool_terminal_flags_name_the_field(value):
+    with pytest.raises(TypeError, match="terminal must hold bools"):
+        CASES[("train_step", "terminal")][1](value)
+
+
+# a wrong shape raises whatever fills it; a real, finite fill reaches the
+# shape check itself
+SHAPE_CASES = [("QNetwork", "w1 shape"), ("QNetwork", "w2 shape"), ("LpuMeter.mul", "list lengths"),
+               ("train_step", "states rows"), ("train_step", "state width"),
+               ("train_step", "next_states rows"), ("train_step", "rewards rows"),
+               ("train_step", "terminal rows"), ("train_step", "actions ndim")]
 
 
 @pytest.mark.parametrize("case", SHAPE_CASES, ids=".".join)

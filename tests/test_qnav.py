@@ -460,6 +460,39 @@ def test_train_step_matches_finite_difference():
     assert out.w2[0, 0] - w2[0, 0] == pytest.approx(-g2, rel=1e-5)
 
 
+@settings(max_examples=60, deadline=None)
+@example(n=3, first={0}, seed=1, edge=0.0, masked=False, alpha=0.02, gamma=0.9)
+@example(n=8, first={1, 2}, seed=2, edge=0.5, masked=True, alpha=1.0, gamma=0.0)
+@given(n=st.integers(1, 8), first=st.sets(st.integers(0, qnav.N_ACTIONS - 1), min_size=1,
+                                          max_size=qnav.N_ACTIONS - 1),
+       seed=st.integers(0, 2**32 - 1), edge=st.sampled_from([0.0, 0.3, 1.0]),
+       masked=st.booleans(), alpha=st.sampled_from([0.02, 1.0]), gamma=st.sampled_from([0.0, 0.9]))
+def test_bound_update_matches_a_fresh_train_step_per_batch(n, first, seed, edge, masked, alpha,
+                                                           gamma):
+    # run_training binds one update to its weight buffer and reuses its
+    # activation and delta buffers; on consecutive batches it must move the
+    # weights exactly as a fresh train_step per batch does. The batches'
+    # actions alternate between the set `first` and the others, so a delta
+    # row left over from the last batch would show; a share `edge` of the
+    # weights sits near +-1, so the clip fires; some rows are terminal
+    rng = np.random.default_rng(seed)
+    cfg = TrainConfig(alpha=alpha, gamma=gamma)
+    w = rng.uniform(-1.0, 1.0, qnav.HIDDEN_UNITS * 3 + qnav.N_ACTIONS * qnav.HIDDEN_UNITS)
+    near = rng.random(w.size) < edge
+    w[near] = np.sign(w[near]) * rng.uniform(0.99, 1.0, near.sum())
+    net = QNetwork(*qnav._layers(w.copy(), (qnav.HIDDEN_UNITS, 3)))
+    update = qnav._updater(w, net.w1.shape, cfg, n)
+    others = sorted(set(range(qnav.N_ACTIONS)) - first)
+    for allowed in (sorted(first), others, sorted(first), others):
+        batch = (rng.integers(0, qnav.DEPTH_MAX + 1, (n, 3)) / qnav.DEPTH_MAX,
+                 rng.choice(allowed, n), rng.choice([qnav.COLLISION_REWARD, 0.0, 1.0], n),
+                 rng.integers(0, qnav.DEPTH_MAX + 1, (n, 3)) / qnav.DEPTH_MAX, rng.random(n) < 0.3)
+        keep = rng.random(net.w1.shape) >= 0.25 if masked else None
+        net = train_step(net, batch, cfg, keep)
+        update(batch, keep)
+        assert w.tobytes() == np.concatenate((net.w1, net.w2), axis=None).tobytes()
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         TrainConfig(alpha=0.0)
@@ -983,10 +1016,11 @@ def _check_block_steps(arena, cfg, seed):
     """run_training against _per_call_training from ``seed``: the same action
     masks, actions, replay rows, update masks and per-step stream cursors,
     and the same trace rows, coverage and final network. Returns the cursors."""
-    # the spies sit on the private integer forward and update, which
-    # run_training calls directly and q_forward and train_step wrap, and on
-    # the block read of the stream table, whose slot is the step's cursor
-    forward, update, block_read = qnav._forward, qnav._update, qnav.stream_block
+    # the spies sit on the private integer forward and on each update that
+    # _updater binds, which run_training calls directly and q_forward and
+    # train_step wrap, and on the block read of the stream table, whose slot
+    # is the step's cursor
+    forward, updater, block_read = qnav._forward, qnav._updater, qnav.stream_block
 
     def run(per_call):
         log, starts = [], []
@@ -995,12 +1029,17 @@ def _check_block_steps(arena, cfg, seed):
                 log.append(("act", keep))
                 return forward(quant, x, keep)
 
-            def spy_update(w, layers, batch, cfg, keep):
-                log.append(("update", batch, keep))
-                return update(w, layers, batch, cfg, keep)
+            def spy_updater(w, shape1, cfg, n):
+                update = updater(w, shape1, cfg, n)
+
+                def spy_update(batch, keep):
+                    log.append(("update", batch, keep))
+                    return update(batch, keep)
+
+                return spy_update
 
             mp.setattr(qnav, "_forward", spy_forward)
-            mp.setattr(qnav, "_update", spy_update)
+            mp.setattr(qnav, "_updater", spy_updater)
             if per_call:
                 return log, starts, _per_call_training(arena, cfg, seed, starts)
 

@@ -224,12 +224,12 @@ MUTANTS = (
            "the forward skips its output-layer accumulator check only for hidden layers "
            "too narrow to overflow"),
     Mutant("qnetwork-finite", QNAV,
-           "            if not np.isfinite(layer).all():",
-           "            if False:",
+           "    if not np.isfinite(a).all():",
+           "    if False:",
            "a NaN weight constructed and failed only in the first forward pass, naming "
            "neither layer; it would quantize past DEPTH_MAX"),
     Mutant("train-step-empty-batch", QNAV,
-           "    if len(actions) == 0:\n",
+           "    if n == 0:\n",
            "    if False:\n",
            "train_step on an empty batch divided by zero, naming nothing"),
     Mutant("train-step-action-range", QNAV,
@@ -238,16 +238,39 @@ MUTANTS = (
            "train_step took action -1 as the last action's row, and failed on 4 with "
            "IndexError"),
     Mutant("train-step-rewards-finite", QNAV,
-           "    if not np.isfinite(rewards).all():",
-           "    if False:",
+           '("rewards", rewards), ("next_states", xn)):',
+           '("next_states", xn)):',
            "train_step with a NaN reward made NaN weights, and the error named w1"),
+    Mutant("train-step-states-finite", QNAV,
+           '(("states", xs), ("rewards", rewards), ("next_states", xn)):',
+           '(("rewards", rewards), ("next_states", xn)):',
+           "train_step with a NaN state made NaN weights, and the error named w1"),
+    Mutant("train-step-batch-types", QNAV,
+           "        mm.check_type(value, name, np.ndarray)\n",
+           "        pass\n",
+           "a list in a train_step batch failed on its first attribute access with "
+           "AttributeError, naming nothing"),
+    Mutant("train-step-actions-1d", QNAV,
+           "    if actions.ndim != 1:",
+           "    if False:",
+           "train_step with 2-D actions failed in the range check with TypeError: "
+           "unhashable type: 'list'"),
+    Mutant("train-step-batch-shapes", QNAV,
+           "        if value.shape != shape:",
+           "        if False:",
+           "a batch whose arrays disagree with its actions in length, or states that "
+           "are not 3 wide, failed inside numpy, naming no field"),
+    Mutant("train-step-terminal-bool", QNAV,
+           '    if terminal.dtype.kind != "b":',
+           "    if False:",
+           "train_step took terminal flags of 0.5 or NaN by truthiness, as terminal"),
     Mutant("qnetwork-real-dtype", QNAV,
-           '            if layer.dtype.kind not in "iuf":',
-           "            if False:",
+           '    if a.dtype.kind not in "iuf":',
+           "    if False:",
            "an object w1 constructed and failed inside np.isfinite, naming nothing"),
     Mutant("qnetwork-bool-dtype", QNAV,
-           '            if layer.dtype.kind not in "iuf":',
-           '            if layer.dtype.kind not in "biuf":',
+           '    if a.dtype.kind not in "iuf":',
+           '    if a.dtype.kind not in "biuf":',
            "a bool w1 ran as 0/1 weights"),
     Mutant("train-best-net-alias", QNAV,
            "                best_w = w.copy()\n",
@@ -255,9 +278,9 @@ MUTANTS = (
            "trace.net at the strongest window is a snapshot; the loop keeps updating "
            "its weight buffer in place"),
     Mutant("train-stale-quant", QNAV,
-           "                _update(w, layers, batch, cfg, keep)\n"
+           "                update(batch, keep)\n"
            "                _quantize(w, q, m)\n",
-           "                _update(w, layers, batch, cfg, keep)\n",
+           "                update(batch, keep)\n",
            "the forward reads the integer buffers, so every update must re-quantize them"),
     Mutant("qnetwork-horizon", QNAV,
            'mm.check_int(self.horizon, "horizon", 2)',
@@ -560,6 +583,11 @@ MUTANTS = (
            "",
            "run_policy prices nothing, but must still reject an unknown MAC model or "
            "params that are not EnergyParams"),
+    Mutant("update-delta-not-zeroed", QNAV,
+           "        d_w2.fill(0.0)\n",
+           "",
+           "a bound update reuses its delta buffer, so each update must start the "
+           "output-layer delta from zero, not from the last batch's rows"),
     Mutant("collision-self-distance", SWARM,
            "np.fill_diagonal(d, np.inf)",
            "np.fill_diagonal(d, 1e9)",
